@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -58,7 +57,6 @@ class CombinedOutputs:
     y1: float
     y2: float
     e: float
-    w_c: Optional[np.ndarray] = None
 
 
 def combine(lam: float, y1: float, y2: float, d: float) -> CombinedOutputs:

@@ -7,6 +7,19 @@ in fixed-size chunks, vectorizing the per-sample algebra across the chunk;
 chunk boundaries (and therefore all floating-point reduction orders) are a
 function of ``chunk_size`` alone, never of the worker count.
 
+Inside a chunk, each trial's input is stored time-reversed and
+zero-padded, so the projection window of sample i (its last M regressors,
+newest first) is a slice of one sliding-window (Hankel) view: nothing is
+shifted and there are no ring buffers. Both branches share one newest-first
+Gram matrix of the larger window. Each sample shifts it one place down its
+diagonal and computes only the new row and column, ``U_i^T u_i``. Every
+entry is an exact dot product computed once, not a running correlation
+recursion as in fast APA, so the Gram cannot drift. A branch with a smaller
+window uses the leading block; the proportionate branch builds its own
+gain-weighted Gram. One matmul gives both branches' error vectors, and when
+the branches agree on M and eps and neither is proportionate, one solve
+with two right-hand sides serves both.
+
 :func:`run_trial` is the scalar reference path built directly on the step
 functions in :mod:`apamix.filters`; the vectorized engine is tested
 against it.
@@ -23,6 +36,7 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import theory
 from .combination import CombinationState, combine, update_a
@@ -74,6 +88,9 @@ class MixingConfig:
     a_plus: float = 4.0
     a0: float = 0.0
 
+    def __post_init__(self):
+        self.initial_state()  # CombinationState validates mu_a, a_plus and a0
+
     def initial_state(self) -> CombinationState:
         return CombinationState(a=self.a0, a_plus=self.a_plus, mu_a=self.mu_a)
 
@@ -110,6 +127,9 @@ class ExperimentConfig:
         for name, fc in (("filter1", self.filter1), ("filter2", self.filter2)):
             if fc.L != self.scenario.L:
                 raise ValueError(f"{name}.L={fc.L} does not match scenario L={self.scenario.L}")
+            if fc.M > 1 and fc.eps == 0:
+                # the window starts with zero columns, so its Gram is singular
+                raise ValueError(f"{name}: eps must be > 0 when M > 1")
 
 
 @dataclass(frozen=True)
@@ -258,98 +278,104 @@ class _ChunkResult:
         self.diverged: list[tuple[int, int]] = []  # (trial_index, sample_index)
 
 
+def _steady_window_start(start: int, end: int, fraction: float) -> int:
+    """First sample of the steady-state window of segment ``[start, end)``.
+
+    The window is the segment's last ``max(10, ceil(fraction*duration))``
+    samples, clipped to the segment.
+    """
+    width = max(10, int(math.ceil(fraction * (end - start))))
+    return max(start, end - width)
+
+
 def _simulate_chunk(
     config: ExperimentConfig,
     trial_indices: Sequence[int],
     skip_diverged: bool,
 ) -> _ChunkResult:
     scenario = config.scenario.materialize()
-    model = config.scenario.input
     n = scenario.n_samples
     L = scenario.L
-    M1, M2 = config.filter1.M, config.filter2.M
     R = len(trial_indices)
     f1, f2 = config.filter1, config.filter2
+    M1, M2 = f1.M, f2.M
+    M = max(M1, M2)
     prop = f2.proportionate
     mixing = config.mixing
+    shared_solve = prop is None and M1 == M2 and f1.eps == f2.eps
 
-    X = np.empty((R, n))
-    NOISE = np.empty((R, n))
+    # Both streams are stored time-reversed and zero-padded: column n-1-i
+    # holds sample i, the columns past n-1 the zeros before t=0. Row j of
+    # the sliding-window view H is then the regressor of sample n-1-j, and
+    # rows j..j+M-1 (j = n-1-i) are sample i's window, newest first.
+    Q = np.zeros((R, n + L + M - 2))
+    D = np.zeros((R, n + M - 1))  # noise now; the desired response d below
     for r, t in enumerate(trial_indices):
-        X[r], NOISE[r] = trial_signals(scenario, model, make_rng(config.seed, t))
+        x, noise = trial_signals(scenario, config.scenario.input, make_rng(config.seed, t))
+        Q[r, :n] = x[::-1]
+        D[r, :n] = noise[::-1]
+    H = sliding_window_view(Q, L, axis=1)
 
-    bounds = scenario.boundaries
-    seg_wopt = [seg.w_opt for seg in scenario.segments]
-    # steady-state windows where per-tap weight stats are accumulated
-    win_start = []
-    for k, seg in enumerate(scenario.segments):
-        w = max(10, int(math.ceil(config.steady_window_fraction * seg.duration)))
-        win_start.append(max(bounds[k], bounds[k + 1] - w))
+    bounds = [int(b) for b in scenario.boundaries]
+    win_start = [
+        _steady_window_start(bounds[k], bounds[k + 1], config.steady_window_fraction)
+        for k in range(len(scenario.segments))
+    ]
 
-    u = np.zeros((R, L))
-    U1 = np.zeros((R, L, M1))
-    D1 = np.zeros((R, M1))
-    U2 = U1 if M1 == M2 else np.zeros((R, L, M2))
-    D2 = D1 if M1 == M2 else np.zeros((R, M2))
-    shared_window = M1 == M2
-    ptr1 = ptr2 = 0
-    w1 = np.zeros((R, L))
-    w2 = np.zeros((R, L))
+    U = np.empty((R, M, L))  # sample i's window, newest first
+    G = np.zeros((R, M, M))  # G[:, k, l] = u(i-k) . u(i-l), shared by both branches
+    W = np.zeros((2, R, L))  # W[0], W[1]: the weights of branch 1 and branch 2
+    mu = np.array([f1.mu, f2.mu])[:, None, None]
+    step = np.empty((2, R, L))  # scratch: a weight update or deviation of both branches
+    attractor = np.empty((R, L))
+    GU = None if prop is None else np.empty((R, M2, L))  # gain-weighted window
+    load1 = f1.eps * np.eye(M1)
+    load2 = f2.eps * np.eye(M2)
     a = np.full(R, mixing.a0)
-    I1 = f1.eps * np.eye(M1)
-    I2 = f2.eps * np.eye(M2)
 
-    e1sq = np.empty((R, n))
-    e2sq = np.empty((R, n))
-    prod = np.empty((R, n))
-    esq = np.empty((R, n))
-    lam_rec = np.empty((R, n))
+    rec_ea1 = np.empty((R, n))
+    rec_ea2 = np.empty((R, n))
+    rec_lam = np.empty((R, n))
     res = _ChunkResult(n, L, len(scenario.segments))
+    # per segment: sums of dev, dev^2 (both branches) and dev1*dev2
     wstats = [
-        [np.zeros((R, L)) for _ in range(5)] for _ in scenario.segments
-    ]  # per segment: sums of dev1, dev2, dev1^2, dev2^2, dev1*dev2
+        (np.zeros((2, R, L)), np.zeros((2, R, L)), np.zeros((R, L)))
+        for _ in scenario.segments
+    ]
 
     alive = np.ones(R, dtype=bool)
-    seg = 0
+    seg = -1
     for i in range(n):
-        while i >= bounds[seg + 1]:
+        j = n - 1 - i
+        if i == bounds[seg + 1]:
             seg += 1
-        wopt = seg_wopt[seg]
+            wopt = scenario.segments[seg].w_opt
+            lo = n - bounds[seg + 1]
+            d_clean = H[:, lo : j + 1] @ wopt  # the segment's noiseless responses
+            D[:, lo : j + 1] += d_clean
 
-        if L > 1:
-            u[:, 1:] = u[:, :-1].copy()
-        u[:, 0] = X[:, i]
-        d_clean = u @ wopt
-        d = d_clean + NOISE[:, i]
-        U1[:, :, ptr1] = u
-        D1[:, ptr1] = d
-        ptr1 = (ptr1 + 1) % M1
-        if not shared_window:
-            U2[:, :, ptr2] = u
-            D2[:, ptr2] = d
-            ptr2 = (ptr2 + 1) % M2
+        # The view has unit strides on both axes, which BLAS cannot take;
+        # matmul on a contiguous copy of the window is faster.
+        U[:] = H[:, j : j + M]
+        G[:, 1:, 1:] = G[:, :-1, :-1]  # the previous sample's Gram, one lag older
+        G[:, 0, :] = G[:, :, 0] = (U @ U[:, 0, :, None])[..., 0]
+        Y = U @ W.transpose(1, 2, 0)  # (R, M, 2): both branches' outputs over the window
+        y1, y2 = Y[:, 0, 0], Y[:, 0, 1]
+        d = D[:, j]
 
-        y1 = np.einsum("rl,rl->r", u, w1)
-        y2 = np.einsum("rl,rl->r", u, w2)
-        ea1 = d_clean - y1
-        ea2 = d_clean - y2
+        dc = d_clean[:, j - lo]
         lam = 1.0 / (1.0 + np.exp(-a))
-        ea = lam * ea1 + (1.0 - lam) * ea2
-        e1sq[:, i] = ea1 * ea1
-        e2sq[:, i] = ea2 * ea2
-        prod[:, i] = ea1 * ea2
-        esq[:, i] = ea * ea
-        lam_rec[:, i] = lam
+        rec_ea1[:, i] = dc - y1
+        rec_ea2[:, i] = dc - y2
+        rec_lam[:, i] = lam
 
         if i >= win_start[seg]:
-            dev1 = wopt[None, :] - w1
-            dev2 = wopt[None, :] - w2
-            s = wstats[seg]
-            s[0] += dev1
-            s[1] += dev2
-            s[2] += dev1 * dev1
-            s[3] += dev2 * dev2
-            s[4] += dev1 * dev2
+            dev = np.subtract(wopt, W, out=step)
+            dev_sum, dev_sq, dev_cross = wstats[seg]
+            dev_sum += dev
+            dev_cross += dev[0] * dev[1]
+            dev *= dev
+            dev_sq += dev
 
         # mixing update from the combined output error
         e_comb = d - (lam * y1 + (1.0 - lam) * y2)
@@ -359,29 +385,31 @@ def _simulate_chunk(
             mixing.a_plus,
         )
 
+        E = D[:, j : j + M, None] - Y  # (R, M, 2) error vectors
+        np.sign(W[1], out=attractor)
+        attractor *= f2.rho
         try:
-            # filter 1: plain projection
-            e_vec1 = D1 - np.einsum("rlm,rl->rm", U1, w1)
-            G1 = np.einsum("rlm,rln->rmn", U1, U1) + I1
-            s1 = np.linalg.solve(G1, e_vec1[..., None])[..., 0]
-            w1 = w1 + f1.mu * np.einsum("rlm,rm->rl", U1, s1)
-
-            # filter 2: zero-attracting (optionally proportionate) projection
-            e_vec2 = D2 - np.einsum("rlm,rl->rm", U2, w2)
-            if prop is None:
-                G2 = np.einsum("rlm,rln->rmn", U2, U2) + I2
-                s2 = np.linalg.solve(G2, e_vec2[..., None])[..., 0]
-                w2 = w2 + f2.mu * np.einsum("rlm,rm->rl", U2, s2) - f2.rho * np.sign(w2)
+            if shared_solve:
+                S = np.linalg.solve(G + load1, E)
+                np.matmul(S.mT, U, out=step.swapaxes(0, 1))
             else:
-                g = _gains_batch(w2, prop.rho_p, prop.delta)
-                GU = g[:, :, None] * U2
-                G2 = np.einsum("rlm,rln->rmn", U2, GU) + I2
-                s2 = np.linalg.solve(G2, e_vec2[..., None])[..., 0]
-                w2 = w2 + f2.mu * np.einsum("rlm,rm->rl", GU, s2) - f2.rho * np.sign(w2)
+                s1 = np.linalg.solve(G[:, :M1, :M1] + load1, E[:, :M1, :1])
+                np.matmul(s1.mT, U[:, :M1], out=step[0, :, None])
+                if prop is None:
+                    V2, G2 = U[:, :M2], G[:, :M2, :M2]
+                else:  # gain-weighted window and Gram
+                    g = _gains_batch(W[1], prop.rho_p, prop.delta)
+                    V2 = np.multiply(g[:, None, :], U[:, :M2], out=GU)
+                    G2 = V2 @ U[:, :M2].mT
+                s2 = np.linalg.solve(G2 + load2, E[:, :M2, 1:])
+                np.matmul(s2.mT, V2, out=step[1, :, None])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"projection solve failed at sample {i}: {exc}") from exc
+        step *= mu
+        W += step
+        W[1] -= attractor
 
-        bad = ~(np.isfinite(w1).all(axis=1) & np.isfinite(w2).all(axis=1))
+        bad = ~np.isfinite(W).all(axis=(0, 2))
         if bad.any():
             newly = np.flatnonzero(bad & alive)
             for r in newly:
@@ -397,26 +425,34 @@ def _simulate_chunk(
             if not alive.any():
                 break
             # freeze dead rows so their numbers stay finite but unused
-            w1[bad] = 0.0
-            w2[bad] = 0.0
+            W[:, bad] = 0.0
             a[bad] = 0.0
 
+    del H, Q, D, d_clean  # free the streams before the reduction's temporaries
+    # Dead rows are zeroed: they add exact zeros to the trial-by-trial sums
+    # below, so they drop out without a copy of the live rows.
+    dead = ~alive
+    for arr in (rec_ea1, rec_ea2, rec_lam):
+        arr[dead] = 0.0
+    for dev_sum, dev_sq, dev_cross in wstats:
+        dev_sum[:, dead] = dev_sq[:, dead] = dev_cross[dead] = 0.0
     res.count = int(alive.sum())
-    res.sum_e1sq = e1sq[alive].sum(axis=0)
-    res.sum_e2sq = e2sq[alive].sum(axis=0)
-    res.sum_prod = prod[alive].sum(axis=0)
-    res.sum_prodsq = (prod[alive] ** 2).sum(axis=0)
-    res.sum_esq = esq[alive].sum(axis=0)
-    res.sum_lam = lam_rec[alive].sum(axis=0)
-    for k in range(len(scenario.segments)):
-        s = wstats[k]
-        res.seg_wsum1[k] = s[0][alive].sum(axis=0)
-        res.seg_wsum2[k] = s[1][alive].sum(axis=0)
-        res.seg_wsq1[k] = s[2][alive].sum(axis=0)
-        res.seg_wsq2[k] = s[3][alive].sum(axis=0)
-        res.seg_cross[k] = s[4][alive].sum(axis=0)
-        window_len = int(bounds[k + 1]) - win_start[k]
-        per_trial_mean = s[1][alive] / window_len
+    res.sum_lam = rec_lam.sum(axis=0)
+    prod = rec_ea1 * rec_ea2
+    res.sum_prod = prod.sum(axis=0)
+    res.sum_prodsq = np.square(prod, out=prod).sum(axis=0)
+    ea = np.multiply(rec_lam, rec_ea1, out=prod)  # ea = lam*ea1 + (1-lam)*ea2
+    rest = np.subtract(1.0, rec_lam, out=rec_lam)
+    rest *= rec_ea2
+    ea += rest
+    res.sum_esq = np.square(ea, out=ea).sum(axis=0)
+    res.sum_e1sq = np.square(rec_ea1, out=rec_ea1).sum(axis=0)
+    res.sum_e2sq = np.square(rec_ea2, out=rec_ea2).sum(axis=0)
+    for k, (dev_sum, dev_sq, dev_cross) in enumerate(wstats):
+        res.seg_wsum1[k], res.seg_wsum2[k] = dev_sum.sum(axis=1)
+        res.seg_wsq1[k], res.seg_wsq2[k] = dev_sq.sum(axis=1)
+        res.seg_cross[k] = dev_cross.sum(axis=0)
+        per_trial_mean = dev_sum[1] / (bounds[k + 1] - win_start[k])
         res.seg_meansq2[k] = (per_trial_mean**2).sum(axis=0)
     return res
 
@@ -468,8 +504,9 @@ def run_experiment(
     bounds = scenario.boundaries
     seg_stats = []
     for k, seg in enumerate(scenario.segments):
-        w = max(10, int(math.ceil(config.steady_window_fraction * seg.duration)))
-        start_w = int(max(bounds[k], bounds[k + 1] - w))
+        start_w = _steady_window_start(
+            int(bounds[k]), int(bounds[k + 1]), config.steady_window_fraction
+        )
         samples = int(bounds[k + 1] - start_w) * used
 
         def seg_total(attr):

@@ -146,7 +146,7 @@ class SystemScenario:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("scenario needs at least one segment")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:  # also rejects NaN
             raise ValueError("noise variance must be >= 0")
         for seg in self.segments:
             if seg.w_opt.shape != (self.L,):
@@ -188,6 +188,10 @@ class ScenarioDef:
     noise_variance: float
     input: SignalModel
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.noise_variance >= 0:  # also rejects NaN
+            raise ValueError("noise variance must be >= 0")
 
     def materialize(self) -> SystemScenario:
         segs = []

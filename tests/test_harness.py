@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import apamix.harness as harness
 from apamix.cli import main as cli_main
@@ -11,6 +12,8 @@ from apamix.filters import FilterConfig, ProportionateConfig
 from apamix.harness import (
     ExperimentConfig,
     MixingConfig,
+    config_from_dict,
+    config_to_dict,
     preset_paper_scenario,
     read_config,
     run_experiment,
@@ -25,10 +28,14 @@ from apamix.signals import ScenarioDef, SegmentDef, SignalModel
 
 
 def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
-                kind="white", pole=None, segments=None):
+                kind="white", pole=None, segments=None, M2=None, eps=None, eps2=None,
+                mu=0.5, mu2=0.5):
+    """Two-segment experiment; branch 2 takes branch 1's M and eps unless given."""
     if segments is None:
         segments = (SegmentDef(n, L), SegmentDef(n, 2))
-    eps = harness.default_eps(M)
+    M2 = M if M2 is None else M2
+    eps = harness.default_eps(M) if eps is None else eps
+    eps2 = eps if eps2 is None else eps2
     return ExperimentConfig(
         scenario=ScenarioDef(
             L=L,
@@ -37,8 +44,8 @@ def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
             input=SignalModel(kind=kind, variance=1.0, pole=pole, seed=seed),
             seed=seed,
         ),
-        filter1=FilterConfig(L=L, M=M, mu=0.5, rho=0.0, eps=eps),
-        filter2=FilterConfig(L=L, M=M, mu=0.5, rho=rho, eps=eps, proportionate=proportionate),
+        filter1=FilterConfig(L=L, M=M, mu=mu, rho=0.0, eps=eps),
+        filter2=FilterConfig(L=L, M=M2, mu=mu2, rho=rho, eps=eps2, proportionate=proportionate),
         mixing=MixingConfig(),
         runs=runs,
         seed=seed,
@@ -46,23 +53,25 @@ def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
     )
 
 
+def assert_engine_matches_reference(cfg):
+    """run_experiment on one trial reproduces run_trial's records."""
+    one = replace(cfg, runs=1, chunk_size=1)
+    rec = run_trial(one, 0)
+    cur = run_experiment(one)
+    assert np.allclose(cur.j1, rec.ea1**2, rtol=1e-9, atol=1e-13)
+    assert np.allclose(cur.j2, rec.ea2**2, rtol=1e-9, atol=1e-13)
+    assert np.allclose(cur.j12, rec.ea1 * rec.ea2, rtol=1e-9, atol=1e-13)
+    assert np.allclose(cur.j, rec.ea**2, rtol=1e-9, atol=1e-13)
+    assert np.allclose(cur.lam, rec.lam, rtol=1e-9, atol=1e-12)
+
+
 class TestReferenceVsEngine:
     @pytest.mark.parametrize("prop", [None, ProportionateConfig(rho_p=0.05, delta=0.01)])
     def test_single_trial_matches_reference(self, prop):
-        cfg = replace(tiny_config(proportionate=prop), runs=1, chunk_size=1)
-        rec = run_trial(cfg, 0)
-        cur = run_experiment(cfg)
-        assert np.allclose(cur.j1, rec.ea1**2, rtol=1e-9, atol=1e-13)
-        assert np.allclose(cur.j2, rec.ea2**2, rtol=1e-9, atol=1e-13)
-        assert np.allclose(cur.j12, rec.ea1 * rec.ea2, rtol=1e-9, atol=1e-13)
-        assert np.allclose(cur.j, rec.ea**2, rtol=1e-9, atol=1e-13)
-        assert np.allclose(cur.lam, rec.lam, rtol=1e-9, atol=1e-12)
+        assert_engine_matches_reference(tiny_config(proportionate=prop))
 
     def test_ar1_trial_matches_reference(self):
-        cfg = replace(tiny_config(kind="ar1", pole=0.8), runs=1, chunk_size=1)
-        rec = run_trial(cfg, 0)
-        cur = run_experiment(cfg)
-        assert np.allclose(cur.j1, rec.ea1**2, rtol=1e-9, atol=1e-13)
+        assert_engine_matches_reference(tiny_config(kind="ar1", pole=0.8))
 
     def test_trial_streams_depend_only_on_seed_and_index(self):
         cfg = tiny_config()
@@ -152,17 +161,6 @@ class TestSteadyStateStats:
 
 
 class TestDivergenceHandling:
-    def _nan_injecting(self, monkeypatch, bad_trial, bad_sample):
-        real = harness.trial_signals
-
-        def fake(scenario, model, rng, input_samples=None):
-            x, noise = real(scenario, model, rng, input_samples)
-            # tag the stream of one specific trial via its first draw;
-            # reproduce that trial's rng to identify it
-            return x, noise
-
-        return fake
-
     def test_engine_reports_trial_and_sample(self, monkeypatch):
         cfg = tiny_config(runs=4, n=60, segments=(SegmentDef(60, 16),))
         real = harness.trial_signals
@@ -401,14 +399,83 @@ class TestAdmissibleRangeBracketing:
 
 class TestMixedProjectionOrders:
     def test_engine_matches_reference_when_orders_differ(self):
-        cfg = replace(
-            tiny_config(runs=1, n=200),
-            filter1=FilterConfig(L=16, M=2, mu=0.5, rho=0.0, eps=harness.default_eps(2)),
-            filter2=FilterConfig(L=16, M=3, mu=0.5, rho=1e-3, eps=harness.default_eps(3)),
-            chunk_size=1,
-        )
-        rec = run_trial(cfg, 0)
-        cur = run_experiment(cfg)
-        assert np.allclose(cur.j1, rec.ea1**2, rtol=1e-9, atol=1e-13)
-        assert np.allclose(cur.j2, rec.ea2**2, rtol=1e-9, atol=1e-13)
-        assert np.allclose(cur.lam, rec.lam, rtol=1e-9, atol=1e-12)
+        cfg = tiny_config(n=200, M=2, M2=3, eps2=harness.default_eps(3))
+        assert_engine_matches_reference(cfg)
+
+
+@st.composite
+def engine_params(draw):
+    """tiny_config arguments over every path of the chunk engine."""
+    L = draw(st.integers(1, 8))
+    M = draw(st.integers(1, min(L, 4)))
+    eps = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+    kind = draw(st.sampled_from(["white", "ar1"]))
+    return dict(
+        L=L,
+        M=M,
+        M2=draw(st.one_of(st.just(M), st.integers(1, min(L, 4)))),
+        eps=eps,
+        eps2=draw(st.one_of(st.just(eps), st.sampled_from([1e-4, 1e-3, 1e-2]))),
+        proportionate=draw(st.sampled_from([None, ProportionateConfig()])),
+        kind=kind,
+        pole=0.8 if kind == "ar1" else None,
+        mu=draw(st.sampled_from([0.25, 0.5, 1.0, 1.5])),
+        mu2=draw(st.sampled_from([0.25, 0.5, 1.0, 1.5])),
+        rho=draw(st.sampled_from([0.0, 1e-4, 1e-3])),
+        segments=(
+            SegmentDef(draw(st.integers(1, 60)), L),
+            SegmentDef(draw(st.integers(1, 60)), max(1, L // 3)),
+        ),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestEnginePathsMatchReference:
+    """Every path of the chunk engine against the scalar reference path."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(engine_params())
+    @example(dict(L=8, M=3, n=60))  # one shared solve
+    @example(dict(L=8, M=3, n=60, eps=1e-3, eps2=1e-2))  # eps1 != eps2
+    @example(dict(L=8, M=2, M2=4, n=60))  # M1 < M2
+    @example(dict(L=8, M=4, M2=2, n=60))  # M1 > M2
+    @example(dict(L=8, M=3, n=60, proportionate=ProportionateConfig()))
+    @example(dict(L=8, M=2, M2=3, n=60, proportionate=ProportionateConfig()))
+    @example(dict(L=8, M=3, n=60, kind="ar1", pole=0.8))
+    @example(dict(L=4, M=4, segments=(SegmentDef(60, 4), SegmentDef(60, 1))))  # L == M
+    @example(dict(L=1, M=1, segments=(SegmentDef(60, 1), SegmentDef(60, 1))))  # L == M == 1
+    def test_single_trial_matches_reference(self, params):
+        assert_engine_matches_reference(tiny_config(**params))
+
+    def test_long_horizon_gram_does_not_drift(self):
+        # the reference rebuilds every Gram from scratch; the engine updates
+        # one row and column per sample, so any drift would show here
+        assert_engine_matches_reference(tiny_config(L=16, M=4, n=1500))
+
+
+class TestConfigRejection:
+    def test_mixing_step_must_be_positive(self):
+        with pytest.raises(ValueError, match="mu_a"):
+            MixingConfig(mu_a=-1.0)
+
+    def test_mixing_clip_must_be_positive(self):
+        with pytest.raises(ValueError, match="a_plus"):
+            MixingConfig(a_plus=-4.0)
+
+    def test_mixing_start_must_lie_inside_clip(self):
+        with pytest.raises(ValueError, match="a outside"):
+            MixingConfig(a_plus=2.0, a0=3.0)
+
+    def test_unloaded_projection_of_order_above_one(self):
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            tiny_config(M=2, eps=0.0, eps2=1e-3)
+        # M = 1 needs no loading, and FilterConfig itself still accepts eps=0
+        tiny_config(M=1, M2=2, eps=0.0, eps2=1e-3)
+        FilterConfig(L=8, M=2, mu=0.5, eps=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), -1e-3])
+    def test_bad_noise_variance_is_config_error(self, value):
+        doc = config_to_dict(tiny_config())
+        doc["scenario"]["noise_variance"] = value
+        with pytest.raises(ConfigError, match="noise variance"):
+            config_from_dict(doc)
