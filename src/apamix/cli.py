@@ -43,7 +43,10 @@ def _print_steady_table(cfg, curves):
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if args.runs is not None:
-        cfg = replace(cfg, runs=args.runs)
+        try:
+            cfg = replace(cfg, runs=args.runs)
+        except ValueError as exc:
+            raise ConfigError(f"--runs {args.runs}: {exc}") from exc
     curves = harness.run_experiment(cfg, workers=args.workers, skip_diverged=args.skip_diverged)
     if curves.skipped:
         print(f"skipped {len(curves.skipped)} diverged trial(s): {sorted(curves.skipped)}")

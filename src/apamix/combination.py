@@ -3,6 +3,9 @@
 The mixing weight lam = sigmoid(a) is driven by a stochastic gradient step
 on the combined squared output error; a is clipped to [-a_plus, a_plus] so
 lam never saturates to exactly 0 or 1 and can always move back.
+:func:`lambda_of` and :func:`mixing_step` work elementwise on arrays, so the
+per-sample reference (:func:`update_a`) and the vectorized Monte-Carlo
+engine share one implementation of the rule.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ __all__ = [
     "CombinationState",
     "CombinedOutputs",
     "combine",
+    "mixing_step",
     "update_a",
     "combined_weight",
 ]
 
 
-def lambda_of(a: float) -> float:
-    """Sigmoid 1 / (1 + exp(-a))."""
-    return 1.0 / (1.0 + math.exp(-a))
+def lambda_of(a):
+    """Sigmoid 1 / (1 + exp(-a)), elementwise."""
+    return 1.0 / (1.0 + np.exp(-a))
 
 
 @dataclass(frozen=True)
@@ -67,18 +71,23 @@ def combine(lam: float, y1: float, y2: float, d: float) -> CombinedOutputs:
     return CombinedOutputs(y=y, y1=y1, y2=y2, e=d - y)
 
 
-def update_a(state: CombinationState, e: float, y1: float, y2: float) -> CombinationState:
-    """One gradient step on the mixing variable, then clip.
+def mixing_step(a, lam, e, y1, y2, mu_a: float, a_plus: float):
+    """One gradient step on the mixing variable, clipped to [-a_plus, a_plus].
 
     The increment is mu_a * e * (y1 - y2) * lam * (1 - lam): the derivative
-    of the squared combined error with respect to a, up to sign.
+    of the squared combined error e with respect to a, up to sign. All of
+    a, lam = lambda_of(a), e, y1 and y2 may be arrays of one shape.
     """
+    a = a + mu_a * e * (y1 - y2) * lam * (1.0 - lam)
+    return np.minimum(np.maximum(a, -a_plus), a_plus)  # np.clip, at half the call cost
+
+
+def update_a(state: CombinationState, e: float, y1: float, y2: float) -> CombinationState:
+    """One clipped gradient step (:func:`mixing_step`) on the mixing variable."""
     if not (math.isfinite(e) and math.isfinite(y1) and math.isfinite(y2)):
         raise ValueError("non-finite inputs to the mixing update")
-    lam = state.lam
-    a = state.a + state.mu_a * e * (y1 - y2) * lam * (1.0 - lam)
-    a = min(max(a, -state.a_plus), state.a_plus)
-    return CombinationState(a=a, a_plus=state.a_plus, mu_a=state.mu_a)
+    a = mixing_step(state.a, state.lam, e, y1, y2, state.mu_a, state.a_plus)
+    return CombinationState(a=float(a), a_plus=state.a_plus, mu_a=state.mu_a)
 
 
 def combined_weight(lam: float, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:

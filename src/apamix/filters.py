@@ -4,7 +4,8 @@ equivalence oracle.
 
 These are the reference per-sample implementations; the Monte-Carlo
 engine in :mod:`apamix.harness` vectorizes the same arithmetic across
-trials and is tested against this module.
+trials and is tested against this module. :func:`gain_matrix` takes a
+batch of weight vectors, and the engine calls it directly.
 """
 
 from __future__ import annotations
@@ -157,14 +158,15 @@ def gain_matrix(w: np.ndarray, rho_p: float, delta: float) -> np.ndarray:
 
     Each tap's raw gain is its magnitude floored at rho_p times the
     largest magnitude (or delta at startup, when all taps are ~0), so no
-    tap's update ever stalls completely.
+    tap's update ever stalls completely. Taps lie along the last axis;
+    leading axes are a batch of independent weight vectors.
     """
     if not (rho_p > 0 and delta > 0):
         raise ValueError("rho_p and delta must be positive")
     mags = np.abs(np.asarray(w, dtype=float))
-    gamma_min = max(delta, mags.max())
+    gamma_min = np.maximum(delta, mags.max(axis=-1, keepdims=True))
     gamma = np.maximum(rho_p * gamma_min, mags)
-    return gamma / gamma.mean()
+    return gamma / gamma.mean(axis=-1, keepdims=True)
 
 
 def za_papa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:

@@ -18,11 +18,17 @@ recursion as in fast APA, so the Gram cannot drift. A branch with a smaller
 window uses the leading block; the proportionate branch builds its own
 gain-weighted Gram. One matmul gives both branches' error vectors, and when
 the branches agree on M and eps and neither is proportionate, one solve
-with two right-hand sides serves both.
+with two right-hand sides serves both. The engine applies the package's own
+rules to the whole chunk at once: the proportionate gains come from
+:func:`apamix.filters.gain_matrix`, and the mixing weight from
+:func:`apamix.combination.lambda_of` and
+:func:`apamix.combination.mixing_step`. Each chunk returns its
+trial-by-trial sums by name, and :func:`run_experiment` adds them up in
+chunk order.
 
 :func:`run_trial` is the scalar reference path built directly on the step
-functions in :mod:`apamix.filters`; the vectorized engine is tested
-against it.
+functions in :mod:`apamix.filters`; it rebuilds every Gram from scratch,
+and the vectorized engine is tested against it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -39,7 +46,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import theory
-from .combination import CombinationState, combine, update_a
+from .combination import CombinationState, combine, lambda_of, mixing_step, update_a
 from .errors import ConfigError, DivergenceError, NumericalError
 from .filters import (
     FilterConfig,
@@ -47,6 +54,7 @@ from .filters import (
     ProportionateConfig,
     RegressorBuffer,
     apa_step,
+    gain_matrix,
     push,
     za_apa_step,
     za_papa_step,
@@ -55,6 +63,7 @@ from .signals import (
     ScenarioDef,
     SegmentDef,
     SignalModel,
+    SystemScenario,
     make_rng,
     scenario_stream,
     trial_signals,
@@ -250,34 +259,6 @@ def run_trial(
 # ---------------------------------------------------------------------------
 
 
-def _gains_batch(w: np.ndarray, rho_p: float, delta: float) -> np.ndarray:
-    mags = np.abs(w)
-    gamma_min = np.maximum(delta, mags.max(axis=1))
-    gamma = np.maximum(rho_p * gamma_min[:, None], mags)
-    return gamma / gamma.mean(axis=1, keepdims=True)
-
-
-class _ChunkResult:
-    """Raw sums from one chunk, reduced later in fixed chunk order."""
-
-    def __init__(self, n, L, n_segments):
-        self.count = 0
-        self.sum_e1sq = np.zeros(n)
-        self.sum_e2sq = np.zeros(n)
-        self.sum_prod = np.zeros(n)
-        self.sum_prodsq = np.zeros(n)
-        self.sum_esq = np.zeros(n)
-        self.sum_lam = np.zeros(n)
-        self.seg_wsum1 = [np.zeros(L) for _ in range(n_segments)]
-        self.seg_wsum2 = [np.zeros(L) for _ in range(n_segments)]
-        self.seg_wsq1 = [np.zeros(L) for _ in range(n_segments)]
-        self.seg_wsq2 = [np.zeros(L) for _ in range(n_segments)]
-        self.seg_cross = [np.zeros(L) for _ in range(n_segments)]
-        # sum over trials of the squared per-trial window mean of dev2
-        self.seg_meansq2 = [np.zeros(L) for _ in range(n_segments)]
-        self.diverged: list[tuple[int, int]] = []  # (trial_index, sample_index)
-
-
 def _steady_window_start(start: int, end: int, fraction: float) -> int:
     """First sample of the steady-state window of segment ``[start, end)``.
 
@@ -290,10 +271,17 @@ def _steady_window_start(start: int, end: int, fraction: float) -> int:
 
 def _simulate_chunk(
     config: ExperimentConfig,
+    scenario: SystemScenario,
     trial_indices: Sequence[int],
     skip_diverged: bool,
-) -> _ChunkResult:
-    scenario = config.scenario.materialize()
+) -> tuple[dict[str, np.ndarray], list[tuple[int, int]]]:
+    """Simulate one chunk of trials of ``config`` on the materialized ``scenario``.
+
+    Returns the chunk's trial-by-trial sums by name, to be added up in
+    chunk order, and the ``(trial_index, sample_index)`` of each trial
+    dropped for diverging. Curve sums have shape ``(n,)``; steady-window
+    weight-deviation sums have shape ``(S, L)``, one row per segment.
+    """
     n = scenario.n_samples
     L = scenario.L
     R = len(trial_indices)
@@ -317,9 +305,10 @@ def _simulate_chunk(
     H = sliding_window_view(Q, L, axis=1)
 
     bounds = [int(b) for b in scenario.boundaries]
+    n_seg = len(scenario.segments)
     win_start = [
         _steady_window_start(bounds[k], bounds[k + 1], config.steady_window_fraction)
-        for k in range(len(scenario.segments))
+        for k in range(n_seg)
     ]
 
     U = np.empty((R, M, L))  # sample i's window, newest first
@@ -336,12 +325,12 @@ def _simulate_chunk(
     rec_ea1 = np.empty((R, n))
     rec_ea2 = np.empty((R, n))
     rec_lam = np.empty((R, n))
-    res = _ChunkResult(n, L, len(scenario.segments))
-    # per segment: sums of dev, dev^2 (both branches) and dev1*dev2
-    wstats = [
-        (np.zeros((2, R, L)), np.zeros((2, R, L)), np.zeros((R, L)))
-        for _ in scenario.segments
-    ]
+    # per segment and trial: steady-window sums of dev = w_opt - w (both
+    # branches), of dev^2, and of dev1*dev2
+    dev_sum = np.zeros((n_seg, 2, R, L))
+    dev_sq = np.zeros((n_seg, 2, R, L))
+    dev_cross = np.zeros((n_seg, R, L))
+    diverged = []
 
     alive = np.ones(R, dtype=bool)
     seg = -1
@@ -364,26 +353,20 @@ def _simulate_chunk(
         d = D[:, j]
 
         dc = d_clean[:, j - lo]
-        lam = 1.0 / (1.0 + np.exp(-a))
+        lam = lambda_of(a)
         rec_ea1[:, i] = dc - y1
         rec_ea2[:, i] = dc - y2
         rec_lam[:, i] = lam
 
         if i >= win_start[seg]:
             dev = np.subtract(wopt, W, out=step)
-            dev_sum, dev_sq, dev_cross = wstats[seg]
-            dev_sum += dev
-            dev_cross += dev[0] * dev[1]
+            dev_sum[seg] += dev
+            dev_cross[seg] += dev[0] * dev[1]
             dev *= dev
-            dev_sq += dev
+            dev_sq[seg] += dev
 
-        # mixing update from the combined output error
         e_comb = d - (lam * y1 + (1.0 - lam) * y2)
-        a = np.clip(
-            a + mixing.mu_a * e_comb * (y1 - y2) * lam * (1.0 - lam),
-            -mixing.a_plus,
-            mixing.a_plus,
-        )
+        a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
 
         E = D[:, j : j + M, None] - Y  # (R, M, 2) error vectors
         np.sign(W[1], out=attractor)
@@ -398,7 +381,7 @@ def _simulate_chunk(
                 if prop is None:
                     V2, G2 = U[:, :M2], G[:, :M2, :M2]
                 else:  # gain-weighted window and Gram
-                    g = _gains_batch(W[1], prop.rho_p, prop.delta)
+                    g = gain_matrix(W[1], prop.rho_p, prop.delta)
                     V2 = np.multiply(g[:, None, :], U[:, :M2], out=GU)
                     G2 = V2 @ U[:, :M2].mT
                 s2 = np.linalg.solve(G2 + load2, E[:, :M2, 1:])
@@ -420,7 +403,7 @@ def _simulate_chunk(
                         trial_index=t,
                         sample_index=i,
                     )
-                res.diverged.append((t, i))
+                diverged.append((t, i))
             alive &= ~bad
             if not alive.any():
                 break
@@ -434,27 +417,28 @@ def _simulate_chunk(
     dead = ~alive
     for arr in (rec_ea1, rec_ea2, rec_lam):
         arr[dead] = 0.0
-    for dev_sum, dev_sq, dev_cross in wstats:
-        dev_sum[:, dead] = dev_sq[:, dead] = dev_cross[dead] = 0.0
-    res.count = int(alive.sum())
-    res.sum_lam = rec_lam.sum(axis=0)
+    dev_sum[:, :, dead] = dev_sq[:, :, dead] = dev_cross[:, dead] = 0.0
+    sums = {"lam": rec_lam.sum(axis=0)}
     prod = rec_ea1 * rec_ea2
-    res.sum_prod = prod.sum(axis=0)
-    res.sum_prodsq = np.square(prod, out=prod).sum(axis=0)
+    sums["prod"] = prod.sum(axis=0)
+    sums["prodsq"] = np.square(prod, out=prod).sum(axis=0)
     ea = np.multiply(rec_lam, rec_ea1, out=prod)  # ea = lam*ea1 + (1-lam)*ea2
     rest = np.subtract(1.0, rec_lam, out=rec_lam)
     rest *= rec_ea2
     ea += rest
-    res.sum_esq = np.square(ea, out=ea).sum(axis=0)
-    res.sum_e1sq = np.square(rec_ea1, out=rec_ea1).sum(axis=0)
-    res.sum_e2sq = np.square(rec_ea2, out=rec_ea2).sum(axis=0)
-    for k, (dev_sum, dev_sq, dev_cross) in enumerate(wstats):
-        res.seg_wsum1[k], res.seg_wsum2[k] = dev_sum.sum(axis=1)
-        res.seg_wsq1[k], res.seg_wsq2[k] = dev_sq.sum(axis=1)
-        res.seg_cross[k] = dev_cross.sum(axis=0)
-        per_trial_mean = dev_sum[1] / (bounds[k + 1] - win_start[k])
-        res.seg_meansq2[k] = (per_trial_mean**2).sum(axis=0)
-    return res
+    sums["esq"] = np.square(ea, out=ea).sum(axis=0)
+    sums["e1sq"] = np.square(rec_ea1, out=rec_ea1).sum(axis=0)
+    sums["e2sq"] = np.square(rec_ea2, out=rec_ea2).sum(axis=0)
+    sums["wsum1"], sums["wsum2"] = dev_sum.sum(axis=2).swapaxes(0, 1)
+    sums["wsq1"], sums["wsq2"] = dev_sq.sum(axis=2).swapaxes(0, 1)
+    sums["cross"] = dev_cross.sum(axis=1)
+    # sum over trials of the squared per-trial window mean of dev2, built
+    # per segment so the temporaries stay (R, L)
+    sums["meansq2"] = np.stack([
+        ((dev_sum[k, 1] / (bounds[k + 1] - win_start[k])) ** 2).sum(axis=0)
+        for k in range(n_seg)
+    ])
+    return sums, diverged
 
 
 def run_experiment(
@@ -469,37 +453,25 @@ def run_experiment(
     in chunk order.
     """
     scenario = config.scenario.materialize()
-    n = scenario.n_samples
     chunks = [
         list(range(lo, min(lo + config.chunk_size, config.runs)))
         for lo in range(0, config.runs, config.chunk_size)
     ]
+    args = (repeat(config), repeat(scenario), chunks, repeat(skip_diverged))
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_simulate_chunk, repeat(config), chunks, repeat(skip_diverged))
-            )
+            results = list(pool.map(_simulate_chunk, *args))
     else:
-        results = [_simulate_chunk(config, c, skip_diverged) for c in chunks]
+        results = list(map(_simulate_chunk, *args))
 
-    used = sum(r.count for r in results)
-    skipped = tuple(t for r in results for (t, _) in r.diverged)
+    skipped = tuple(t for _, diverged in results for (t, _) in diverged)
+    used = config.runs - len(skipped)
     if used == 0:
         raise DivergenceError("all trials diverged")
+    total = {key: reduce(np.add, (sums[key] for sums, _ in results)) for key in results[0][0]}
 
-    def total(attr):
-        out = getattr(results[0], attr).copy()
-        for r in results[1:]:
-            out += getattr(r, attr)
-        return out
-
-    j1 = total("sum_e1sq") / used
-    j2 = total("sum_e2sq") / used
-    j12 = total("sum_prod") / used
-    j = total("sum_esq") / used
-    lam = total("sum_lam") / used
-    var_prod = np.maximum(total("sum_prodsq") / used - j12**2, 0.0)
-    j12_se = np.sqrt(var_prod / used)
+    j12 = total["prod"] / used
+    var_prod = np.maximum(total["prodsq"] / used - j12**2, 0.0)
 
     bounds = scenario.boundaries
     seg_stats = []
@@ -508,40 +480,33 @@ def run_experiment(
             int(bounds[k]), int(bounds[k + 1]), config.steady_window_fraction
         )
         samples = int(bounds[k + 1] - start_w) * used
-
-        def seg_total(attr):
-            out = getattr(results[0], attr)[k].copy()
-            for r in results[1:]:
-                out += getattr(r, attr)[k]
-            return out
-
         active = np.zeros(scenario.L, dtype=bool)
         active[seg.active] = True
-        mean_dev2 = seg_total("seg_wsum2") / samples
-        var_across = np.maximum(seg_total("seg_meansq2") / used - mean_dev2**2, 0.0)
+        mean_dev2 = total["wsum2"][k] / samples
+        var_across = np.maximum(total["meansq2"][k] / used - mean_dev2**2, 0.0)
         seg_stats.append(
             SegmentStats(
                 start=int(bounds[k]),
                 end=int(bounds[k + 1]),
                 K=int(seg.active.size),
                 active=active,
-                mean_dev1=seg_total("seg_wsum1") / samples,
+                mean_dev1=total["wsum1"][k] / samples,
                 mean_dev2=mean_dev2,
                 mean_dev2_se=np.sqrt(var_across / used),
-                msd1=seg_total("seg_wsq1") / samples,
-                msd2=seg_total("seg_wsq2") / samples,
-                cross12=seg_total("seg_cross") / samples,
+                msd1=total["wsq1"][k] / samples,
+                msd2=total["wsq2"][k] / samples,
+                cross12=total["cross"][k] / samples,
                 window_samples=samples,
             )
         )
 
     return LearningCurves(
-        j1=j1,
-        j2=j2,
+        j1=total["e1sq"] / used,
+        j2=total["e2sq"] / used,
         j12=j12,
-        j=j,
-        lam=lam,
-        j12_se=j12_se,
+        j=total["esq"] / used,
+        lam=total["lam"] / used,
+        j12_se=np.sqrt(var_prod / used),
         segments=tuple(seg_stats),
         runs_used=used,
         skipped=skipped,
@@ -552,6 +517,8 @@ def steady_state_stats(
     curves: LearningCurves, segment: int, window_fraction: float = 0.1
 ) -> SteadyState:
     """Time-average the curves over the final fraction of one segment."""
+    if not 0 < window_fraction <= 1:
+        raise ValueError(f"window_fraction={window_fraction} must lie in (0, 1]")
     seg = curves.segments[segment]
     length = seg.end - seg.start
     w = int(math.ceil(window_fraction * length))
@@ -647,10 +614,9 @@ def sweep_rho(
     rho_values: Sequence[float],
     workers: int = 1,
     skip_diverged: bool = False,
-    window_fraction: Optional[float] = None,
 ) -> list[tuple[float, SteadyState]]:
-    """Steady-state statistics of the final segment across attractor strengths."""
-    wf = config.steady_window_fraction if window_fraction is None else window_fraction
+    """Final-segment steady state, over the config's window, across attractor strengths."""
+    wf = config.steady_window_fraction
     out = []
     for rho in rho_values:
         cfg = replace(config, filter2=replace(config.filter2, rho=float(rho)))

@@ -9,6 +9,7 @@ from apamix.combination import (
     combine,
     combined_weight,
     lambda_of,
+    mixing_step,
     update_a,
 )
 
@@ -91,6 +92,21 @@ class TestUpdateA:
             e, y1, y2 = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 3)
             state = update_a(state, float(e), float(y1), float(y2))
             assert lo <= state.lam <= hi
+
+    def test_array_step_matches_update_a(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-4.0, 4.0, 300)
+        a[:2] = 4.0, -4.0
+        e, y1, y2 = rng.standard_normal((3, 300))
+        lam = lambda_of(a)
+        out = mixing_step(a, lam, e, y1, y2, mu_a=100.0, a_plus=4.0)
+        for k in range(a.size):
+            state = CombinationState(a=float(a[k]), a_plus=4.0, mu_a=100.0)
+            assert lam[k] == state.lam
+            assert out[k] == update_a(state, float(e[k]), float(y1[k]), float(y2[k])).a
+        # both clip bounds are hit, and some steps stay inside
+        assert (out == 4.0).any() and (out == -4.0).any()
+        assert (np.abs(out) < 4.0).any()
 
     @given(
         st.floats(min_value=-4, max_value=4),

@@ -216,6 +216,18 @@ class TestGainMatrix:
         with pytest.raises(ValueError):
             gain_matrix(np.ones(3), rho_p=0.0, delta=0.01)
 
+    def test_batch_equals_row_by_row(self):
+        rng = np.random.default_rng(11)
+        W = rng.standard_normal((6, 12)) * 10.0 ** rng.integers(-6, 3, size=(6, 1))
+        W[2] = 0.0  # startup row: the delta floor applies
+        G = gain_matrix(W, rho_p=0.05, delta=0.01)
+        assert G.shape == W.shape
+        for w, g in zip(W, G):
+            assert np.array_equal(g, gain_matrix(w, rho_p=0.05, delta=0.01))
+        assert np.allclose(G[2], 1.0, atol=1e-15)
+        # any number of leading batch axes
+        assert np.array_equal(gain_matrix(W.reshape(2, 3, 12), 0.05, 0.01), G.reshape(2, 3, 12))
+
 
 class TestZaPapaStep:
     def test_uniform_gain_equals_za_apa(self):

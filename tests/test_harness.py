@@ -8,7 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 import apamix.harness as harness
 from apamix.cli import main as cli_main
 from apamix.errors import ConfigError, DivergenceError
-from apamix.filters import FilterConfig, ProportionateConfig
+from apamix.filters import (
+    FilterConfig,
+    FilterState,
+    ProportionateConfig,
+    RegressorBuffer,
+    apa_step,
+    push,
+    za_apa_step,
+    za_papa_step,
+)
 from apamix.harness import (
     ExperimentConfig,
     MixingConfig,
@@ -24,7 +33,7 @@ from apamix.harness import (
     write_config,
     write_curves,
 )
-from apamix.signals import ScenarioDef, SegmentDef, SignalModel
+from apamix.signals import ScenarioDef, SegmentDef, SignalModel, make_rng, scenario_stream
 
 
 def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
@@ -86,6 +95,70 @@ class TestReferenceVsEngine:
         assert np.array_equal(a.ea1, b.ea1) and np.array_equal(a.lam, b.lam)
         # averaging two identical records equals the record itself
         assert np.array_equal((a.ea1**2 + b.ea1**2) / 2, a.ea1**2)
+
+
+def reference_segment_stats(cfg):
+    """SegmentStats fields recomputed with a per-sample loop over every trial.
+
+    Each trial runs through ``scenario_stream``, ``push`` and the ``filters``
+    step functions, as ``run_trial`` does; the deviation ``w_opt - w`` is
+    taken before each sample's update.
+    """
+    scenario = cfg.scenario.materialize()
+    bounds = [int(b) for b in scenario.boundaries]
+    step2 = za_papa_step if cfg.filter2.proportionate is not None else za_apa_step
+    n_seg = len(scenario.segments)
+    sums = {key: np.zeros((n_seg, cfg.scenario.L))
+            for key in ("dev1", "dev2", "sq1", "sq2", "cross", "meansq2")}
+    widths = [max(10, math.ceil(cfg.steady_window_fraction * (bounds[k + 1] - bounds[k])))
+              for k in range(n_seg)]
+    for t in range(cfg.runs):
+        s1, s2 = FilterState.zeros(cfg.filter1), FilterState.zeros(cfg.filter2)
+        buf1 = RegressorBuffer.zeros(cfg.scenario.L, cfg.filter1.M)
+        buf2 = RegressorBuffer.zeros(cfg.scenario.L, cfg.filter2.M)
+        trial_dev2 = np.zeros((n_seg, cfg.scenario.L))
+        stream = scenario_stream(scenario, cfg.scenario.input, make_rng(cfg.seed, t))
+        for i, obs in enumerate(stream):
+            k = int(np.searchsorted(bounds, i, side="right") - 1)
+            if i >= bounds[k + 1] - widths[k]:
+                w_opt = scenario.segments[k].w_opt
+                dev1, dev2 = w_opt - s1.w, w_opt - s2.w
+                sums["dev1"][k] += dev1
+                sums["dev2"][k] += dev2
+                sums["sq1"][k] += dev1**2
+                sums["sq2"][k] += dev2**2
+                sums["cross"][k] += dev1 * dev2
+                trial_dev2[k] += dev2
+            buf1, buf2 = push(buf1, obs), push(buf2, obs)
+            s1, s2 = apa_step(s1, buf1), step2(s2, buf2)
+        sums["meansq2"] += (trial_dev2 / np.array(widths)[:, None]) ** 2
+    out = []
+    for k in range(n_seg):
+        samples = widths[k] * cfg.runs
+        mean_dev2 = sums["dev2"][k] / samples
+        var_across = np.maximum(sums["meansq2"][k] / cfg.runs - mean_dev2**2, 0.0)
+        out.append(dict(
+            mean_dev1=sums["dev1"][k] / samples,
+            mean_dev2=mean_dev2,
+            mean_dev2_se=np.sqrt(var_across / cfg.runs),
+            msd1=sums["sq1"][k] / samples,
+            msd2=sums["sq2"][k] / samples,
+            cross12=sums["cross"][k] / samples,
+            window_samples=samples,
+        ))
+    return out
+
+
+class TestSegmentStatsMatchReference:
+    @pytest.mark.parametrize("prop", [None, ProportionateConfig()])
+    def test_two_chunks_match_per_sample_loop(self, prop):
+        cfg = tiny_config(runs=3, proportionate=prop)  # chunk_size=2: two chunks
+        curves = run_experiment(cfg)
+        for seg, ref in zip(curves.segments, reference_segment_stats(cfg), strict=True):
+            assert seg.window_samples == ref.pop("window_samples")
+            for field, expected in ref.items():
+                np.testing.assert_allclose(getattr(seg, field), expected, rtol=1e-9,
+                                           err_msg=field)
 
 
 class TestDeterminism:
@@ -158,6 +231,17 @@ class TestSteadyStateStats:
         cur = run_experiment(cfg)
         with pytest.raises(ValueError):
             steady_state_stats(cur, 0, 0.01)
+
+    @pytest.mark.parametrize("fraction", [1.5, 2.0])
+    def test_window_longer_than_segment_rejected(self, fraction):
+        cur = run_experiment(tiny_config(runs=2))
+        with pytest.raises(ValueError, match="window_fraction"):
+            steady_state_stats(cur, 1, fraction)
+
+    def test_whole_segment_window(self):
+        cur = run_experiment(tiny_config(runs=2))
+        st = steady_state_stats(cur, 1, 1.0)
+        assert st.J1 == float(cur.j1[250:].mean())
 
 
 class TestDivergenceHandling:
@@ -315,6 +399,12 @@ class TestCli:
     def test_missing_config_is_config_error(self, capsys):
         rc = cli_main(["simulate"])
         assert rc == 2
+
+    @pytest.mark.parametrize("runs", ["0", "-5"])
+    def test_bad_runs_override_is_config_error(self, runs, capsys):
+        rc = cli_main(["simulate", "--preset", "paper-desk", "--runs", runs])
+        assert rc == 2
+        assert "config error: --runs" in capsys.readouterr().err
 
     def test_bad_grid_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
