@@ -27,6 +27,15 @@ def _load_config(args) -> harness.ExperimentConfig:
     return cfg
 
 
+def _check_steady_window(cfg, k: int) -> None:
+    """Reject segment k before any trial runs if its steady-state window is too short."""
+    duration = cfg.scenario.segments[k].duration
+    try:
+        harness.steady_window_width(duration, cfg.steady_window_fraction)
+    except ValueError as exc:
+        raise ConfigError(f"segment {k} ({duration} samples): {exc}") from exc
+
+
 def _print_steady_table(cfg, curves):
     wf = cfg.steady_window_fraction
     print(f"{'seg':>3} {'K':>4} {'J1':>10} {'J2':>10} {'J12':>10} {'J':>10} "
@@ -47,6 +56,8 @@ def cmd_simulate(args) -> int:
             cfg = replace(cfg, runs=args.runs)
         except ValueError as exc:
             raise ConfigError(f"--runs {args.runs}: {exc}") from exc
+    for k in range(len(cfg.scenario.segments)):
+        _check_steady_window(cfg, k)
     curves = harness.run_experiment(cfg, workers=args.workers, skip_diverged=args.skip_diverged)
     if curves.skipped:
         print(f"skipped {len(curves.skipped)} diverged trial(s): {sorted(curves.skipped)}")
@@ -105,6 +116,7 @@ def cmd_sweep_rho(args) -> int:
         raise ConfigError(f"bad --grid {args.grid!r}, expected lo:hi:steps") from exc
     if not (0 < lo <= hi and steps >= 1):
         raise ConfigError("grid needs 0 < lo <= hi and steps >= 1")
+    _check_steady_window(cfg, len(cfg.scenario.segments) - 1)
     grid = np.geomspace(lo, hi, steps)
     points = harness.sweep_rho(cfg, grid, workers=args.workers, skip_diverged=args.skip_diverged)
     print(f"{'rho':>12} {'J1':>10} {'J2':>10} {'J12':>10} {'J':>10} {'lam':>6}")

@@ -79,6 +79,7 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "steady_state_stats",
+    "steady_window_width",
     "preset_paper_scenario",
     "sweep_rho",
     "read_config",
@@ -259,13 +260,34 @@ def run_trial(
 # ---------------------------------------------------------------------------
 
 
-def _steady_window_start(start: int, end: int, fraction: float) -> int:
-    """First sample of the steady-state window of segment ``[start, end)``.
+_MIN_STEADY_WINDOW = 10  # samples; a narrower steady-state window averages too little
 
-    The window is the segment's last ``max(10, ceil(fraction*duration))``
-    samples, clipped to the segment.
+
+def _steady_width(duration: int, fraction: float) -> int:
+    return int(math.ceil(fraction * duration))
+
+
+def steady_window_width(duration: int, fraction: float) -> int:
+    """Width ``ceil(fraction*duration)`` of a segment's steady-state window.
+
+    Raises ``ValueError`` if the window is shorter than 10 samples.
     """
-    width = max(10, int(math.ceil(fraction * (end - start))))
+    w = _steady_width(duration, fraction)
+    if w < _MIN_STEADY_WINDOW:
+        raise ValueError(
+            f"steady-state window of {w} samples is too short (< {_MIN_STEADY_WINDOW})"
+        )
+    return w
+
+
+def _steady_window_start(start: int, end: int, fraction: float) -> int:
+    """First sample of the engine's steady-state window of segment ``[start, end)``.
+
+    The window is the segment's last ``ceil(fraction*duration)`` samples,
+    widened to 10 and clipped to the segment, so a short segment still
+    gets its per-tap statistics.
+    """
+    width = max(_MIN_STEADY_WINDOW, _steady_width(end - start, fraction))
     return max(start, end - width)
 
 
@@ -520,10 +542,7 @@ def steady_state_stats(
     if not 0 < window_fraction <= 1:
         raise ValueError(f"window_fraction={window_fraction} must lie in (0, 1]")
     seg = curves.segments[segment]
-    length = seg.end - seg.start
-    w = int(math.ceil(window_fraction * length))
-    if w < 10:
-        raise ValueError(f"steady-state window of {w} samples is too short (< 10)")
+    w = steady_window_width(seg.end - seg.start, window_fraction)
     sl = slice(seg.end - w, seg.end)
     return SteadyState(
         J1=float(curves.j1[sl].mean()),

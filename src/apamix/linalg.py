@@ -1,14 +1,13 @@
 """Dense linear algebra for the small SPD systems inside every filter update.
 
 Projection orders are tiny (M <= 16 in every scenario), so everything here
-is plain float64 numpy plus a Cholesky solve; no sparse or blocked-code
-machinery.
+is plain float64 numpy: the solve factors with numpy's Cholesky and
+substitutes with the factor; no sparse or blocked-code machinery.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 
@@ -66,10 +65,10 @@ def solve_spd(A: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:
 
     M = A.shape[0]
     try:
-        cf = scipy.linalg.cho_factor(A + eps * np.eye(M), lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        C = np.linalg.cholesky(A + eps * np.eye(M))
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(cf, b, check_finite=False)
+    return np.linalg.solve(C.T, np.linalg.solve(C, b))
 
 
 def sign_vector(w: np.ndarray) -> np.ndarray:

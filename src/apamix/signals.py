@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
-import scipy.signal
 
 __all__ = [
     "SignalModel",
@@ -79,13 +78,17 @@ def gen_input(model: SignalModel, n: int, rng: Optional[np.random.Generator] = N
     if model.kind == "white":
         return sigma * g
     a = model.pole
-    x = np.empty(n)
-    x[0] = sigma * g[0]
-    if n > 1:
-        drive = np.sqrt(1.0 - a * a) * sigma * g[1:]
-        # one-pole recursion; lfilter keeps this O(n) without a Python loop
-        x[1:], _ = scipy.signal.lfilter([1.0], [1.0, -a], drive, zi=np.array([a * x[0]]))
-    return x
+    drive = np.sqrt(1.0 - a * a) * sigma * g[1:]
+    # The one-pole recursion as a plain loop, exactly as lfilter([1], [1, -a],
+    # drive, zi=[a*x(0)]) computes it: that filter pads b to [1, 0], so each
+    # step of its first-order transposed direct form II is exactly v + a*y,
+    # and the two agree bit for bit (tests/test_signals.py checks it).
+    y = float(sigma * g[0])
+    x = [y]
+    for v in drive.tolist():
+        y = v + a * y
+        x.append(y)
+    return np.array(x)
 
 
 def make_system(

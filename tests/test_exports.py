@@ -1,10 +1,17 @@
-"""Every name a module lists in ``__all__`` exists.
+"""What importing the package provides and what it loads.
 
-perfbench/tracer.py looks up each listed name to wrap it, so a name left
-behind by a deletion would break a traced benchmark run.
+Every name a module lists in ``__all__`` exists: perfbench/tracer.py looks
+up each listed name to wrap it, so a name left behind by a deletion would
+break a traced benchmark run. Importing the CLI loads no SciPy module: SciPy
+is a test-only dependency, and importing it cost every ``apamix``
+invocation about a second of set-up.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +23,20 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"apamix.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"apamix.{module}.__all__ lists undefined names: {missing}"
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, apamix.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out.strip() == "[]"

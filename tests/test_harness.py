@@ -406,6 +406,33 @@ class TestCli:
         assert rc == 2
         assert "config error: --runs" in capsys.readouterr().err
 
+    @staticmethod
+    def short_desk_config(tmp_path):
+        # the desk preset on three 50-sample segments: a 5-sample steady window
+        cfg = preset_paper_scenario(scale="desk")
+        segs = tuple(replace(seg, duration=50) for seg in cfg.scenario.segments)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(replace(cfg, scenario=replace(cfg.scenario, segments=segs)), cfg_path)
+        return str(cfg_path)
+
+    @pytest.mark.parametrize("extra", [["simulate"], ["sweep-rho", "--grid", "1e-4:1e-3:2"]])
+    def test_short_steady_window_is_config_error_before_any_trial(
+        self, extra, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before the config was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        rc = cli_main([extra[0], "--config", self.short_desk_config(tmp_path), *extra[1:]])
+        assert rc == 2
+        assert "config error: segment" in capsys.readouterr().err
+
+    def test_sweep_rho_checks_only_the_last_segment(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(tiny_config(runs=2, segments=(SegmentDef(50, 16), SegmentDef(120, 2))), cfg_path)
+        rc = cli_main(["sweep-rho", "--config", str(cfg_path), "--grid", "1e-4:1e-4:1"])
+        assert rc == 0
+
     def test_bad_grid_is_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_config(tiny_config(runs=2, n=120), cfg_path)

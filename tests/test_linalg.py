@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from apamix.errors import NumericalError
@@ -74,6 +75,19 @@ class TestSolveSpd:
             x = solve_spd(A, b, eps=eps)
             resid = np.linalg.norm((A + eps * np.eye(M)) @ x - b)
             assert resid <= 1e-10 * (np.linalg.norm(A) + eps) * np.linalg.norm(x) + 1e-12
+
+    def test_matches_scipy_cho_solve(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            M = int(rng.integers(1, 17))
+            B = rng.standard_normal((M, M))
+            A = B @ B.T + M * np.eye(M)
+            b = rng.standard_normal(M)
+            eps = float(rng.uniform(0.0, 1e-2))
+            ref = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(A + eps * np.eye(M), lower=True), b
+            )
+            np.testing.assert_allclose(solve_spd(A, b, eps=eps), ref, rtol=1e-12)
 
     def test_not_pd_raises_numerical(self):
         A = np.diag([1.0, -1.0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from apamix.signals import (
     ScenarioDef,
@@ -42,6 +43,29 @@ class TestGenInput:
             SignalModel("ar1", pole=1.0)
         with pytest.raises(ValueError):
             SignalModel("white", variance=0.0)
+
+
+def ar1_by_lfilter(model, n, rng):
+    """The AR(1) stream of gen_input from the same draws, filtered by scipy's lfilter."""
+    a = model.pole
+    sigma = np.sqrt(model.variance)
+    g = rng.standard_normal(n)
+    x = np.empty(n)
+    x[0] = sigma * g[0]
+    if n > 1:
+        drive = np.sqrt(1.0 - a * a) * sigma * g[1:]
+        x[1:], _ = scipy.signal.lfilter([1.0], [1.0, -a], drive, zi=np.array([a * x[0]]))
+    return x
+
+
+class TestAr1MatchesLfilter:
+    @pytest.mark.parametrize("n", [1, 2, 3, 20_000])
+    @pytest.mark.parametrize("pole", [0.8, -0.8, 0.0, 0.999, -0.999])
+    def test_bit_identical(self, pole, n):
+        model = SignalModel("ar1", variance=2.5, pole=pole, seed=9)
+        x = gen_input(model, n, make_rng(9, 4))
+        assert x.shape == (n,)
+        assert np.array_equal(x, ar1_by_lfilter(model, n, make_rng(9, 4)))
 
 
 class TestMakeSystem:
