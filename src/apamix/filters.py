@@ -10,6 +10,7 @@ batch of weight vectors, and the engine calls it directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -46,8 +47,8 @@ class ProportionateConfig:
     delta: float = 0.01
 
     def __post_init__(self):
-        if not (self.rho_p > 0 and self.delta > 0):
-            raise ValueError("rho_p and delta must be positive")
+        if not (0 < self.rho_p < math.inf and 0 < self.delta < math.inf):
+            raise ValueError("rho_p and delta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ class FilterConfig:
             raise ValueError("step size mu must lie in [0, 2)")
         if self.M < 1 or self.L < self.M:
             raise ValueError("need 1 <= M <= L")
-        if self.rho < 0 or self.eps < 0:
-            raise ValueError("rho and eps must be >= 0")
+        if not (0 <= self.rho < math.inf and 0 <= self.eps < math.inf):  # also rejects NaN
+            raise ValueError("rho and eps must be finite and >= 0")
 
 
 @dataclass(frozen=True)

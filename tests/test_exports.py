@@ -4,7 +4,8 @@ Every name a module lists in ``__all__`` exists: perfbench/tracer.py looks
 up each listed name to wrap it, so a name left behind by a deletion would
 break a traced benchmark run. Importing the CLI loads no SciPy module: SciPy
 is a test-only dependency, and importing it cost every ``apamix``
-invocation about a second of set-up.
+invocation about a second of set-up. Nor does it load the process pool's
+modules, which only a run with more than one worker needs.
 """
 
 import importlib
@@ -27,9 +28,11 @@ def test_every_exported_name_resolves(module):
 
 def test_cli_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("scipy", "multiprocessing", "concurrent.futures.process")
     code = (
         "import sys, apamix.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules for h in {heavy!r}\n"
+        "             if m == h or m.startswith(h + '.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

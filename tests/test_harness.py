@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -284,6 +285,44 @@ class TestDivergenceHandling:
         assert np.isfinite(cur.j1).all() and np.isfinite(cur.j2).all()
 
 
+class TestDeadTrialDoesNotLeak:
+    """A dead trial's row shares the chunk's window, lag, Gram and solve buffers."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(),  # one shared solve
+            dict(M=2, M2=3, eps2=harness.default_eps(3)),  # a smaller window by index
+            # M = 1 without loading, where a zero window would make the Gram singular
+            dict(M=1, eps=0.0, proportionate=ProportionateConfig()),
+        ],
+    )
+    def test_survivors_match_reference(self, params, monkeypatch):
+        cfg = replace(tiny_config(runs=4, n=100, **params), chunk_size=4)
+        real = harness.trial_signals
+        seen = {"count": -1}
+
+        def fake(scenario, model, rng, input_samples=None):
+            x, noise = real(scenario, model, rng, input_samples)
+            seen["count"] += 1
+            if seen["count"] == 1:  # trial 1 dies at sample 40 of 200
+                x = x.copy()
+                x[40] = np.nan
+            return x, noise
+
+        monkeypatch.setattr(harness, "trial_signals", fake)
+        cur = run_experiment(cfg, skip_diverged=True)
+        assert cur.skipped == (1,)
+        recs = [run_trial(cfg, t) for t in (0, 2, 3)]
+        ea1, ea2, ea, lam = (
+            np.array([getattr(r, k) for r in recs]) for k in ("ea1", "ea2", "ea", "lam")
+        )
+        pairs = ((cur.j1, ea1**2), (cur.j2, ea2**2), (cur.j12, ea1 * ea2), (cur.j, ea**2))
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want.mean(axis=0), rtol=1e-9, atol=1e-13)
+        np.testing.assert_allclose(cur.lam, lam.mean(axis=0), rtol=1e-9, atol=1e-12)
+
+
 class TestPresets:
     def test_full_preset_fields(self):
         cfg = preset_paper_scenario("full", "white")
@@ -427,6 +466,19 @@ class TestCli:
         assert rc == 2
         assert "config error: segment" in capsys.readouterr().err
 
+    def test_nonfinite_rho_is_config_error_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before the config was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        doc = config_to_dict(tiny_config(runs=2, n=120))
+        doc["filter2"]["rho"] = float("nan")  # json writes NaN, and reads it back
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = cli_main(["simulate", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_sweep_rho_checks_only_the_last_segment(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(tiny_config(runs=2, segments=(SegmentDef(50, 16), SegmentDef(120, 2))), cfg_path)
@@ -565,9 +617,16 @@ class TestEnginePathsMatchReference:
         assert_engine_matches_reference(tiny_config(**params))
 
     def test_long_horizon_gram_does_not_drift(self):
-        # the reference rebuilds every Gram from scratch; the engine updates
-        # one row and column per sample, so any drift would show here
+        # the reference rebuilds every Gram from scratch; the engine takes
+        # each new row and column from a running lag recursion, so any
+        # drift would show here
         assert_engine_matches_reference(tiny_config(L=16, M=4, n=1500))
+
+    @pytest.mark.parametrize("input_kind", ["white", "ar1"])
+    def test_desk_horizon_matches_reference(self, input_kind):
+        # one trial of the desk preset (L=64, M=4, 3 x 4,000 samples; AR(1)
+        # pole 0.8): the lag recursion runs 12,000 samples without a refresh
+        assert_engine_matches_reference(preset_paper_scenario("desk", input_kind))
 
 
 class TestConfigRejection:
@@ -595,4 +654,26 @@ class TestConfigRejection:
         doc = config_to_dict(tiny_config())
         doc["scenario"]["noise_variance"] = value
         with pytest.raises(ConfigError, match="noise variance"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "branch, field, value",
+        [
+            ("filter2", "rho", float("nan")),
+            ("filter2", "rho", float("inf")),
+            ("filter1", "eps", float("nan")),
+            ("filter2", "eps", float("inf")),
+        ],
+    )
+    def test_nonfinite_filter_constant_is_config_error(self, branch, field, value):
+        doc = config_to_dict(tiny_config())
+        doc[branch][field] = value
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["rho_p", "delta"])
+    def test_infinite_gain_constant_is_config_error(self, field):
+        doc = config_to_dict(tiny_config(proportionate=ProportionateConfig()))
+        doc["filter2"]["proportionate"][field] = float("inf")
+        with pytest.raises(ConfigError, match="finite"):
             config_from_dict(doc)
