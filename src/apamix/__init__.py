@@ -2,70 +2,4 @@
 system identification, with closed-form steady-state predictors and a
 Monte-Carlo experiment harness."""
 
-from .combination import (
-    CombinationState,
-    CombinedOutputs,
-    combine,
-    combined_weight,
-    lambda_of,
-    update_a,
-)
-from .errors import AnalysisViolation, ConfigError, DivergenceError, NumericalError
-from .filters import (
-    FilterConfig,
-    FilterState,
-    ProportionateConfig,
-    RegressorBuffer,
-    apa_step,
-    gain_matrix,
-    nlms_ocf_step,
-    output_and_error,
-    push,
-    za_apa_step,
-    za_papa_step,
-)
-from .harness import (
-    ExperimentConfig,
-    LearningCurves,
-    MixingConfig,
-    SteadyState,
-    preset_paper_scenario,
-    read_config,
-    run_experiment,
-    run_trial,
-    steady_state_stats,
-    sweep_rho,
-    write_config,
-    write_curves,
-)
-from .signals import (
-    Observation,
-    ScenarioDef,
-    SegmentDef,
-    SignalModel,
-    SystemScenario,
-    gen_input,
-    make_rng,
-    make_system,
-    scenario_stream,
-)
-from .theory import (
-    SteadyStatePrediction,
-    TheoryInputs,
-    apa_msd_per_tap,
-    beta_of,
-    combined_emse_prediction,
-    cross_msd_active,
-    cross_msd_inactive,
-    emse_from_msd,
-    inv_r2_expectation,
-    lambda_infinity,
-    mean_weight_deviation,
-    predict_steady_state,
-    rho_bound_global,
-    rho_bound_sparse_case,
-    zaapa_msd_active,
-    zaapa_msd_inactive,
-)
-
 __version__ = "0.1.0"

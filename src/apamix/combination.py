@@ -18,11 +18,8 @@ import numpy as np
 __all__ = [
     "lambda_of",
     "CombinationState",
-    "CombinedOutputs",
-    "combine",
     "mixing_step",
     "update_a",
-    "combined_weight",
 ]
 
 
@@ -41,10 +38,10 @@ class CombinationState:
     lam: float = None  # derived
 
     def __post_init__(self):
-        if not self.a_plus > 0:
-            raise ValueError("a_plus must be positive")
-        if not self.mu_a > 0:
-            raise ValueError("mu_a must be positive")
+        if not 0 < self.a_plus < math.inf:
+            raise ValueError("a_plus must be positive and finite")
+        if not 0 < self.mu_a < math.inf:
+            raise ValueError("mu_a must be positive and finite")
         if not -self.a_plus <= self.a <= self.a_plus:
             raise ValueError("a outside [-a_plus, a_plus]")
         object.__setattr__(self, "lam", lambda_of(self.a))
@@ -53,22 +50,6 @@ class CombinationState:
     def lam_plus(self) -> float:
         """Upper end of the reachable mixing range."""
         return lambda_of(self.a_plus)
-
-
-@dataclass(frozen=True)
-class CombinedOutputs:
-    y: float
-    y1: float
-    y2: float
-    e: float
-
-
-def combine(lam: float, y1: float, y2: float, d: float) -> CombinedOutputs:
-    """Mix the two component outputs and form the overall error."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    y = lam * y1 + (1.0 - lam) * y2
-    return CombinedOutputs(y=y, y1=y1, y2=y2, e=d - y)
 
 
 def mixing_step(a, lam, e, y1, y2, mu_a: float, a_plus: float):
@@ -89,11 +70,3 @@ def update_a(state: CombinationState, e: float, y1: float, y2: float) -> Combina
     a = mixing_step(state.a, state.lam, e, y1, y2, state.mu_a, state.a_plus)
     return CombinationState(a=float(a), a_plus=state.a_plus, mu_a=state.mu_a)
 
-
-def combined_weight(lam: float, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Equivalent weight vector lam*w1 + (1-lam)*w2 of the combined filter."""
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    if w1.shape != w2.shape:
-        raise ValueError(f"weight shapes differ: {w1.shape} vs {w2.shape}")
-    return lam * w1 + (1.0 - lam) * w2

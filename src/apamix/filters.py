@@ -26,7 +26,6 @@ __all__ = [
     "FilterState",
     "RegressorBuffer",
     "push",
-    "output_and_error",
     "apa_step",
     "za_apa_step",
     "gain_matrix",
@@ -113,13 +112,6 @@ def push(buffer: RegressorBuffer, obs: Observation) -> RegressorBuffer:
     d[0] = obs.d
     d[1:] = buffer.d[: M - 1]
     return RegressorBuffer(U=U, d=d)
-
-
-def output_and_error(state: FilterState, buffer: RegressorBuffer) -> tuple[float, np.ndarray]:
-    """Filter output on the newest regressor and the M-long error vector."""
-    y = float(buffer.U[:, 0] @ state.w)
-    e_vec = buffer.d - buffer.U.T @ state.w
-    return y, e_vec
 
 
 def _projection_update(w, U, d, mu, eps, gains=None):

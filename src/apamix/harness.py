@@ -43,15 +43,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import theory
-from .combination import CombinationState, combine, lambda_of, mixing_step, update_a
+from .combination import CombinationState, lambda_of, mixing_step, update_a
 from .errors import ConfigError, DivergenceError, NumericalError
 from .filters import (
     FilterConfig,
@@ -122,9 +122,9 @@ class ExperimentConfig:
     scenario: ScenarioDef
     filter1: FilterConfig
     filter2: FilterConfig
-    mixing: MixingConfig
+    mixing: MixingConfig = field(default_factory=MixingConfig, kw_only=True)
     runs: int
-    seed: int
+    seed: int = 0
     steady_window_fraction: float = 0.1
     chunk_size: int = 100
 
@@ -250,8 +250,8 @@ def run_trial(
         ea2[i] = d_clean - y2
         lam[i] = mix.lam
         ea[i] = mix.lam * ea1[i] + (1.0 - mix.lam) * ea2[i]
-        out = combine(mix.lam, y1, y2, obs.d)
-        mix = update_a(mix, out.e, y1, y2)
+        e = obs.d - (mix.lam * y1 + (1.0 - mix.lam) * y2)
+        mix = update_a(mix, e, y1, y2)
         try:
             state1 = apa_step(state1, buf1)
             state2 = step2(state2, buf2)
@@ -623,8 +623,6 @@ def preset_paper_scenario(
     """
     if scale not in ("full", "desk"):
         raise ValueError(f"unknown scale {scale!r}")
-    if input_kind not in ("white", "ar1"):
-        raise ValueError(f"unknown input kind {input_kind!r}")
     if filter2_kind not in ("zaapa", "zapapa"):
         raise ValueError(f"unknown filter2 kind {filter2_kind!r}")
 
@@ -682,111 +680,70 @@ def to_db(x: float) -> float:
     return -math.inf if mag == 0 else 10.0 * math.log10(mag)
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing field {key!r} in {where}")
-    return d[key]
+def _implied(cls, name: str, doc: dict, read: dict) -> dict:
+    """Fields that the JSON form leaves out of field ``name`` of ``cls``,
+    given the object's JSON ``doc`` and its fields already ``read``: each
+    filter's ``L`` is the scenario's, and the input seed is the scenario's."""
+    if cls is ExperimentConfig and name in ("filter1", "filter2"):
+        return {"L": read["scenario"].L}
+    if cls is ScenarioDef and name == "input":
+        return {"seed": int(doc.get("seed", ScenarioDef.seed))}
+    return {}
+
+
+def _read(hint, value, path: str, **implied):
+    """Convert the JSON ``value`` at ``path`` to the annotated type ``hint``.
+
+    A dataclass is read from an object, ``Optional[X]`` from null or an X,
+    ``tuple[X, ...]`` from an array, and a scalar by a cast to its type.
+    """
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if value is None else _read(get_args(hint)[0], value, path)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a JSON array")
+        return tuple(_read(get_args(hint)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not is_dataclass(hint):
+        return hint(value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    hints = get_type_hints(hint)
+    for key in value:
+        if key not in hints or key in implied:
+            raise ConfigError(f"unknown key {key!r} in {path}")
+    kwargs = dict(implied)
+    for f in fields(hint):
+        if f.name in value:
+            sub = _implied(hint, f.name, value, kwargs)
+            kwargs[f.name] = _read(hints[f.name], value[f.name], f"{path}.{f.name}", **sub)
+        elif f.name not in implied and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing field {f.name!r} in {path}")
+    return hint(**kwargs)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Read the JSON form written by :func:`config_to_dict`.
+
+    The keys are the fields of the config dataclasses: one without a default
+    is required, and a key that names no field is rejected. Every rejection,
+    including those of the dataclasses' own checks, is a ``ConfigError``.
+    """
     try:
-        sc = _require(doc, "scenario", "config")
-        inp = _require(sc, "input", "scenario")
-        model = SignalModel(
-            kind=_require(inp, "kind", "scenario.input"),
-            variance=float(inp.get("variance", 1.0)),
-            pole=(None if inp.get("pole") is None else float(inp["pole"])),
-            seed=int(sc.get("seed", 0)),
-        )
-        segments = tuple(
-            SegmentDef(
-                duration=int(_require(s, "duration", f"scenario.segments[{i}]")),
-                K=int(_require(s, "K", f"scenario.segments[{i}]")),
-                magnitude_rule=s.get("magnitude_rule", "random"),
-            )
-            for i, s in enumerate(_require(sc, "segments", "scenario"))
-        )
-        scenario = ScenarioDef(
-            L=int(_require(sc, "L", "scenario")),
-            segments=segments,
-            noise_variance=float(_require(sc, "noise_variance", "scenario")),
-            input=model,
-            seed=int(sc.get("seed", 0)),
-        )
-
-        def filt(d: dict, where: str) -> FilterConfig:
-            prop = d.get("proportionate")
-            return FilterConfig(
-                L=scenario.L,
-                M=int(_require(d, "M", where)),
-                mu=float(_require(d, "mu", where)),
-                rho=float(d.get("rho", 0.0)),
-                eps=float(d.get("eps", 0.0)),
-                proportionate=(
-                    None
-                    if prop is None
-                    else ProportionateConfig(
-                        rho_p=float(prop.get("rho_p", 0.05)),
-                        delta=float(prop.get("delta", 0.01)),
-                    )
-                ),
-            )
-
-        mixing_doc = doc.get("mixing", {})
-        return ExperimentConfig(
-            scenario=scenario,
-            filter1=filt(_require(doc, "filter1", "config"), "filter1"),
-            filter2=filt(_require(doc, "filter2", "config"), "filter2"),
-            mixing=MixingConfig(
-                mu_a=float(mixing_doc.get("mu_a", 100.0)),
-                a_plus=float(mixing_doc.get("a_plus", 4.0)),
-                a0=float(mixing_doc.get("a0", 0.0)),
-            ),
-            runs=int(_require(doc, "runs", "config")),
-            seed=int(doc.get("seed", 0)),
-            steady_window_fraction=float(doc.get("steady_window_fraction", 0.1)),
-            chunk_size=int(doc.get("chunk_size", 100)),
-        )
-    except (TypeError, ValueError) as exc:
+        return _read(ExperimentConfig, doc, "config")
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    def filt(fc: FilterConfig) -> dict:
-        d = {"M": fc.M, "mu": fc.mu, "rho": fc.rho, "eps": fc.eps, "proportionate": None}
-        if fc.proportionate is not None:
-            d["proportionate"] = {
-                "rho_p": fc.proportionate.rho_p,
-                "delta": fc.proportionate.delta,
-            }
-        return d
-
-    sc = config.scenario
-    return {
-        "scenario": {
-            "L": sc.L,
-            "segments": [
-                {"duration": s.duration, "K": s.K, "magnitude_rule": s.magnitude_rule}
-                for s in sc.segments
-            ],
-            "noise_variance": sc.noise_variance,
-            "input": {"kind": sc.input.kind, "variance": sc.input.variance, "pole": sc.input.pole},
-            "seed": sc.seed,
-        },
-        "filter1": filt(config.filter1),
-        "filter2": filt(config.filter2),
-        "mixing": {
-            "mu_a": config.mixing.mu_a,
-            "a_plus": config.mixing.a_plus,
-            "a0": config.mixing.a0,
-        },
-        "runs": config.runs,
-        "seed": config.seed,
-        "steady_window_fraction": config.steady_window_fraction,
-        "chunk_size": config.chunk_size,
-    }
+    """The JSON form of ``config``: its fields, less those :func:`config_from_dict` implies."""
+    doc = asdict(config)
+    for name in ("filter1", "filter2"):
+        del doc[name]["L"]
+    del doc["scenario"]["input"]["seed"]
+    doc["scenario"]["segments"] = list(doc["scenario"]["segments"])
+    return doc
 
 
 def read_config(path) -> ExperimentConfig:
@@ -795,8 +752,6 @@ def read_config(path) -> ExperimentConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
     return config_from_dict(doc)
 
 

@@ -48,7 +48,7 @@ class SignalModel:
     variance in steady state.
     """
 
-    kind: str = "white"
+    kind: str
     variance: float = 1.0
     pole: Optional[float] = None
     seed: int = 0
@@ -56,8 +56,8 @@ class SignalModel:
     def __post_init__(self):
         if self.kind not in ("white", "ar1"):
             raise ValueError(f"unknown input kind {self.kind!r}")
-        if not self.variance > 0:
-            raise ValueError("input variance must be positive")
+        if not 0 < self.variance < np.inf:
+            raise ValueError("input variance must be positive and finite")
         if self.kind == "ar1":
             if self.pole is None or not (-1.0 < self.pole < 1.0):
                 raise ValueError("ar1 pole must lie in (-1, 1)")
@@ -172,9 +172,19 @@ class SystemScenario:
 
 @dataclass(frozen=True)
 class SegmentDef:
+    """One segment of a :class:`ScenarioDef`: its length and active-tap count."""
+
     duration: int
     K: int
     magnitude_rule: str = "random"
+
+    def __post_init__(self):
+        if self.duration < 1:
+            raise ValueError("segment duration must be >= 1")
+        if self.K < 0:
+            raise ValueError(f"active tap count {self.K} is negative")
+        if self.magnitude_rule not in ("random", "unit"):
+            raise ValueError(f"unknown magnitude rule {self.magnitude_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +203,15 @@ class ScenarioDef:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.noise_variance >= 0:  # also rejects NaN
-            raise ValueError("noise variance must be >= 0")
+        if not self.segments:
+            raise ValueError("scenario needs at least one segment")
+        if not 0 <= self.noise_variance < np.inf:  # also rejects NaN
+            raise ValueError("noise variance must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("scenario seed must be non-negative")
+        for j, sd in enumerate(self.segments):
+            if sd.K > self.L:
+                raise ValueError(f"segment {j}: active tap count {sd.K} exceeds L={self.L}")
 
     def materialize(self) -> SystemScenario:
         segs = []

@@ -31,10 +31,8 @@ __all__ = [
     "apa_msd_per_tap",
     "zaapa_msd_active",
     "zaapa_msd_inactive",
-    "zaapa_msd_inactive_truncated",
     "cross_msd_active",
     "cross_msd_inactive",
-    "cross_msd_inactive_truncated",
     "emse_from_msd",
     "rho_bound_global",
     "rho_bound_sparse_case",
@@ -154,13 +152,6 @@ def zaapa_msd_inactive(ti: TheoryInputs) -> float:
     return _zaapa_rms_inactive(ti) ** 2
 
 
-def zaapa_msd_inactive_truncated(ti: TheoryInputs) -> float:
-    """First-order-in-rho form of :func:`zaapa_msd_inactive`, kept for comparison."""
-    lam1 = apa_msd_per_tap(ti)
-    den = ti.mu * (2.0 - ti.mu) * ti.beta
-    return lam1 - math.sqrt(8.0 / math.pi) * ti.rho * (1.0 - ti.mu * ti.beta) / den * math.sqrt(lam1)
-
-
 def cross_msd_active(ti: TheoryInputs) -> float:
     """Active-tap steady-state cross deviation of the two filters.
 
@@ -178,16 +169,6 @@ def cross_msd_inactive(ti: TheoryInputs) -> float:
     if rho > 0:
         den += rho * (1.0 - mu * beta) * _SQRT_2_PI / _zaapa_rms_inactive(ti)
     return num / den
-
-
-def cross_msd_inactive_truncated(ti: TheoryInputs) -> float:
-    """Small-rho truncation of :func:`cross_msd_inactive`, kept for comparison."""
-    lam1 = apa_msd_per_tap(ti)
-    mu, beta = ti.mu, ti.beta
-    scale = math.sqrt(
-        mu**3 * beta**2 * (2.0 - mu) * ti.noise_variance * ti.inv_r2 / (1.0 - mu * beta) ** 2
-    )
-    return lam1 * (1.0 - _SQRT_2_PI * ti.rho / scale)
 
 
 def emse_from_msd(

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from apamix.combination import (
     CombinationState,
-    combine,
-    combined_weight,
     lambda_of,
     mixing_step,
     update_a,
@@ -28,24 +26,6 @@ class TestLambdaOf:
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     def test_antisymmetry(self, a):
         assert lambda_of(-a) == pytest.approx(1.0 - lambda_of(a), abs=1e-12)
-
-
-class TestCombine:
-    def test_endpoints(self):
-        assert combine(1.0, 3.0, -5.0, 0.0).y == 3.0
-        assert combine(0.0, 3.0, -5.0, 0.0).y == -5.0
-
-    def test_agreement(self):
-        assert combine(0.37, 2.5, 2.5, 1.0).y == pytest.approx(2.5, abs=1e-15)
-
-    def test_error(self):
-        out = combine(0.5, 1.0, 3.0, 5.0)
-        assert out.e == pytest.approx(5.0 - 2.0, abs=1e-15)
-
-    @given(st.floats(min_value=0, max_value=1), finite, finite)
-    def test_convexity(self, lam, y1, y2):
-        y = combine(lam, y1, y2, 0.0).y
-        assert min(y1, y2) - 1e-9 <= y <= max(y1, y2) + 1e-9
 
 
 class TestUpdateA:
@@ -119,28 +99,3 @@ class TestUpdateA:
         out = update_a(state, e, y1, y2)
         assert -4.0 <= out.a <= 4.0
         assert out.lam == pytest.approx(lambda_of(out.a), abs=1e-15)
-
-
-class TestCombinedWeight:
-    def test_equal_weights(self):
-        w = np.array([1.0, 2.0])
-        assert np.array_equal(combined_weight(0.3, w, w), w)
-
-    def test_midpoint(self):
-        out = combined_weight(0.5, np.array([2.0, 0.0]), np.array([0.0, 2.0]))
-        assert np.allclose(out, [1.0, 1.0], atol=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            combined_weight(0.5, np.zeros(2), np.zeros(3))
-
-    def test_a_priori_error_identity(self):
-        # u'(w_opt - w_c) = lam*ea1 + (1-lam)*ea2 by linearity
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            u, w_opt, w1, w2 = rng.standard_normal((4, 6))
-            lam = rng.uniform()
-            wc = combined_weight(lam, w1, w2)
-            lhs = u @ (w_opt - wc)
-            rhs = lam * (u @ (w_opt - w1)) + (1 - lam) * (u @ (w_opt - w2))
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)

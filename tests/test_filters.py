@@ -10,7 +10,6 @@ from apamix.filters import (
     apa_step,
     gain_matrix,
     nlms_ocf_step,
-    output_and_error,
     push,
     za_apa_step,
     za_papa_step,
@@ -60,34 +59,6 @@ class TestPush:
             push(RegressorBuffer.zeros(3, 2), obs([1.0, 2.0], 0.0))
 
 
-class TestOutputAndError:
-    def test_zero_filter(self):
-        rng = np.random.default_rng(0)
-        cfg = FilterConfig(L=6, M=3, mu=0.5)
-        buf, _ = filled_buffer(rng, 6, 3)
-        y, e = output_and_error(FilterState.zeros(cfg), buf)
-        assert y == 0.0
-        assert np.array_equal(e, buf.d)
-
-    def test_perfect_model(self):
-        rng = np.random.default_rng(1)
-        cfg = FilterConfig(L=6, M=3, mu=0.5)
-        buf, w_opt = filled_buffer(rng, 6, 3, noise=0.0)
-        y, e = output_and_error(FilterState(w=w_opt, config=cfg), buf)
-        assert np.allclose(e, 0.0, atol=1e-12)
-
-    def test_against_bruteforce(self):
-        rng = np.random.default_rng(2)
-        cfg = FilterConfig(L=5, M=2, mu=0.5)
-        buf, _ = filled_buffer(rng, 5, 2)
-        w = rng.standard_normal(5)
-        y, e = output_and_error(FilterState(w=w, config=cfg), buf)
-        y_ref = sum(buf.U[k, 0] * w[k] for k in range(5))
-        e_ref = [buf.d[m] - sum(buf.U[k, m] * w[k] for k in range(5)) for m in range(2)]
-        assert y == pytest.approx(y_ref, rel=1e-12)
-        assert np.allclose(e, e_ref, rtol=1e-12, atol=1e-14)
-
-
 class TestApaStep:
     def test_order_one_is_nlms(self):
         rng = np.random.default_rng(3)
@@ -116,7 +87,7 @@ class TestApaStep:
         state = FilterState(w=rng.standard_normal(4), config=cfg)
         buf, _ = filled_buffer(rng, 4, 4, noise=0.0)
         out = apa_step(state, buf)
-        _, e = output_and_error(out, buf)
+        e = buf.d - buf.U.T @ out.w
         assert np.abs(e).max() < 1e-8
 
     def test_divergence_detected(self):

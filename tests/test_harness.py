@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -361,6 +362,50 @@ class TestPresets:
             replace(cfg, filter1=replace(cfg.filter1, rho=1e-6))
 
 
+@st.composite
+def experiment_configs(draw):
+    """Valid experiments: white or AR(1) input, zaapa or zapapa, 1-3 segments, M1 != M2."""
+    L = draw(st.integers(2, 64))
+    M1, M2 = draw(st.lists(st.integers(1, min(L, 8)), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(["white", "ar1"]))
+    open_unit = st.floats(-1, 1, exclude_min=True, exclude_max=True)
+    positive = st.floats(1e-9, 1e3)
+    mu = st.floats(0, 2, exclude_max=True)
+    seed = draw(st.integers(0, 2**32))
+    segments = st.builds(
+        SegmentDef, st.integers(1, 10**5), st.integers(0, L), st.sampled_from(["random", "unit"])
+    )
+    a_plus = draw(positive)
+    return ExperimentConfig(
+        scenario=ScenarioDef(
+            L=L,
+            segments=tuple(draw(st.lists(segments, min_size=1, max_size=3))),
+            noise_variance=draw(st.floats(0, 10)),
+            input=SignalModel(
+                kind=kind,
+                variance=draw(positive),
+                pole=draw(open_unit) if kind == "ar1" else None,
+                seed=seed,
+            ),
+            seed=seed,
+        ),
+        filter1=FilterConfig(L=L, M=M1, mu=draw(mu), eps=draw(positive)),
+        filter2=FilterConfig(
+            L=L,
+            M=M2,
+            mu=draw(mu),
+            rho=draw(st.floats(0, 1)),
+            eps=draw(positive),
+            proportionate=draw(st.none() | st.builds(ProportionateConfig, positive, positive)),
+        ),
+        mixing=MixingConfig(mu_a=draw(positive), a_plus=a_plus, a0=draw(st.floats(-a_plus, a_plus))),
+        runs=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**32)),
+        steady_window_fraction=draw(st.floats(0, 1, exclude_min=True)),
+        chunk_size=draw(st.integers(1, 1000)),
+    )
+
+
 class TestPersistence:
     def test_config_round_trip(self, tmp_path):
         cfg = preset_paper_scenario("desk", "ar1", filter2_kind="zapapa")
@@ -376,6 +421,40 @@ class TestPersistence:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="line 1"):
             read_config(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(experiment_configs())
+    def test_json_round_trip(self, cfg):
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_written_key_tree_is_pinned(self, tmp_path):
+        # a renamed, added, removed or reordered field changes the file format
+        def tree(doc):
+            if isinstance(doc, dict):
+                return {key: tree(value) for key, value in doc.items()}
+            return [tree(value) for value in doc] if isinstance(doc, list) else None
+
+        seg = {"duration": None, "K": None, "magnitude_rule": None}
+        filt = {"M": None, "mu": None, "rho": None, "eps": None, "proportionate": None}
+        expected = {
+            "scenario": {
+                "L": None,
+                "segments": [seg, seg, seg],
+                "noise_variance": None,
+                "input": {"kind": None, "variance": None, "pole": None},
+                "seed": None,
+            },
+            "filter1": filt,
+            "filter2": {**filt, "proportionate": {"rho_p": None, "delta": None}},
+            "mixing": {"mu_a": None, "a_plus": None, "a0": None},
+            "runs": None,
+            "seed": None,
+            "steady_window_fraction": None,
+            "chunk_size": None,
+        }
+        path = tmp_path / "cfg.json"
+        write_config(preset_paper_scenario("desk", "white", filter2_kind="zapapa"), path)
+        assert json.dumps(tree(json.loads(path.read_text()))) == json.dumps(expected)
 
     def test_curves_csv_shape(self, tmp_path):
         cfg = tiny_config(runs=2, n=40)
@@ -677,3 +756,63 @@ class TestConfigRejection:
         doc["filter2"]["proportionate"][field] = float("inf")
         with pytest.raises(ConfigError, match="finite"):
             config_from_dict(doc)
+
+
+INF = float("inf")
+
+
+class TestBadConfigRejectedAtLoad:
+    """Each case edits one key of a valid config's JSON form."""
+
+    @pytest.mark.parametrize(
+        "path, value, match",
+        [
+            pytest.param(("steady_window_fration",), 0.5, "'steady_window_fration' in config",
+                         id="unknown-key"),
+            pytest.param(("scenario", "segments", 0, "k"), 2, "'k' in config.scenario.segments[0]",
+                         id="unknown-nested-key"),
+            pytest.param(("filter1", "L"), 16, "'L' in config.filter1", id="implied-filter-L"),
+            pytest.param(("scenario", "input", "seed"), 5, "'seed' in config.scenario.input",
+                         id="implied-input-seed"),
+            pytest.param(("filter1",), 3, "config.filter1 must be a JSON object",
+                         id="filter-not-object"),
+            pytest.param(("filter2", "proportionate"), 3,
+                         "config.filter2.proportionate must be a JSON object",
+                         id="gains-not-object"),
+            pytest.param(("scenario", "segments"), {}, "config.scenario.segments must be a JSON array",
+                         id="segments-not-array"),
+            pytest.param(("mixing", "mu_a"), INF, "mu_a must be positive and finite", id="mu_a-inf"),
+            pytest.param(("mixing", "a_plus"), INF, "a_plus must be positive and finite",
+                         id="a_plus-inf"),
+            pytest.param(("scenario", "input", "variance"), INF, "input variance",
+                         id="input-variance-inf"),
+            pytest.param(("scenario", "noise_variance"), INF, "noise variance",
+                         id="noise-variance-inf"),
+            pytest.param(("scenario", "segments"), [], "at least one segment", id="no-segments"),
+            pytest.param(("scenario", "segments", 0, "K"), 17, "exceeds L", id="K-above-L"),
+            pytest.param(("scenario", "segments", 0, "K"), -1, "negative", id="K-negative"),
+            pytest.param(("scenario", "segments", 1, "duration"), 0, "duration must be >= 1",
+                         id="empty-segment"),
+            pytest.param(("scenario", "segments", 0, "magnitude_rule"), "huge", "magnitude rule",
+                         id="unknown-magnitude-rule"),
+            pytest.param(("scenario", "seed"), -1, "scenario seed", id="negative-scenario-seed"),
+            pytest.param(("runs",), INF, "infinity", id="runs-inf"),
+        ],
+    )
+    def test_config_error_before_any_trial(self, path, value, match, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before the config was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        doc = config_to_dict(tiny_config())  # L = 16, two segments
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            config_from_dict(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        for command in ("simulate", "predict"):
+            assert cli_main([command, "--config", str(cfg_path)]) == 2
+            assert "config error:" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from apamix.theory import (
     combined_emse_prediction,
     cross_msd_active,
     cross_msd_inactive,
-    cross_msd_inactive_truncated,
     emse_from_msd,
     inv_r2_expectation,
     inv_r2_monte_carlo,
@@ -23,7 +22,6 @@ from apamix.theory import (
     rho_bound_sparse_case,
     zaapa_msd_active,
     zaapa_msd_inactive,
-    zaapa_msd_inactive_truncated,
 )
 from apamix.signals import SignalModel
 
@@ -137,10 +135,6 @@ class TestZaapaMsdInactive:
     def test_benchmark_value(self):
         assert zaapa_msd_inactive(ti(rho=8e-6)) == pytest.approx(8.22146854e-07, rel=1e-8)
 
-    def test_truncated_form_tracks_exact_at_small_rho(self):
-        t = ti(rho=1e-7)
-        assert zaapa_msd_inactive_truncated(t) == pytest.approx(zaapa_msd_inactive(t), rel=1e-3)
-
 
 class TestCrossMsd:
     def test_active_equals_apa_and_ignores_rho(self):
@@ -162,14 +156,6 @@ class TestCrossMsd:
 
     def test_benchmark_value(self):
         assert cross_msd_inactive(ti(rho=8e-6)) == pytest.approx(1.00964544e-06, rel=1e-8)
-
-    def test_truncated_vs_exact_within_5pct_below_tenth_of_bound(self):
-        bound = rho_bound_global(ti_desk())
-        for rho in np.linspace(1e-8, 0.1 * bound, 25):
-            t = ti_desk(rho=float(rho))
-            exact = cross_msd_inactive(t)
-            trunc = cross_msd_inactive_truncated(t)
-            assert abs(trunc - exact) <= 0.05 * exact
 
     def test_cauchy_schwarz_per_tap_class(self):
         for rho in np.geomspace(1e-7, 3e-4, 30):
