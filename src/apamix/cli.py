@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness, theory
+from .combination import lambda_of
 from .errors import ConfigError, DivergenceError
 
 
@@ -81,21 +82,26 @@ def cmd_predict(args) -> int:
             file=sys.stderr,
         )
     f2 = cfg.filter2
-    lam_plus = cfg.mixing.initial_state().lam_plus
+    lam_plus = lambda_of(cfg.mixing.a_plus)
+    preds = []
+    for k, seg in enumerate(cfg.scenario.segments):
+        try:
+            ti = theory.TheoryInputs(
+                L=cfg.scenario.L,
+                K=seg.K,
+                M=f2.M,
+                mu=f2.mu,
+                rho=f2.rho,
+                noise_variance=cfg.scenario.noise_variance,
+                input_variance=model.variance,
+            )
+            preds.append(theory.predict_steady_state(ti, lam_plus))
+        except ValueError as exc:  # outside the closed forms' domain
+            raise ConfigError(f"segment {k}: {exc}") from exc
     print(f"{'seg':>3} {'K':>4} {'J1':>10} {'J2':>10} {'J12':>10} {'Jc':>10} "
           f"{'J1 dB':>8} {'J2 dB':>8} {'Jc dB':>8} {'lam_inf':>8} {'regime':>14} "
           f"{'rho_max':>10} {'rho_sparse':>10}")
-    for k, seg in enumerate(cfg.scenario.segments):
-        ti = theory.TheoryInputs(
-            L=cfg.scenario.L,
-            K=seg.K,
-            M=f2.M,
-            mu=f2.mu,
-            rho=f2.rho,
-            noise_variance=cfg.scenario.noise_variance,
-            input_variance=model.variance,
-        )
-        pred = theory.predict_steady_state(ti, lam_plus)
+    for k, (seg, pred) in enumerate(zip(cfg.scenario.segments, preds)):
         rho_max = "undefined" if pred.rho_bound is None else f"{pred.rho_bound:>10.3e}"
         print(
             f"{k:>3} {seg.K:>4} {pred.J1:>10.3e} {pred.J2:>10.3e} {pred.J12:>10.3e} "

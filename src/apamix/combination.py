@@ -11,13 +11,11 @@ engine share one implementation of the rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "lambda_of",
-    "CombinationState",
     "mixing_step",
     "update_a",
 ]
@@ -26,30 +24,6 @@ __all__ = [
 def lambda_of(a):
     """Sigmoid 1 / (1 + exp(-a)), elementwise."""
     return 1.0 / (1.0 + np.exp(-a))
-
-
-@dataclass(frozen=True)
-class CombinationState:
-    """Mixing variable ``a``, its clip bound, step size, and cached lam."""
-
-    a: float
-    a_plus: float = 4.0
-    mu_a: float = 100.0
-    lam: float = None  # derived
-
-    def __post_init__(self):
-        if not 0 < self.a_plus < math.inf:
-            raise ValueError("a_plus must be positive and finite")
-        if not 0 < self.mu_a < math.inf:
-            raise ValueError("mu_a must be positive and finite")
-        if not -self.a_plus <= self.a <= self.a_plus:
-            raise ValueError("a outside [-a_plus, a_plus]")
-        object.__setattr__(self, "lam", lambda_of(self.a))
-
-    @property
-    def lam_plus(self) -> float:
-        """Upper end of the reachable mixing range."""
-        return lambda_of(self.a_plus)
 
 
 def mixing_step(a, lam, e, y1, y2, mu_a: float, a_plus: float):
@@ -63,10 +37,8 @@ def mixing_step(a, lam, e, y1, y2, mu_a: float, a_plus: float):
     return np.minimum(np.maximum(a, -a_plus), a_plus)  # np.clip, at half the call cost
 
 
-def update_a(state: CombinationState, e: float, y1: float, y2: float) -> CombinationState:
-    """One clipped gradient step (:func:`mixing_step`) on the mixing variable."""
+def update_a(a: float, e: float, y1: float, y2: float, mu_a: float, a_plus: float) -> float:
+    """One clipped gradient step (:func:`mixing_step`) on the mixing variable ``a``."""
     if not (math.isfinite(e) and math.isfinite(y1) and math.isfinite(y2)):
         raise ValueError("non-finite inputs to the mixing update")
-    a = mixing_step(state.a, state.lam, e, y1, y2, state.mu_a, state.a_plus)
-    return CombinationState(a=float(a), a_plus=state.a_plus, mu_a=state.mu_a)
-
+    return float(mixing_step(a, lambda_of(a), e, y1, y2, mu_a, a_plus))

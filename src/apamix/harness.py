@@ -51,7 +51,7 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from . import theory
-from .combination import CombinationState, lambda_of, mixing_step, update_a
+from .combination import lambda_of, mixing_step, update_a
 from .errors import ConfigError, DivergenceError, NumericalError
 from .filters import (
     FilterConfig,
@@ -104,10 +104,12 @@ class MixingConfig:
     a0: float = 0.0
 
     def __post_init__(self):
-        self.initial_state()  # CombinationState validates mu_a, a_plus and a0
-
-    def initial_state(self) -> CombinationState:
-        return CombinationState(a=self.a0, a_plus=self.a_plus, mu_a=self.mu_a)
+        if not 0 < self.a_plus < math.inf:
+            raise ValueError("a_plus must be positive and finite")
+        if not 0 < self.mu_a < math.inf:
+            raise ValueError("mu_a must be positive and finite")
+        if not -self.a_plus <= self.a0 <= self.a_plus:
+            raise ValueError("a0 outside [-a_plus, a_plus]")
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,8 @@ def run_trial(
     else:
         state1 = FilterState(w=np.array(initial_weights[0], dtype=float), config=config.filter1)
         state2 = FilterState(w=np.array(initial_weights[1], dtype=float), config=config.filter2)
-    mix = config.mixing.initial_state()
+    mixing = config.mixing
+    a = mixing.a0
     buf1 = RegressorBuffer.zeros(scenario.L, config.filter1.M)
     buf2 = RegressorBuffer.zeros(scenario.L, config.filter2.M)
     step2 = za_papa_step if config.filter2.proportionate is not None else za_apa_step
@@ -248,10 +251,10 @@ def run_trial(
         d_clean = float(obs.u @ w_opt)
         ea1[i] = d_clean - y1
         ea2[i] = d_clean - y2
-        lam[i] = mix.lam
-        ea[i] = mix.lam * ea1[i] + (1.0 - mix.lam) * ea2[i]
-        e = obs.d - (mix.lam * y1 + (1.0 - mix.lam) * y2)
-        mix = update_a(mix, e, y1, y2)
+        lam[i] = lam_i = lambda_of(a)
+        ea[i] = lam_i * ea1[i] + (1.0 - lam_i) * ea2[i]
+        e = obs.d - (lam_i * y1 + (1.0 - lam_i) * y2)
+        a = update_a(a, e, y1, y2, mixing.mu_a, mixing.a_plus)
         try:
             state1 = apa_step(state1, buf1)
             state2 = step2(state2, buf2)
@@ -627,7 +630,7 @@ def preset_paper_scenario(
         raise ValueError(f"unknown filter2 kind {filter2_kind!r}")
 
     pole = 0.8 if input_kind == "ar1" else None
-    model = SignalModel(kind=input_kind, variance=1.0, pole=pole, seed=seed)
+    model = SignalModel(kind=input_kind, variance=1.0, pole=pole)
     if scale == "full":
         L, M = 256, 8
         segments = (SegmentDef(6000, 256), SegmentDef(6000, 80), SegmentDef(6000, 16))
@@ -680,14 +683,11 @@ def to_db(x: float) -> float:
     return -math.inf if mag == 0 else 10.0 * math.log10(mag)
 
 
-def _implied(cls, name: str, doc: dict, read: dict) -> dict:
+def _implied(cls, name: str, read: dict) -> dict:
     """Fields that the JSON form leaves out of field ``name`` of ``cls``,
-    given the object's JSON ``doc`` and its fields already ``read``: each
-    filter's ``L`` is the scenario's, and the input seed is the scenario's."""
+    given the fields already ``read``: each filter's ``L`` is the scenario's."""
     if cls is ExperimentConfig and name in ("filter1", "filter2"):
         return {"L": read["scenario"].L}
-    if cls is ScenarioDef and name == "input":
-        return {"seed": int(doc.get("seed", ScenarioDef.seed))}
     return {}
 
 
@@ -714,7 +714,7 @@ def _read(hint, value, path: str, **implied):
     kwargs = dict(implied)
     for f in fields(hint):
         if f.name in value:
-            sub = _implied(hint, f.name, value, kwargs)
+            sub = _implied(hint, f.name, kwargs)
             kwargs[f.name] = _read(hints[f.name], value[f.name], f"{path}.{f.name}", **sub)
         elif f.name not in implied and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing field {f.name!r} in {path}")
@@ -741,7 +741,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     doc = asdict(config)
     for name in ("filter1", "filter2"):
         del doc[name]["L"]
-    del doc["scenario"]["input"]["seed"]
     doc["scenario"]["segments"] = list(doc["scenario"]["segments"])
     return doc
 
@@ -750,6 +749,10 @@ def read_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+    except OSError as exc:  # missing, unreadable, or a directory
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     return config_from_dict(doc)

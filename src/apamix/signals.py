@@ -7,7 +7,8 @@ before t=0) and adding white Gaussian observation noise.
 
 Trial streams are driven by the counter-based Philox generator so that
 Monte-Carlo trials get independent, reproducible streams from
-``seed XOR trial_index`` alone.
+``seed XOR trial_index`` alone. Every draw takes its generator from the
+caller; an input model holds no seed of its own.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class SignalModel:
     kind: str
     variance: float = 1.0
     pole: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("white", "ar1"):
@@ -63,7 +63,7 @@ class SignalModel:
                 raise ValueError("ar1 pole must lie in (-1, 1)")
 
 
-def gen_input(model: SignalModel, n: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def gen_input(model: SignalModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Generate ``n`` samples of the input process.
 
     White: i.i.d. N(0, variance). AR(1): stationary start
@@ -71,8 +71,6 @@ def gen_input(model: SignalModel, n: int, rng: Optional[np.random.Generator] = N
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rng is None:
-        rng = make_rng(model.seed)
     sigma = np.sqrt(model.variance)
     g = rng.standard_normal(n)
     if model.kind == "white":
@@ -92,10 +90,7 @@ def gen_input(model: SignalModel, n: int, rng: Optional[np.random.Generator] = N
 
 
 def make_system(
-    L: int,
-    K: int,
-    magnitude_rule: str = "random",
-    rng: int | np.random.Generator = 0,
+    L: int, K: int, magnitude_rule: str, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a length-L system with exactly K nonzero taps.
 
@@ -107,8 +102,6 @@ def make_system(
         raise ValueError(f"active tap count {K} outside [0, {L}]")
     if magnitude_rule not in ("random", "unit"):
         raise ValueError(f"unknown magnitude rule {magnitude_rule!r}")
-    if not isinstance(rng, np.random.Generator):
-        rng = make_rng(int(rng))
     active = np.sort(rng.choice(L, size=K, replace=False))
     w = np.zeros(L)
     if K:
@@ -231,33 +224,21 @@ class Observation:
 
 
 def trial_signals(
-    scenario: SystemScenario,
-    model: SignalModel,
-    rng: np.random.Generator,
-    input_samples: Optional[np.ndarray] = None,
+    scenario: SystemScenario, model: SignalModel, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one trial's raw input and noise arrays.
 
     Draw order is fixed (input first, then noise) so that any consumer of
-    the same generator sees identical streams. ``input_samples`` overrides
-    the input process (debugging hook); the noise is still drawn.
+    the same generator sees identical streams.
     """
     n = scenario.n_samples
-    if input_samples is not None:
-        x = np.asarray(input_samples, dtype=float)
-        if x.shape != (n,):
-            raise ValueError(f"input override must have shape ({n},)")
-    else:
-        x = gen_input(model, n, rng)
+    x = gen_input(model, n, rng)
     noise = rng.standard_normal(n) * np.sqrt(scenario.noise_variance)
     return x, noise
 
 
 def scenario_stream(
-    scenario: SystemScenario,
-    model: SignalModel,
-    rng: Optional[np.random.Generator] = None,
-    input_samples: Optional[np.ndarray] = None,
+    scenario: SystemScenario, model: SignalModel, rng: np.random.Generator
 ) -> Iterator[Observation]:
     """Yield the observation sequence for one trial.
 
@@ -265,9 +246,7 @@ def scenario_stream(
     with zeros before t=0; the desired response uses the segment-active
     system at i plus independent observation noise.
     """
-    if rng is None:
-        rng = make_rng(model.seed)
-    x, noise = trial_signals(scenario, model, rng, input_samples)
+    x, noise = trial_signals(scenario, model, rng)
     L = scenario.L
     padded = np.concatenate([np.zeros(L - 1), x])
     bounds = scenario.boundaries

@@ -52,7 +52,7 @@ def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
             L=L,
             segments=segments,
             noise_variance=1e-3,
-            input=SignalModel(kind=kind, variance=1.0, pole=pole, seed=seed),
+            input=SignalModel(kind=kind, variance=1.0, pole=pole),
             seed=seed,
         ),
         filter1=FilterConfig(L=L, M=M, mu=mu, rho=0.0, eps=eps),
@@ -252,8 +252,8 @@ class TestDivergenceHandling:
         real = harness.trial_signals
         seen = {"count": -1}
 
-        def fake(scenario, model, rng, input_samples=None):
-            x, noise = real(scenario, model, rng, input_samples)
+        def fake(scenario, model, rng):
+            x, noise = real(scenario, model, rng)
             seen["count"] += 1
             if seen["count"] == 2:  # third stream built in the chunk
                 x = x.copy()
@@ -271,8 +271,8 @@ class TestDivergenceHandling:
         real = harness.trial_signals
         seen = {"count": -1}
 
-        def fake(scenario, model, rng, input_samples=None):
-            x, noise = real(scenario, model, rng, input_samples)
+        def fake(scenario, model, rng):
+            x, noise = real(scenario, model, rng)
             seen["count"] += 1
             if seen["count"] == 1:
                 x = x.copy()
@@ -303,8 +303,8 @@ class TestDeadTrialDoesNotLeak:
         real = harness.trial_signals
         seen = {"count": -1}
 
-        def fake(scenario, model, rng, input_samples=None):
-            x, noise = real(scenario, model, rng, input_samples)
+        def fake(scenario, model, rng):
+            x, noise = real(scenario, model, rng)
             seen["count"] += 1
             if seen["count"] == 1:  # trial 1 dies at sample 40 of 200
                 x = x.copy()
@@ -385,7 +385,6 @@ def experiment_configs(draw):
                 kind=kind,
                 variance=draw(positive),
                 pole=draw(open_unit) if kind == "ar1" else None,
-                seed=seed,
             ),
             seed=seed,
         ),
@@ -518,6 +517,26 @@ class TestCli:
         rc = cli_main(["simulate"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "name, content", [("no-such.json", None), (".", None), ("cfg.json", b"\xff\xfe{")]
+    )
+    def test_unreadable_config_file_is_config_error(self, name, content, tmp_path, capsys):
+        # a missing file, a directory, and a file that is not UTF-8 text
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        rc = cli_main(["simulate", "--config", str(path)])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_predict_outside_closed_form_domain_is_config_error(self, tmp_path, capsys):
+        # FilterConfig accepts mu = 0; the closed forms need mu in (0, 2)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(tiny_config(mu2=0.0), cfg_path)
+        rc = cli_main(["predict", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "config error: segment 0: step size mu" in capsys.readouterr().err
+
     @pytest.mark.parametrize("runs", ["0", "-5"])
     def test_bad_runs_override_is_config_error(self, runs, capsys):
         rc = cli_main(["simulate", "--preset", "paper-desk", "--runs", runs])
@@ -582,7 +601,7 @@ class TestStabilityAndConvergedStart:
                 L=L,
                 segments=(SegmentDef(20_000, 4),),
                 noise_variance=1e-3,
-                input=SignalModel("white", 1.0, None, 11),
+                input=SignalModel("white", 1.0, None),
                 seed=11,
             ),
             filter1=FilterConfig(L=L, M=M, mu=mu, rho=0.0, eps=eps),
@@ -627,7 +646,7 @@ class TestAdmissibleRangeBracketing:
                     L=64,
                     segments=(SegmentDef(3000, 4),),
                     noise_variance=1e-3,
-                    input=SignalModel("white", 1.0, None, 44),
+                    input=SignalModel("white", 1.0, None),
                     seed=44,
                 ),
                 filter1=FilterConfig(L=64, M=4, mu=0.5, rho=0.0, eps=eps),
@@ -718,7 +737,7 @@ class TestConfigRejection:
             MixingConfig(a_plus=-4.0)
 
     def test_mixing_start_must_lie_inside_clip(self):
-        with pytest.raises(ValueError, match="a outside"):
+        with pytest.raises(ValueError, match="a0 outside"):
             MixingConfig(a_plus=2.0, a0=3.0)
 
     def test_unloaded_projection_of_order_above_one(self):

@@ -18,22 +18,22 @@ from apamix.signals import (
 
 class TestGenInput:
     def test_white_variance(self):
-        x = gen_input(SignalModel("white", variance=1.0, seed=3), 200_000)
+        x = gen_input(SignalModel("white", variance=1.0), 200_000, make_rng(3))
         assert np.var(x) == pytest.approx(1.0, rel=0.02)
 
     def test_ar1_stationary_moments(self):
-        x = gen_input(SignalModel("ar1", variance=1.0, pole=0.8, seed=4), 200_000)
+        x = gen_input(SignalModel("ar1", variance=1.0, pole=0.8), 200_000, make_rng(4))
         assert np.var(x) == pytest.approx(1.0, rel=0.02)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1 - 0.8) < 0.02
 
     def test_ar1_zero_pole_is_whitelike(self):
-        x = gen_input(SignalModel("ar1", variance=1.0, pole=0.0, seed=5), 100_000)
+        x = gen_input(SignalModel("ar1", variance=1.0, pole=0.0), 100_000, make_rng(5))
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1) < 0.02
 
     def test_variance_scaling(self):
-        x = gen_input(SignalModel("white", variance=4.0, seed=6), 100_000)
+        x = gen_input(SignalModel("white", variance=4.0), 100_000, make_rng(6))
         assert np.var(x) == pytest.approx(4.0, rel=0.03)
 
     def test_model_validation(self):
@@ -62,7 +62,7 @@ class TestAr1MatchesLfilter:
     @pytest.mark.parametrize("n", [1, 2, 3, 20_000])
     @pytest.mark.parametrize("pole", [0.8, -0.8, 0.0, 0.999, -0.999])
     def test_bit_identical(self, pole, n):
-        model = SignalModel("ar1", variance=2.5, pole=pole, seed=9)
+        model = SignalModel("ar1", variance=2.5, pole=pole)
         x = gen_input(model, n, make_rng(9, 4))
         assert x.shape == (n,)
         assert np.array_equal(x, ar1_by_lfilter(model, n, make_rng(9, 4)))
@@ -70,25 +70,25 @@ class TestAr1MatchesLfilter:
 
 class TestMakeSystem:
     def test_full_support(self):
-        w, active = make_system(16, 16, "random", 0)
+        w, active = make_system(16, 16, "random", make_rng(0))
         assert np.count_nonzero(w) == 16 and active.size == 16
 
     def test_empty_support(self):
-        w, active = make_system(16, 0, "random", 0)
+        w, active = make_system(16, 0, "random", make_rng(0))
         assert not w.any() and active.size == 0
 
     def test_paper_sparse_count(self):
-        w, active = make_system(256, 16, "random", 1)
+        w, active = make_system(256, 16, "random", make_rng(1))
         assert np.count_nonzero(w) == 16
         assert np.array_equal(np.flatnonzero(w), active)
 
     def test_unit_rule(self):
-        w, active = make_system(32, 8, "unit", 2)
+        w, active = make_system(32, 8, "unit", make_rng(2))
         assert set(np.abs(w[active])) == {1.0}
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            make_system(4, 5, "random", 0)
+            make_system(4, 5, "random", make_rng(0))
 
 
 def _single_segment_scenario(L, w_opt, duration, noise_variance):
@@ -101,25 +101,25 @@ class TestScenarioStream:
     def test_identity_channel(self):
         L = 4
         scen = _single_segment_scenario(L, [1.0, 0, 0, 0], 50, 0.0)
-        model = SignalModel("white", seed=1)
+        model = SignalModel("white")
         x, _ = trial_signals(scen, model, make_rng(1))
-        for i, obs in enumerate(scenario_stream(scen, model)):
+        for i, obs in enumerate(scenario_stream(scen, model, make_rng(1))):
             assert obs.d == pytest.approx(x[i], abs=1e-15)
 
     def test_window_contents_and_zero_padding(self):
         L = 3
         scen = _single_segment_scenario(L, [0.0, 0, 1.0], 5, 0.0)
-        model = SignalModel("white", seed=2)
+        model = SignalModel("white")
         x, _ = trial_signals(scen, model, make_rng(2))
-        obs = list(scenario_stream(scen, model))
+        obs = list(scenario_stream(scen, model, make_rng(2)))
         assert np.allclose(obs[0].u, [x[0], 0, 0])
         assert np.allclose(obs[1].u, [x[1], x[0], 0])
         assert np.allclose(obs[4].u, [x[4], x[3], x[2]])
 
     def test_observation_identity(self):
         scen = _single_segment_scenario(4, [0.5, -1.0, 0, 2.0], 100, 1e-2)
-        model = SignalModel("white", seed=3)
-        for obs in scenario_stream(scen, model):
+        model = SignalModel("white")
+        for obs in scenario_stream(scen, model, make_rng(3)):
             assert obs.d == pytest.approx(float(obs.u @ scen.segments[0].w_opt) + obs.epsilon, abs=1e-15)
 
     def test_segment_switch_boundary(self):
@@ -127,34 +127,24 @@ class TestScenarioStream:
         seg_a = Segment(duration=10, w_opt=np.array([1.0, 0.0]), active=np.array([0]))
         seg_b = Segment(duration=10, w_opt=np.array([3.0, 0.0]), active=np.array([0]))
         scen = SystemScenario(L=L, segments=(seg_a, seg_b), noise_variance=0.0)
-        model = SignalModel("white", seed=4)
+        model = SignalModel("white")
         x, _ = trial_signals(scen, model, make_rng(4))
-        obs = list(scenario_stream(scen, model))
+        obs = list(scenario_stream(scen, model, make_rng(4)))
         assert obs[9].d == pytest.approx(1.0 * x[9], abs=1e-15)
         assert obs[10].d == pytest.approx(3.0 * x[10], abs=1e-15)
 
-    def test_constant_input_dc_gain(self):
-        L = 8
-        w = np.full(L, 0.25)
-        scen = _single_segment_scenario(L, w, 30, 0.0)
-        model = SignalModel("white", seed=5)
-        obs = list(scenario_stream(scen, model, input_samples=np.ones(30)))
-        # after warm-up the window is all ones, so d equals the tap sum
-        for o in obs[L - 1 :]:
-            assert o.d == pytest.approx(w.sum(), abs=1e-12)
-
     def test_reproducible_streams(self):
         scen = _single_segment_scenario(4, [1.0, 0, 0, 0], 200, 1e-3)
-        model = SignalModel("ar1", pole=0.5, seed=6)
-        a = [(o.u.copy(), o.d, o.epsilon) for o in scenario_stream(scen, model)]
-        b = [(o.u.copy(), o.d, o.epsilon) for o in scenario_stream(scen, model)]
+        model = SignalModel("ar1", pole=0.5)
+        a = [(o.u.copy(), o.d, o.epsilon) for o in scenario_stream(scen, model, make_rng(6))]
+        b = [(o.u.copy(), o.d, o.epsilon) for o in scenario_stream(scen, model, make_rng(6))]
         for (ua, da, ea), (ub, db, eb) in zip(a, b):
             assert np.array_equal(ua, ub) and da == db and ea == eb
 
     def test_noise_independent_of_input(self):
         n = 100_000
         scen = _single_segment_scenario(2, [1.0, 0.0], n, 1.0)
-        model = SignalModel("white", seed=7)
+        model = SignalModel("white")
         rng = make_rng(7)
         x, eps = trial_signals(scen, model, rng)
         xc = (x - x.mean()) / x.std()
@@ -164,7 +154,7 @@ class TestScenarioStream:
     def test_ar1_regressor_covariance(self):
         # entrywise check of R_ij = variance * pole^|i-j| at small L
         L, n, pole = 8, 100_000, 0.8
-        x = gen_input(SignalModel("ar1", variance=1.0, pole=pole, seed=8), n)
+        x = gen_input(SignalModel("ar1", variance=1.0, pole=pole), n, make_rng(8))
         windows = np.lib.stride_tricks.sliding_window_view(x, L)
         R_hat = windows.T @ windows / windows.shape[0]
         i, j = np.indices((L, L))
@@ -178,7 +168,7 @@ class TestScenarioDef:
             L=32,
             segments=(SegmentDef(100, 32), SegmentDef(100, 4)),
             noise_variance=1e-3,
-            input=SignalModel("white", seed=1),
+            input=SignalModel("white"),
             seed=9,
         )
         s1, s2 = d.materialize(), d.materialize()
