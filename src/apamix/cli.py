@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +38,12 @@ def _check_steady_window(cfg, k: int) -> None:
         raise ConfigError(f"segment {k} ({duration} samples): {exc}") from exc
 
 
+def _check_out_dir(path) -> None:
+    """Reject an output path in a missing directory before any trial runs."""
+    if path and not Path(path).parent.is_dir():
+        raise ConfigError(f"--out {path}: directory {Path(path).parent} does not exist")
+
+
 def _print_steady_table(cfg, curves):
     wf = cfg.steady_window_fraction
     print(f"{'seg':>3} {'K':>4} {'J1':>10} {'J2':>10} {'J12':>10} {'J':>10} "
@@ -59,6 +66,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"--runs {args.runs}: {exc}") from exc
     for k in range(len(cfg.scenario.segments)):
         _check_steady_window(cfg, k)
+    _check_out_dir(args.out)
     curves = harness.run_experiment(cfg, workers=args.workers, skip_diverged=args.skip_diverged)
     if curves.skipped:
         print(f"skipped {len(curves.skipped)} diverged trial(s): {sorted(curves.skipped)}")
@@ -123,6 +131,7 @@ def cmd_sweep_rho(args) -> int:
     if not (0 < lo <= hi and steps >= 1):
         raise ConfigError("grid needs 0 < lo <= hi and steps >= 1")
     _check_steady_window(cfg, len(cfg.scenario.segments) - 1)
+    _check_out_dir(args.out)
     grid = np.geomspace(lo, hi, steps)
     points = harness.sweep_rho(cfg, grid, workers=args.workers, skip_diverged=args.skip_diverged)
     print(f"{'rho':>12} {'J1':>10} {'J2':>10} {'J12':>10} {'J':>10} {'lam':>6}")
@@ -145,7 +154,8 @@ def _add_common(p: argparse.ArgumentParser):
                    help="second branch algorithm for --preset")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
     p.add_argument("--skip-diverged", action="store_true",
-                   help="drop diverged trials instead of aborting")
+                   help="drop diverged trials instead of aborting: a chunk in which "
+                        "any diverged is simulated once more without them")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,6 +33,15 @@ come from :func:`apamix.filters.gain_matrix`, and the mixing weight from
 trial-by-trial sums by name, and :func:`run_experiment` adds them up in
 chunk order.
 
+A chunk follows the scenario's segments: it keeps the per-trial records
+(a-priori errors and mixing weight) and the steady-window weight sums of
+the current segment only, and reduces them over the trials when the
+segment ends. Besides its input and noise streams, a chunk's memory thus
+grows with the longest segment, not with the horizon. A reduced segment
+cannot drop a trial, so with ``skip_diverged`` a pass lists the trials
+that diverged, their rows running on to the end on non-finite values
+(rows never mix), and the chunk is then simulated once more without them.
+
 :func:`run_trial` is the scalar reference path built directly on the step
 functions in :mod:`apamix.filters`; it rebuilds every Gram from scratch,
 and the vectorized engine is tested against it.
@@ -304,13 +313,37 @@ def _simulate_chunk(
     scenario: SystemScenario,
     trial_indices: Sequence[int],
     skip_diverged: bool,
-) -> tuple[dict[str, np.ndarray], list[tuple[int, int]]]:
+) -> tuple[Optional[dict[str, np.ndarray]], list[tuple[int, int]]]:
     """Simulate one chunk of trials of ``config`` on the materialized ``scenario``.
 
     Returns the chunk's trial-by-trial sums by name, to be added up in
     chunk order, and the ``(trial_index, sample_index)`` of each trial
     dropped for diverging. Curve sums have shape ``(n,)``; steady-window
     weight-deviation sums have shape ``(S, L)``, one row per segment.
+    A segment's sums are final once the segment ends, so a chunk in which
+    trials diverged is simulated once more without them; the sums are
+    ``None`` when none survive.
+    """
+    sums, diverged = _simulate_pass(config, scenario, trial_indices, skip_diverged)
+    if diverged:
+        dead = {t for t, _ in diverged}
+        survivors = [t for t in trial_indices if t not in dead]
+        sums = _simulate_pass(config, scenario, survivors, False)[0] if survivors else None
+    return sums, diverged
+
+
+def _simulate_pass(
+    config: ExperimentConfig,
+    scenario: SystemScenario,
+    trial_indices: Sequence[int],
+    skip_diverged: bool,
+) -> tuple[dict[str, np.ndarray], list[tuple[int, int]]]:
+    """One pass of the chunk engine over ``trial_indices``.
+
+    A diverged trial raises unless ``skip_diverged``; then it is listed,
+    and its row keeps running on its non-finite values (rows never mix),
+    and no further segment is reduced: the sums of a pass that lists any
+    are incomplete.
     """
     n = scenario.n_samples
     L = scenario.L
@@ -348,20 +381,25 @@ def _simulate_chunk(
     W = np.zeros((2, R, L))  # W[0], W[1]: the weights of branch 1 and branch 2
     mu = np.array([f1.mu, f2.mu])
     step = np.empty((2, R, L))  # scratch: a weight update or deviation of both branches
-    attractor = np.empty((R, L))
+    attractor = np.empty((R, L))  # also scratch for products of deviations
     GU = None if prop is None else np.empty((R, M2, L))  # gain-weighted window
     load1 = f1.eps * np.eye(M1)
     load2 = f2.eps * np.eye(M2)
     a = np.full(R, mixing.a0)
 
-    rec_ea1 = np.empty((R, n))
-    rec_ea2 = np.empty((R, n))
-    rec_lam = np.empty((R, n))
-    # per segment and trial: steady-window sums of dev = w_opt - w (both
-    # branches), of dev^2, and of dev1*dev2
-    dev_sum = np.zeros((n_seg, 2, R, L))
-    dev_sq = np.zeros((n_seg, 2, R, L))
-    dev_cross = np.zeros((n_seg, R, L))
+    # The current segment's records by trial and sample (ea1, ea2, lam, and
+    # a scratch row for their products), and its steady-window sums of
+    # dev = w_opt - w (both branches), of dev^2 and of dev1*dev2. Each is
+    # reduced into ``sums`` when the segment ends.
+    rec = np.empty((4, R, max(bounds[k + 1] - bounds[k] for k in range(n_seg))))
+    dev_sum = np.zeros((2, R, L))
+    dev_sq = np.zeros((2, R, L))
+    dev_cross = np.zeros((R, L))
+    sums = {key: np.empty(n) for key in ("lam", "prod", "prodsq", "esq", "e1sq", "e2sq")}
+    sums.update(
+        (key, np.empty((n_seg, L)))
+        for key in ("wsum1", "wsum2", "wsq1", "wsq2", "cross", "meansq2")
+    )
     diverged = []
 
     def branch_window(Mb, s, E, b):
@@ -371,6 +409,29 @@ def _simulate_chunk(
         k = np.arange(s, s + Mb) % M
         return G[:, k[:, None], k], U[:, k], E[:, k, b : b + 1]
 
+    def reduce_segment(k):
+        """Add segment k's records and window sums over the trials into ``sums``."""
+        cur = slice(bounds[k], bounds[k + 1])
+        ea1, ea2, lam, prod = rec[:, :, : cur.stop - cur.start]
+        lam.sum(axis=0, out=sums["lam"][cur])
+        np.multiply(ea1, ea2, out=prod).sum(axis=0, out=sums["prod"][cur])
+        np.square(prod, out=prod).sum(axis=0, out=sums["prodsq"][cur])
+        ea = np.multiply(lam, ea1, out=prod)  # ea = lam*ea1 + (1-lam)*ea2
+        rest = np.subtract(1.0, lam, out=lam)
+        rest *= ea2
+        ea += rest
+        np.square(ea, out=ea).sum(axis=0, out=sums["esq"][cur])
+        np.square(ea1, out=ea1).sum(axis=0, out=sums["e1sq"][cur])
+        np.square(ea2, out=ea2).sum(axis=0, out=sums["e2sq"][cur])
+        sums["wsum1"][k], sums["wsum2"][k] = dev_sum.sum(axis=1)
+        sums["wsq1"][k], sums["wsq2"][k] = dev_sq.sum(axis=1)
+        dev_cross.sum(axis=0, out=sums["cross"][k])
+        # sum over trials of the squared per-trial window mean of dev2
+        mean2 = np.divide(dev_sum[1], cur.stop - win_start[k], out=attractor)
+        np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][k])
+        for arr in (dev_sum, dev_sq, dev_cross):
+            arr[:] = 0.0
+
     alive = np.ones(R, dtype=bool)
     seg = -1
     for i in range(n):
@@ -379,6 +440,7 @@ def _simulate_chunk(
         if i == bounds[seg + 1]:
             seg += 1
             wopt = scenario.segments[seg].w_opt
+        c = i - bounds[seg]  # the sample's column in the segment's records
 
         U[:, s] = Q[:, j : j + L]
         dc = U[:, s] @ wopt  # noiseless response
@@ -392,16 +454,16 @@ def _simulate_chunk(
         y1, y2 = Y[:, s, 0], Y[:, s, 1]
 
         lam = lambda_of(a)
-        rec_ea1[:, i] = dc - y1
-        rec_ea2[:, i] = dc - y2
-        rec_lam[:, i] = lam
+        rec[0, :, c] = dc - y1
+        rec[1, :, c] = dc - y2
+        rec[2, :, c] = lam
 
         if i >= win_start[seg]:
             dev = np.subtract(wopt, W, out=step)
-            dev_sum[seg] += dev
-            dev_cross[seg] += dev[0] * dev[1]
+            dev_sum += dev
+            dev_cross += np.multiply(dev[0], dev[1], out=attractor)
             dev *= dev
-            dev_sq[seg] += dev
+            dev_sq += dev
 
         e_comb = d - (lam * y1 + (1.0 - lam) * y2)
         a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
@@ -435,8 +497,7 @@ def _simulate_chunk(
 
         if not np.isfinite(W.sum()):
             bad = ~np.isfinite(W).all(axis=(0, 2))
-            newly = np.flatnonzero(bad & alive)
-            for r in newly:
+            for r in np.flatnonzero(bad & alive):
                 t = trial_indices[int(r)]
                 if not skip_diverged:
                     raise DivergenceError(
@@ -448,44 +509,8 @@ def _simulate_chunk(
             alive &= ~bad
             if not alive.any():
                 break
-            # A dead row restarts from zero weights on a copy of a live
-            # row's stream, window and lags, so it stays finite and its
-            # projection stays regular (a zeroed window would make the
-            # Gram singular when M = 1 and eps = 0); its records are
-            # dropped below.
-            W[:, bad] = 0.0
-            a[bad] = 0.0
-            donor = np.flatnonzero(alive)[0]
-            for arr in (Q, NOISE, U, Dw, G, lags):
-                arr[bad] = arr[donor]
-
-    del Q, NOISE  # free the streams before the reduction's temporaries
-    # Dead rows are zeroed: they add exact zeros to the trial-by-trial sums
-    # below, so they drop out without a copy of the live rows.
-    dead = ~alive
-    for arr in (rec_ea1, rec_ea2, rec_lam):
-        arr[dead] = 0.0
-    dev_sum[:, :, dead] = dev_sq[:, :, dead] = dev_cross[:, dead] = 0.0
-    sums = {"lam": rec_lam.sum(axis=0)}
-    prod = rec_ea1 * rec_ea2
-    sums["prod"] = prod.sum(axis=0)
-    sums["prodsq"] = np.square(prod, out=prod).sum(axis=0)
-    ea = np.multiply(rec_lam, rec_ea1, out=prod)  # ea = lam*ea1 + (1-lam)*ea2
-    rest = np.subtract(1.0, rec_lam, out=rec_lam)
-    rest *= rec_ea2
-    ea += rest
-    sums["esq"] = np.square(ea, out=ea).sum(axis=0)
-    sums["e1sq"] = np.square(rec_ea1, out=rec_ea1).sum(axis=0)
-    sums["e2sq"] = np.square(rec_ea2, out=rec_ea2).sum(axis=0)
-    sums["wsum1"], sums["wsum2"] = dev_sum.sum(axis=2).swapaxes(0, 1)
-    sums["wsq1"], sums["wsq2"] = dev_sq.sum(axis=2).swapaxes(0, 1)
-    sums["cross"] = dev_cross.sum(axis=1)
-    # sum over trials of the squared per-trial window mean of dev2, built
-    # per segment so the temporaries stay (R, L)
-    sums["meansq2"] = np.stack([
-        ((dev_sum[k, 1] / (bounds[k + 1] - win_start[k])) ** 2).sum(axis=0)
-        for k in range(n_seg)
-    ])
+        if i + 1 == bounds[seg + 1] and not diverged:
+            reduce_segment(seg)
     return sums, diverged
 
 
@@ -520,7 +545,8 @@ def run_experiment(
     used = config.runs - len(skipped)
     if used == 0:
         raise DivergenceError("all trials diverged")
-    total = {key: reduce(np.add, (sums[key] for sums, _ in results)) for key in results[0][0]}
+    kept = [sums for sums, _ in results if sums is not None]  # chunks with survivors
+    total = {key: reduce(np.add, (sums[key] for sums in kept)) for key in kept[0]}
 
     j12 = total["prod"] / used
     var_prod = np.maximum(total["prodsq"] / used - j12**2, 0.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -287,7 +288,8 @@ class TestDivergenceHandling:
 
 
 class TestDeadTrialDoesNotLeak:
-    """A dead trial's row shares the chunk's window, lag, Gram and solve buffers."""
+    """A dead trial's row shares the chunk's window, lag, Gram and solve buffers,
+    and its records share the sums of every segment it lived through."""
 
     @pytest.mark.parametrize(
         "params",
@@ -296,25 +298,34 @@ class TestDeadTrialDoesNotLeak:
             dict(M=2, M2=3, eps2=harness.default_eps(3)),  # a smaller window by index
             # M = 1 without loading, where a zero window would make the Gram singular
             dict(M=1, eps=0.0, proportionate=ProportionateConfig()),
+            # trial 1 dies in the last segment, after the first one was reduced
+            dict(deaths={1: 150}),
+            # two trials die at different samples: listed in the order they die
+            dict(deaths={1: 120, 3: 40}),
         ],
     )
     def test_survivors_match_reference(self, params, monkeypatch):
-        cfg = replace(tiny_config(runs=4, n=100, **params), chunk_size=4)
+        deaths = params.get("deaths", {1: 40})  # trial -> the sample its input turns NaN
+        config_params = {k: v for k, v in params.items() if k != "deaths"}
+        cfg = replace(tiny_config(runs=4, n=100, **config_params), chunk_size=4)
         real = harness.trial_signals
         seen = {"count": -1}
 
         def fake(scenario, model, rng):
             x, noise = real(scenario, model, rng)
             seen["count"] += 1
-            if seen["count"] == 1:  # trial 1 dies at sample 40 of 200
+            if seen["count"] in deaths:  # the first four streams are trials 0-3
                 x = x.copy()
-                x[40] = np.nan
+                x[deaths[seen["count"]]] = np.nan
             return x, noise
 
         monkeypatch.setattr(harness, "trial_signals", fake)
         cur = run_experiment(cfg, skip_diverged=True)
-        assert cur.skipped == (1,)
-        recs = [run_trial(cfg, t) for t in (0, 2, 3)]
+        assert cur.skipped == tuple(sorted(deaths, key=deaths.get))
+        survivors = [t for t in range(4) if t not in deaths]
+        # one more pass, over the survivors only, however many trials died
+        assert seen["count"] + 1 == 4 + len(survivors)
+        recs = [run_trial(cfg, t) for t in survivors]
         ea1, ea2, ea, lam = (
             np.array([getattr(r, k) for r in recs]) for k in ("ea1", "ea2", "ea", "lam")
         )
@@ -322,6 +333,26 @@ class TestDeadTrialDoesNotLeak:
         for got, want in pairs:
             np.testing.assert_allclose(got, want.mean(axis=0), rtol=1e-9, atol=1e-13)
         np.testing.assert_allclose(cur.lam, lam.mean(axis=0), rtol=1e-9, atol=1e-12)
+
+
+class TestChunkMemory:
+    def test_peak_does_not_grow_with_the_horizon(self):
+        """Three 600-sample segments against one: only the input and noise
+        streams may grow with the horizon, not the records or window sums."""
+
+        def peak(n_segments):
+            segments = (SegmentDef(600, 16), SegmentDef(600, 8), SegmentDef(600, 2))
+            cfg = replace(tiny_config(runs=50, segments=segments[:n_segments]), chunk_size=50)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the first run also allocates numpy's one-time caches
+        streams = 2 * 50 * 1200 * 8  # input and noise bytes of 50 trials x 1200 more samples
+        assert peak(3) - peak(1) < 1.5 * streams
 
 
 class TestPresets:
@@ -576,6 +607,21 @@ class TestCli:
         rc = cli_main(["simulate", "--config", str(cfg_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["simulate"], ["sweep-rho", "--grid", "1e-4:1e-3:2"]])
+    def test_out_in_missing_directory_is_config_error_before_any_trial(
+        self, extra, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before the output path was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(tiny_config(runs=2, n=120), cfg_path)
+        out_path = tmp_path / "no-such-dir" / "out.csv"
+        rc = cli_main([extra[0], "--config", str(cfg_path), *extra[1:], "--out", str(out_path)])
+        assert rc == 2
+        assert "config error: --out" in capsys.readouterr().err
 
     def test_sweep_rho_checks_only_the_last_segment(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
