@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,8 +40,12 @@ def _check_steady_window(cfg, k: int) -> None:
 
 
 def _check_out_dir(path) -> None:
-    """Reject an output path in a missing directory before any trial runs."""
-    if path and not Path(path).parent.is_dir():
+    """Reject an output path that cannot be written as a file before any trial runs."""
+    if not path:
+        return
+    if Path(path).is_dir():
+        raise ConfigError(f"--out {path}: is a directory")
+    if not Path(path).parent.is_dir():
         raise ConfigError(f"--out {path}: directory {Path(path).parent} does not exist")
 
 
@@ -128,8 +133,8 @@ def cmd_sweep_rho(args) -> int:
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise ConfigError(f"bad --grid {args.grid!r}, expected lo:hi:steps") from exc
-    if not (0 < lo <= hi and steps >= 1):
-        raise ConfigError("grid needs 0 < lo <= hi and steps >= 1")
+    if not (0 < lo <= hi < math.inf and steps >= 1):
+        raise ConfigError("grid needs finite bounds 0 < lo <= hi and steps >= 1")
     _check_steady_window(cfg, len(cfg.scenario.segments) - 1)
     _check_out_dir(args.out)
     grid = np.geomspace(lo, hi, steps)
@@ -145,9 +150,10 @@ def cmd_sweep_rho(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--preset", choices=["paper-full", "paper-desk"],
-                   help="built-in scenario preset (alternative to --config)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", help="experiment config JSON")
+    source.add_argument("--preset", choices=["paper-full", "paper-desk"],
+                        help="built-in scenario preset (alternative to --config)")
     p.add_argument("--input", choices=["white", "ar1"], default="white",
                    help="input process for --preset")
     p.add_argument("--filter2", choices=["zaapa", "zapapa"], default="zaapa",

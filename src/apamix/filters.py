@@ -54,12 +54,12 @@ class ProportionateConfig:
 class FilterConfig:
     """Static parameters of one adaptive filter.
 
-    ``rho`` is the zero-attractor strength (0 for plain APA) and ``eps``
-    the diagonal loading of the projection solve. ``proportionate`` turns
-    the filter into the proportionate variant.
+    ``M`` is the projection order, ``rho`` the zero-attractor strength (0
+    for plain APA) and ``eps`` the diagonal loading of the projection
+    solve. ``proportionate`` turns the filter into the proportionate
+    variant. The filter length is the scenario's ``L``.
     """
 
-    L: int
     M: int
     mu: float
     rho: float = 0.0
@@ -71,8 +71,8 @@ class FilterConfig:
         # closed-form predictors require strictly positive mu.
         if not 0 <= self.mu < 2:
             raise ValueError("step size mu must lie in [0, 2)")
-        if self.M < 1 or self.L < self.M:
-            raise ValueError("need 1 <= M <= L")
+        if self.M < 1:
+            raise ValueError("projection order M must be >= 1")
         if not (0 <= self.rho < math.inf and 0 <= self.eps < math.inf):  # also rejects NaN
             raise ValueError("rho and eps must be finite and >= 0")
 
@@ -83,8 +83,8 @@ class FilterState:
     config: FilterConfig
 
     @classmethod
-    def zeros(cls, config: FilterConfig) -> "FilterState":
-        return cls(w=np.zeros(config.L), config=config)
+    def zeros(cls, config: FilterConfig, L: int) -> "FilterState":
+        return cls(w=np.zeros(L), config=config)
 
 
 @dataclass(frozen=True)

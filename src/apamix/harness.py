@@ -13,22 +13,22 @@ projection window is a fixed array of M slots that rotates: each sample
 overwrites the slot of its oldest regressor, and nothing is shifted. The
 affine-projection solution does not depend on the order of the window's
 rows, so the Gram matrix, the error vectors and the update all work in
-slot order. Both branches share one Gram matrix of the larger window; each
-sample changes one row and column of it, taken from a running lag vector
-``u(i).u(i-k)`` (k < M) that the correlation recursion of fast APA updates
-in O(M) per trial. That running sum is not an exact dot product: its
-rounding error accumulates, but measured over 18,000 samples (L=256, M=8,
-white and AR(1) input with pole 0.95) it stayed within about 3e-14 of
-``|u|^2``, so it is never refreshed; tests hold the engine's curves to
-those of the reference path, which rebuilds every Gram from scratch, at
-1e-9 relative over the 12,000-sample desk horizon. A branch with a smaller
-window takes its newest slots by index; the proportionate branch builds
-its own gain-weighted Gram. One matmul gives both branches' error vectors,
-and when the branches agree on M and eps and neither is proportionate, one
-solve with two right-hand sides serves both. The engine applies the
-package's own rules to the whole chunk at once: the proportionate gains
-come from :func:`apamix.filters.gain_matrix`, and the mixing weight from
-:func:`apamix.combination.lambda_of` and
+slot order. The two branches share one projection (M, mu, eps), so they
+share one window and one Gram matrix; each sample changes one row and
+column of it, taken from a running lag vector ``u(i).u(i-k)`` (k < M)
+that the correlation recursion of fast APA updates in O(M) per trial.
+That running sum is not an exact dot product: its rounding error
+accumulates, but measured over 18,000 samples (L=256, M=8, white and
+AR(1) input with pole 0.95) it stayed within about 3e-14 of ``|u|^2``, so
+it is never refreshed; tests hold the engine's curves to those of the
+reference path, which rebuilds every Gram from scratch, at 1e-9 relative
+over the 12,000-sample desk horizon. One matmul gives both branches'
+error vectors. Without gains, one solve with two right-hand sides serves
+both branches; with gains, the plain branch solves on the shared Gram and
+the proportionate branch on its own gain-weighted Gram. The engine
+applies the package's own rules to the whole chunk at once: the
+proportionate gains come from :func:`apamix.filters.gain_matrix`, and the
+mixing weight from :func:`apamix.combination.lambda_of` and
 :func:`apamix.combination.mixing_step`. Each chunk returns its
 trial-by-trial sums by name, and :func:`run_experiment` adds them up in
 chunk order.
@@ -125,13 +125,13 @@ class MixingConfig:
 class ExperimentConfig:
     """Everything one Monte-Carlo experiment needs.
 
-    ``filter1`` is the plain affine-projection branch (its attractor must
-    be off); ``filter2`` is the zero-attracting branch, proportionate when
-    its config says so.
+    ``filter2`` is the zero-attracting branch, proportionate when its
+    config says so. The plain affine-projection branch :attr:`filter1`
+    shares its projection (M, mu, eps) and is not stored: the paper's two
+    branches differ only in the attractor.
     """
 
     scenario: ScenarioDef
-    filter1: FilterConfig
     filter2: FilterConfig
     mixing: MixingConfig = field(default_factory=MixingConfig, kw_only=True)
     runs: int
@@ -148,14 +148,17 @@ class ExperimentConfig:
             raise ValueError("steady_window_fraction must lie in (0, 1]")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.filter1.rho != 0 or self.filter1.proportionate is not None:
-            raise ValueError("filter1 is the plain projection branch: rho=0, no gains")
-        for name, fc in (("filter1", self.filter1), ("filter2", self.filter2)):
-            if fc.L != self.scenario.L:
-                raise ValueError(f"{name}.L={fc.L} does not match scenario L={self.scenario.L}")
-            if fc.M > 1 and fc.eps == 0:
-                # the window starts with zero columns, so its Gram is singular
-                raise ValueError(f"{name}: eps must be > 0 when M > 1")
+        M, L = self.filter2.M, self.scenario.L
+        if M > L:
+            raise ValueError(f"filter2.M={M} exceeds scenario L={L}")
+        if M > 1 and self.filter2.eps == 0:
+            # the window starts with zero columns, so its Gram is singular
+            raise ValueError("filter2: eps must be > 0 when M > 1")
+
+    @property
+    def filter1(self) -> FilterConfig:
+        """The plain branch: ``filter2`` without its attractor and gains."""
+        return replace(self.filter2, rho=0.0, proportionate=None)
 
 
 @dataclass(frozen=True)
@@ -236,15 +239,14 @@ def run_trial(
     rng = make_rng(config.seed, trial_index)
     n = scenario.n_samples
     if initial_weights is None:
-        state1 = FilterState.zeros(config.filter1)
-        state2 = FilterState.zeros(config.filter2)
+        state1 = FilterState.zeros(config.filter1, scenario.L)
+        state2 = FilterState.zeros(config.filter2, scenario.L)
     else:
         state1 = FilterState(w=np.array(initial_weights[0], dtype=float), config=config.filter1)
         state2 = FilterState(w=np.array(initial_weights[1], dtype=float), config=config.filter2)
     mixing = config.mixing
     a = mixing.a0
-    buf1 = RegressorBuffer.zeros(scenario.L, config.filter1.M)
-    buf2 = RegressorBuffer.zeros(scenario.L, config.filter2.M)
+    buf = RegressorBuffer.zeros(scenario.L, config.filter2.M)
     step2 = za_papa_step if config.filter2.proportionate is not None else za_apa_step
 
     ea1 = np.empty(n)
@@ -253,8 +255,7 @@ def run_trial(
     lam = np.empty(n)
     for i, obs in enumerate(scenario_stream(scenario, config.scenario.input, rng)):
         w_opt = scenario.w_opt_at(i)
-        buf1 = push(buf1, obs)
-        buf2 = buf1 if config.filter1.M == config.filter2.M else push(buf2, obs)
+        buf = push(buf, obs)
         y1 = float(obs.u @ state1.w)
         y2 = float(obs.u @ state2.w)
         d_clean = float(obs.u @ w_opt)
@@ -265,8 +266,8 @@ def run_trial(
         e = obs.d - (lam_i * y1 + (1.0 - lam_i) * y2)
         a = update_a(a, e, y1, y2, mixing.mu_a, mixing.a_plus)
         try:
-            state1 = apa_step(state1, buf1)
-            state2 = step2(state2, buf2)
+            state1 = apa_step(state1, buf)
+            state2 = step2(state2, buf)
         except DivergenceError as exc:
             raise DivergenceError(str(exc), trial_index=trial_index, sample_index=i) from exc
     return TrialRecord(ea1=ea1, ea2=ea2, ea=ea, lam=lam)
@@ -348,12 +349,10 @@ def _simulate_pass(
     n = scenario.n_samples
     L = scenario.L
     R = len(trial_indices)
-    f1, f2 = config.filter1, config.filter2
-    M1, M2 = f1.M, f2.M
-    M = max(M1, M2)
+    f2 = config.filter2
+    M = f2.M
     prop = f2.proportionate
     mixing = config.mixing
-    shared_solve = prop is None and M1 == M2 and f1.eps == f2.eps
 
     # The input is stored time-reversed and zero-padded: column n-1-i holds
     # sample i, the columns past n-1 the zeros before t=0, so sample i's
@@ -375,16 +374,14 @@ def _simulate_pass(
     # i-k. Only one row of U and one row and column of G change per sample.
     U = np.zeros((R, M, L))  # regressors by slot
     Dw = np.zeros((R, M))  # desired responses by slot
-    G = np.zeros((R, M, M))  # G[:, p, q] = U[:, p] . U[:, q], shared by both branches
+    G = np.zeros((R, M, M))  # G[:, p, q] = U[:, p] . U[:, q]
     # lags[:, k] = u(i) . u(i-k), updated by x(i)x(i-k) - x(i-L)x(i-L-k)
     lags = np.zeros((R, M))
     W = np.zeros((2, R, L))  # W[0], W[1]: the weights of branch 1 and branch 2
-    mu = np.array([f1.mu, f2.mu])
     step = np.empty((2, R, L))  # scratch: a weight update or deviation of both branches
     attractor = np.empty((R, L))  # also scratch for products of deviations
-    GU = None if prop is None else np.empty((R, M2, L))  # gain-weighted window
-    load1 = f1.eps * np.eye(M1)
-    load2 = f2.eps * np.eye(M2)
+    GU = None if prop is None else np.empty((R, M, L))  # gain-weighted window
+    load = f2.eps * np.eye(M)
     a = np.full(R, mixing.a0)
 
     # The current segment's records by trial and sample (ea1, ea2, lam, and
@@ -401,13 +398,6 @@ def _simulate_pass(
         for key in ("wsum1", "wsum2", "wsq1", "wsq2", "cross", "meansq2")
     )
     diverged = []
-
-    def branch_window(Mb, s, E, b):
-        """Gram, regressors and error column of a branch's newest Mb samples."""
-        if Mb == M:
-            return G, U, E[..., b : b + 1]
-        k = np.arange(s, s + Mb) % M
-        return G[:, k[:, None], k], U[:, k], E[:, k, b : b + 1]
 
     def reduce_segment(k):
         """Add segment k's records and window sums over the trials into ``sums``."""
@@ -472,22 +462,17 @@ def _simulate_pass(
         np.sign(W[1], out=attractor)
         attractor *= f2.rho
         try:
-            if shared_solve:
-                S = np.linalg.solve(G + load1, E)
-                S *= mu
+            if prop is None:  # one solve takes both branches' errors
+                S = np.linalg.solve(G + load, E)
+                S *= f2.mu
                 np.matmul(S.mT, U, out=step.swapaxes(0, 1))
-            else:
-                G1, U1, E1 = branch_window(M1, s, E, 0)
-                s1 = np.linalg.solve(G1 + load1, E1)
-                s1 *= f1.mu
-                np.matmul(s1.mT, U1, out=step[0, :, None])
-                G2, U2, E2 = branch_window(M2, s, E, 1)
-                V2 = U2
-                if prop is not None:  # gain-weighted window and Gram
-                    g = gain_matrix(W[1], prop.rho_p, prop.delta)
-                    V2 = np.multiply(g[:, None, :], U2, out=GU)
-                    G2 = V2 @ U2.mT
-                s2 = np.linalg.solve(G2 + load2, E2)
+            else:  # the plain branch on G, the other on its gain-weighted Gram
+                s1 = np.linalg.solve(G + load, E[..., :1])
+                s1 *= f2.mu
+                np.matmul(s1.mT, U, out=step[0, :, None])
+                g = gain_matrix(W[1], prop.rho_p, prop.delta)
+                V2 = np.multiply(g[:, None, :], U, out=GU)
+                s2 = np.linalg.solve(V2 @ U.mT + load, E[..., 1:])
                 s2 *= f2.mu
                 np.matmul(s2.mT, V2, out=step[1, :, None])
         except np.linalg.LinAlgError as exc:
@@ -674,8 +659,7 @@ def preset_paper_scenario(
         scenario=ScenarioDef(
             L=L, segments=segments, noise_variance=1e-3, input=model, seed=seed
         ),
-        filter1=FilterConfig(L=L, M=M, mu=mu, rho=0.0, eps=eps),
-        filter2=FilterConfig(L=L, M=M, mu=mu, rho=rho, eps=eps, proportionate=prop),
+        filter2=FilterConfig(M=M, mu=mu, rho=rho, eps=eps, proportionate=prop),
         mixing=MixingConfig(),
         runs=n_runs,
         seed=seed,
@@ -709,15 +693,7 @@ def to_db(x: float) -> float:
     return -math.inf if mag == 0 else 10.0 * math.log10(mag)
 
 
-def _implied(cls, name: str, read: dict) -> dict:
-    """Fields that the JSON form leaves out of field ``name`` of ``cls``,
-    given the fields already ``read``: each filter's ``L`` is the scenario's."""
-    if cls is ExperimentConfig and name in ("filter1", "filter2"):
-        return {"L": read["scenario"].L}
-    return {}
-
-
-def _read(hint, value, path: str, **implied):
+def _read(hint, value, path: str):
     """Convert the JSON ``value`` at ``path`` to the annotated type ``hint``.
 
     A dataclass is read from an object, ``Optional[X]`` from null or an X,
@@ -735,14 +711,13 @@ def _read(hint, value, path: str, **implied):
         raise ConfigError(f"{path} must be a JSON object")
     hints = get_type_hints(hint)
     for key in value:
-        if key not in hints or key in implied:
+        if key not in hints:
             raise ConfigError(f"unknown key {key!r} in {path}")
-    kwargs = dict(implied)
+    kwargs = {}
     for f in fields(hint):
         if f.name in value:
-            sub = _implied(hint, f.name, kwargs)
-            kwargs[f.name] = _read(hints[f.name], value[f.name], f"{path}.{f.name}", **sub)
-        elif f.name not in implied and f.default is MISSING and f.default_factory is MISSING:
+            kwargs[f.name] = _read(hints[f.name], value[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing field {f.name!r} in {path}")
     return hint(**kwargs)
 
@@ -763,10 +738,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """The JSON form of ``config``: its fields, less those :func:`config_from_dict` implies."""
+    """The JSON form of ``config``: its fields, with the segments as a list."""
     doc = asdict(config)
-    for name in ("filter1", "filter2"):
-        del doc[name]["L"]
     doc["scenario"]["segments"] = list(doc["scenario"]["segments"])
     return doc
 

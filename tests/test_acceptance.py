@@ -74,8 +74,7 @@ def sparse_static_config(rho, runs=200, seed=33, filter2_kind="zaapa"):
             input=SignalModel("white", 1.0, None),
             seed=seed,
         ),
-        filter1=FilterConfig(L=64, M=4, mu=0.5, rho=0.0, eps=eps),
-        filter2=FilterConfig(L=64, M=4, mu=0.5, rho=rho, eps=eps, proportionate=prop),
+        filter2=FilterConfig(M=4, mu=0.5, rho=rho, eps=eps, proportionate=prop),
         mixing=MixingConfig(),
         runs=runs,
         seed=seed,
@@ -226,7 +225,7 @@ def test_criterion_6_cross_emse_cauchy_schwarz(desk_white, halfbound, desk_ar):
 def test_criterion_7_ocf_equals_apa_on_orthogonal_regressors():
     rng = make_rng(77)
     L = M = 4
-    cfg = FilterConfig(L=L, M=M, mu=1.0, eps=1e-10)
+    cfg = FilterConfig(M=M, mu=1.0, eps=1e-10)
     q, _ = np.linalg.qr(rng.standard_normal((L, L)))
     w_opt = rng.standard_normal(L)
     w0 = rng.standard_normal(L)

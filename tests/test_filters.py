@@ -62,7 +62,7 @@ class TestPush:
 class TestApaStep:
     def test_order_one_is_nlms(self):
         rng = np.random.default_rng(3)
-        cfg = FilterConfig(L=8, M=1, mu=0.7, eps=0.0)
+        cfg = FilterConfig(M=1, mu=0.7, eps=0.0)
         state = FilterState(w=rng.standard_normal(8), config=cfg)
         u = rng.standard_normal(8)
         d = 1.3
@@ -74,7 +74,7 @@ class TestApaStep:
 
     def test_zero_step_size_is_identity(self):
         rng = np.random.default_rng(4)
-        cfg = FilterConfig(L=4, M=2, mu=0.0)
+        cfg = FilterConfig(M=2, mu=0.0)
         state = FilterState(w=rng.standard_normal(4), config=cfg)
         buf, _ = filled_buffer(rng, 4, 2)
         assert np.array_equal(apa_step(state, buf).w, state.w)
@@ -83,7 +83,7 @@ class TestApaStep:
         # mu=1, eps->0, M=L with full-rank window: the update interpolates
         # the window, so re-evaluating against the same buffer gives e=0
         rng = np.random.default_rng(5)
-        cfg = FilterConfig(L=4, M=4, mu=1.0, eps=1e-12)
+        cfg = FilterConfig(M=4, mu=1.0, eps=1e-12)
         state = FilterState(w=rng.standard_normal(4), config=cfg)
         buf, _ = filled_buffer(rng, 4, 4, noise=0.0)
         out = apa_step(state, buf)
@@ -92,15 +92,15 @@ class TestApaStep:
 
     def test_divergence_detected(self):
         # an ill-scaled window makes the solve overflow; the step must fail loudly
-        cfg = FilterConfig(L=2, M=1, mu=1.0, eps=0.0)
+        cfg = FilterConfig(M=1, mu=1.0, eps=0.0)
         state = FilterState(w=np.zeros(2), config=cfg)
         buf = RegressorBuffer(U=np.array([[1e-150], [0.0]]), d=np.array([1e200]))
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(DivergenceError):
             apa_step(state, buf)
 
     def test_solver_failure_propagates(self):
-        cfg = FilterConfig(L=2, M=2, mu=1.0, eps=0.0)
-        state = FilterState.zeros(cfg)
+        cfg = FilterConfig(M=2, mu=1.0, eps=0.0)
+        state = FilterState.zeros(cfg, 2)
         buf = RegressorBuffer.zeros(2, 2)  # singular window, no loading
         with pytest.raises(NumericalError):
             apa_step(state, buf)
@@ -109,21 +109,21 @@ class TestApaStep:
 class TestZaApaStep:
     def test_zero_rho_matches_apa(self):
         rng = np.random.default_rng(6)
-        cfg = FilterConfig(L=6, M=2, mu=0.5, rho=0.0, eps=1e-6)
+        cfg = FilterConfig(M=2, mu=0.5, rho=0.0, eps=1e-6)
         state = FilterState(w=rng.standard_normal(6), config=cfg)
         buf, _ = filled_buffer(rng, 6, 2)
         assert np.array_equal(za_apa_step(state, buf).w, apa_step(state, buf).w)
 
     def test_cold_start_matches_apa(self):
         rng = np.random.default_rng(7)
-        cfg = FilterConfig(L=6, M=2, mu=0.5, rho=1e-3, eps=1e-6)
-        state = FilterState.zeros(cfg)
+        cfg = FilterConfig(M=2, mu=0.5, rho=1e-3, eps=1e-6)
+        state = FilterState.zeros(cfg, 6)
         buf, _ = filled_buffer(rng, 6, 2)
         assert np.array_equal(za_apa_step(state, buf).w, apa_step(state, buf).w)
 
     def test_exact_attractor_coupling(self):
         rng = np.random.default_rng(8)
-        cfg = FilterConfig(L=6, M=3, mu=0.5, rho=2.5e-4, eps=1e-6)
+        cfg = FilterConfig(M=3, mu=0.5, rho=2.5e-4, eps=1e-6)
         state = FilterState(w=rng.standard_normal(6), config=cfg)
         buf, _ = filled_buffer(rng, 6, 3, noise=0.1)
         za = za_apa_step(state, buf).w
@@ -135,15 +135,15 @@ class TestZaApaStep:
         # attractor shrinks the steady-state mean weight on the inactive tap
         L, runs, n, win, rho = 2, 200, 400, 200, 0.03
         w_opt = np.array([1.0, 0.0])
-        cfg_apa = FilterConfig(L=L, M=1, mu=0.5, rho=0.0, eps=1e-8)
-        cfg_za = FilterConfig(L=L, M=1, mu=0.5, rho=rho, eps=1e-8)
+        cfg_apa = FilterConfig(M=1, mu=0.5, rho=0.0, eps=1e-8)
+        cfg_za = FilterConfig(M=1, mu=0.5, rho=rho, eps=1e-8)
         avg_apa, avg_za = [], []
         for t in range(runs):
             rng = make_rng(100, t)
             x = rng.standard_normal(n + 1)
             noise = 0.1 * rng.standard_normal(n)
-            s_apa = FilterState.zeros(cfg_apa)
-            s_za = FilterState.zeros(cfg_za)
+            s_apa = FilterState.zeros(cfg_apa, L)
+            s_za = FilterState.zeros(cfg_za, L)
             buf = RegressorBuffer.zeros(L, 1)
             acc_apa = acc_za = 0.0
             for i in range(n):
@@ -205,7 +205,7 @@ class TestZaPapaStep:
         # equal tap magnitudes make the gain exactly uniform
         rng = np.random.default_rng(10)
         cfg = FilterConfig(
-            L=8, M=2, mu=0.5, rho=1e-4, eps=1e-6,
+            M=2, mu=0.5, rho=1e-4, eps=1e-6,
             proportionate=ProportionateConfig(rho_p=0.05, delta=0.01),
         )
         w = 0.5 * np.sign(rng.standard_normal(8))
@@ -218,7 +218,7 @@ class TestZaPapaStep:
     def test_uniform_gain_zero_rho_equals_apa(self):
         rng = np.random.default_rng(11)
         cfg = FilterConfig(
-            L=8, M=2, mu=0.5, rho=0.0, eps=1e-6,
+            M=2, mu=0.5, rho=0.0, eps=1e-6,
             proportionate=ProportionateConfig(rho_p=0.05, delta=0.01),
         )
         w = 0.25 * np.sign(rng.standard_normal(8))
@@ -228,15 +228,15 @@ class TestZaPapaStep:
                            rtol=1e-12, atol=1e-14)
 
     def test_requires_proportionate_config(self):
-        cfg = FilterConfig(L=4, M=2, mu=0.5, rho=1e-4)
+        cfg = FilterConfig(M=2, mu=0.5, rho=1e-4)
         with pytest.raises(ValueError):
-            za_papa_step(FilterState.zeros(cfg), RegressorBuffer.zeros(4, 2))
+            za_papa_step(FilterState.zeros(cfg, 4), RegressorBuffer.zeros(4, 2))
 
 
 class TestNlmsOcf:
     def test_order_one_is_nlms(self):
         rng = np.random.default_rng(12)
-        cfg = FilterConfig(L=6, M=1, mu=0.8, eps=0.0)
+        cfg = FilterConfig(M=1, mu=0.8, eps=0.0)
         state = FilterState(w=rng.standard_normal(6), config=cfg)
         u = rng.standard_normal(6)
         d = -0.4
@@ -249,7 +249,7 @@ class TestNlmsOcf:
         # corrections solve the same interpolation as the joint projection
         rng = np.random.default_rng(13)
         L = M = 4
-        cfg = FilterConfig(L=L, M=M, mu=1.0, eps=1e-10)
+        cfg = FilterConfig(M=M, mu=1.0, eps=1e-10)
         q, _ = np.linalg.qr(rng.standard_normal((L, L)))
         amps = rng.uniform(0.5, 2.0, M)
         w_opt = rng.standard_normal(L)
@@ -267,7 +267,7 @@ class TestNlmsOcf:
 
     def test_duplicate_regressor_skipped(self):
         rng = np.random.default_rng(14)
-        cfg = FilterConfig(L=5, M=2, mu=0.6, eps=0.0)
+        cfg = FilterConfig(M=2, mu=0.6, eps=0.0)
         state = FilterState(w=rng.standard_normal(5), config=cfg)
         u = rng.standard_normal(5)
         d = 0.9
@@ -276,27 +276,26 @@ class TestNlmsOcf:
         assert np.array_equal(dup.w, single.w)
 
     def test_rejects_bad_window_length(self):
-        cfg = FilterConfig(L=4, M=2, mu=0.5)
+        cfg = FilterConfig(M=2, mu=0.5)
         with pytest.raises(ValueError):
-            nlms_ocf_step(FilterState.zeros(cfg), [])
+            nlms_ocf_step(FilterState.zeros(cfg, 4), [])
 
 
 class TestConfigValidation:
     def test_mu_range(self):
         with pytest.raises(ValueError):
-            FilterConfig(L=4, M=2, mu=2.0)
+            FilterConfig(M=2, mu=2.0)
         with pytest.raises(ValueError):
-            FilterConfig(L=4, M=2, mu=-0.1)
+            FilterConfig(M=2, mu=-0.1)
 
     def test_order_range(self):
+        # M > L is the experiment's check: the filter length is the scenario's
         with pytest.raises(ValueError):
-            FilterConfig(L=4, M=5, mu=0.5)
-        with pytest.raises(ValueError):
-            FilterConfig(L=4, M=0, mu=0.5)
+            FilterConfig(M=0, mu=0.5)
 
     def test_negative_rho(self):
         with pytest.raises(ValueError):
-            FilterConfig(L=4, M=2, mu=0.5, rho=-1e-6)
+            FilterConfig(M=2, mu=0.5, rho=-1e-6)
 
     def test_proportionate_params(self):
         with pytest.raises(ValueError):

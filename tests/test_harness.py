@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,14 +41,11 @@ from apamix.signals import ScenarioDef, SegmentDef, SignalModel, make_rng, scena
 
 
 def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
-                kind="white", pole=None, segments=None, M2=None, eps=None, eps2=None,
-                mu=0.5, mu2=0.5):
-    """Two-segment experiment; branch 2 takes branch 1's M and eps unless given."""
+                kind="white", pole=None, segments=None, eps=None, mu=0.5):
+    """Two-segment experiment."""
     if segments is None:
         segments = (SegmentDef(n, L), SegmentDef(n, 2))
-    M2 = M if M2 is None else M2
     eps = harness.default_eps(M) if eps is None else eps
-    eps2 = eps if eps2 is None else eps2
     return ExperimentConfig(
         scenario=ScenarioDef(
             L=L,
@@ -56,8 +54,7 @@ def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
             input=SignalModel(kind=kind, variance=1.0, pole=pole),
             seed=seed,
         ),
-        filter1=FilterConfig(L=L, M=M, mu=mu, rho=0.0, eps=eps),
-        filter2=FilterConfig(L=L, M=M2, mu=mu2, rho=rho, eps=eps2, proportionate=proportionate),
+        filter2=FilterConfig(M=M, mu=mu, rho=rho, eps=eps, proportionate=proportionate),
         mixing=MixingConfig(),
         runs=runs,
         seed=seed,
@@ -116,9 +113,9 @@ def reference_segment_stats(cfg):
     widths = [max(10, math.ceil(cfg.steady_window_fraction * (bounds[k + 1] - bounds[k])))
               for k in range(n_seg)]
     for t in range(cfg.runs):
-        s1, s2 = FilterState.zeros(cfg.filter1), FilterState.zeros(cfg.filter2)
-        buf1 = RegressorBuffer.zeros(cfg.scenario.L, cfg.filter1.M)
-        buf2 = RegressorBuffer.zeros(cfg.scenario.L, cfg.filter2.M)
+        s1 = FilterState.zeros(cfg.filter1, cfg.scenario.L)
+        s2 = FilterState.zeros(cfg.filter2, cfg.scenario.L)
+        buf = RegressorBuffer.zeros(cfg.scenario.L, cfg.filter2.M)
         trial_dev2 = np.zeros((n_seg, cfg.scenario.L))
         stream = scenario_stream(scenario, cfg.scenario.input, make_rng(cfg.seed, t))
         for i, obs in enumerate(stream):
@@ -132,8 +129,8 @@ def reference_segment_stats(cfg):
                 sums["sq2"][k] += dev2**2
                 sums["cross"][k] += dev1 * dev2
                 trial_dev2[k] += dev2
-            buf1, buf2 = push(buf1, obs), push(buf2, obs)
-            s1, s2 = apa_step(s1, buf1), step2(s2, buf2)
+            buf = push(buf, obs)
+            s1, s2 = apa_step(s1, buf), step2(s2, buf)
         sums["meansq2"] += (trial_dev2 / np.array(widths)[:, None]) ** 2
     out = []
     for k in range(n_seg):
@@ -295,7 +292,8 @@ class TestDeadTrialDoesNotLeak:
         "params",
         [
             dict(),  # one shared solve
-            dict(M=2, M2=3, eps2=harness.default_eps(3)),  # a smaller window by index
+            # the plain branch on the shared Gram, the other on its gain-weighted Gram
+            dict(proportionate=ProportionateConfig()),
             # M = 1 without loading, where a zero window would make the Gram singular
             dict(M=1, eps=0.0, proportionate=ProportionateConfig()),
             # trial 1 dies in the last segment, after the first one was reduced
@@ -387,17 +385,11 @@ class TestPresets:
         cfg = preset_paper_scenario("desk", "white", filter2_kind="zapapa")
         assert cfg.filter2.proportionate is not None
 
-    def test_filter1_must_be_plain(self):
-        cfg = preset_paper_scenario("desk", "white")
-        with pytest.raises(ValueError):
-            replace(cfg, filter1=replace(cfg.filter1, rho=1e-6))
-
 
 @st.composite
 def experiment_configs(draw):
-    """Valid experiments: white or AR(1) input, zaapa or zapapa, 1-3 segments, M1 != M2."""
-    L = draw(st.integers(2, 64))
-    M1, M2 = draw(st.lists(st.integers(1, min(L, 8)), min_size=2, max_size=2, unique=True))
+    """Valid experiments: white or AR(1) input, zaapa or zapapa, 1-3 segments."""
+    L = draw(st.integers(1, 64))
     kind = draw(st.sampled_from(["white", "ar1"]))
     open_unit = st.floats(-1, 1, exclude_min=True, exclude_max=True)
     positive = st.floats(1e-9, 1e3)
@@ -419,10 +411,8 @@ def experiment_configs(draw):
             ),
             seed=seed,
         ),
-        filter1=FilterConfig(L=L, M=M1, mu=draw(mu), eps=draw(positive)),
         filter2=FilterConfig(
-            L=L,
-            M=M2,
+            M=draw(st.integers(1, min(L, 8))),
             mu=draw(mu),
             rho=draw(st.floats(0, 1)),
             eps=draw(positive),
@@ -457,6 +447,12 @@ class TestPersistence:
     def test_json_round_trip(self, cfg):
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
+    def test_readme_config_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"A config file looks like:\s*```json\n(.*?)```", readme, re.DOTALL)
+        assert block is not None, "README has no config example"
+        config_from_dict(json.loads(block.group(1)))
+
     def test_written_key_tree_is_pinned(self, tmp_path):
         # a renamed, added, removed or reordered field changes the file format
         def tree(doc):
@@ -474,7 +470,6 @@ class TestPersistence:
                 "input": {"kind": None, "variance": None, "pole": None},
                 "seed": None,
             },
-            "filter1": filt,
             "filter2": {**filt, "proportionate": {"rho_p": None, "delta": None}},
             "mixing": {"mu_a": None, "a_plus": None, "a0": None},
             "runs": None,
@@ -563,7 +558,7 @@ class TestCli:
     def test_predict_outside_closed_form_domain_is_config_error(self, tmp_path, capsys):
         # FilterConfig accepts mu = 0; the closed forms need mu in (0, 2)
         cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(mu2=0.0), cfg_path)
+        write_config(tiny_config(mu=0.0), cfg_path)
         rc = cli_main(["predict", "--config", str(cfg_path)])
         assert rc == 2
         assert "config error: segment 0: step size mu" in capsys.readouterr().err
@@ -608,7 +603,16 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["simulate"], ["sweep-rho", "--grid", "1e-4:1e-3:2"]])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["simulate", "--out", "no-such-dir/out.csv"],
+            ["sweep-rho", "--grid", "1e-4:1e-3:2", "--out", "no-such-dir/out.csv"],
+            # an existing directory, which open() would refuse after the run
+            ["simulate", "--out", "."],
+            ["sweep-rho", "--grid", "1e-4:1e-3:2", "--out", "."],
+        ],
+    )
     def test_out_in_missing_directory_is_config_error_before_any_trial(
         self, extra, tmp_path, capsys, monkeypatch
     ):
@@ -616,12 +620,25 @@ class TestCli:
             raise AssertionError("the experiment ran before the output path was checked")
 
         monkeypatch.setattr(harness, "run_experiment", no_run)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(runs=2, n=120), cfg_path)
-        out_path = tmp_path / "no-such-dir" / "out.csv"
-        rc = cli_main([extra[0], "--config", str(cfg_path), *extra[1:], "--out", str(out_path)])
+        monkeypatch.chdir(tmp_path)  # the --out paths are relative to it
+        write_config(tiny_config(runs=2, n=120), "cfg.json")
+        rc = cli_main([extra[0], "--config", "cfg.json", *extra[1:]])
         assert rc == 2
         assert "config error: --out" in capsys.readouterr().err
+
+    def test_config_and_preset_together_are_rejected_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran with both --config and --preset")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(tiny_config(runs=2, n=120), cfg_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--preset", "paper-desk", "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_sweep_rho_checks_only_the_last_segment(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -629,11 +646,17 @@ class TestCli:
         rc = cli_main(["sweep-rho", "--config", str(cfg_path), "--grid", "1e-4:1e-4:1"])
         assert rc == 0
 
-    def test_bad_grid_is_config_error(self, tmp_path):
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before the grid was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
         cfg_path = tmp_path / "cfg.json"
         write_config(tiny_config(runs=2, n=120), cfg_path)
-        rc = cli_main(["sweep-rho", "--config", str(cfg_path), "--grid", "nope"])
-        assert rc == 2
+        for grid in ("nope", "1e-5:inf:2", "nan:1e-3:2"):
+            rc = cli_main(["sweep-rho", "--config", str(cfg_path), "--grid", grid])
+            assert rc == 2, grid
+            assert "config error:" in capsys.readouterr().err
 
 
 class TestStabilityAndConvergedStart:
@@ -650,8 +673,7 @@ class TestStabilityAndConvergedStart:
                 input=SignalModel("white", 1.0, None),
                 seed=11,
             ),
-            filter1=FilterConfig(L=L, M=M, mu=mu, rho=0.0, eps=eps),
-            filter2=FilterConfig(L=L, M=M, mu=mu, rho=1e-4, eps=eps),
+            filter2=FilterConfig(M=M, mu=mu, rho=1e-4, eps=eps),
             mixing=MixingConfig(),
             runs=1,
             seed=11,
@@ -695,8 +717,7 @@ class TestAdmissibleRangeBracketing:
                     input=SignalModel("white", 1.0, None),
                     seed=44,
                 ),
-                filter1=FilterConfig(L=64, M=4, mu=0.5, rho=0.0, eps=eps),
-                filter2=FilterConfig(L=64, M=4, mu=0.5, rho=rho, eps=eps),
+                filter2=FilterConfig(M=4, mu=0.5, rho=rho, eps=eps),
                 mixing=MixingConfig(),
                 runs=80,
                 seed=44,
@@ -710,12 +731,6 @@ class TestAdmissibleRangeBracketing:
         assert high.J2 > high.J1
 
 
-class TestMixedProjectionOrders:
-    def test_engine_matches_reference_when_orders_differ(self):
-        cfg = tiny_config(n=200, M=2, M2=3, eps2=harness.default_eps(3))
-        assert_engine_matches_reference(cfg)
-
-
 @st.composite
 def engine_params(draw):
     """tiny_config arguments over every path of the chunk engine."""
@@ -726,14 +741,11 @@ def engine_params(draw):
     return dict(
         L=L,
         M=M,
-        M2=draw(st.one_of(st.just(M), st.integers(1, min(L, 4)))),
         eps=eps,
-        eps2=draw(st.one_of(st.just(eps), st.sampled_from([1e-4, 1e-3, 1e-2]))),
         proportionate=draw(st.sampled_from([None, ProportionateConfig()])),
         kind=kind,
         pole=0.8 if kind == "ar1" else None,
         mu=draw(st.sampled_from([0.25, 0.5, 1.0, 1.5])),
-        mu2=draw(st.sampled_from([0.25, 0.5, 1.0, 1.5])),
         rho=draw(st.sampled_from([0.0, 1e-4, 1e-3])),
         segments=(
             SegmentDef(draw(st.integers(1, 60)), L),
@@ -749,11 +761,7 @@ class TestEnginePathsMatchReference:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(engine_params())
     @example(dict(L=8, M=3, n=60))  # one shared solve
-    @example(dict(L=8, M=3, n=60, eps=1e-3, eps2=1e-2))  # eps1 != eps2
-    @example(dict(L=8, M=2, M2=4, n=60))  # M1 < M2
-    @example(dict(L=8, M=4, M2=2, n=60))  # M1 > M2
     @example(dict(L=8, M=3, n=60, proportionate=ProportionateConfig()))
-    @example(dict(L=8, M=2, M2=3, n=60, proportionate=ProportionateConfig()))
     @example(dict(L=8, M=3, n=60, kind="ar1", pole=0.8))
     @example(dict(L=4, M=4, segments=(SegmentDef(60, 4), SegmentDef(60, 1))))  # L == M
     @example(dict(L=1, M=1, segments=(SegmentDef(60, 1), SegmentDef(60, 1))))  # L == M == 1
@@ -788,10 +796,10 @@ class TestConfigRejection:
 
     def test_unloaded_projection_of_order_above_one(self):
         with pytest.raises(ValueError, match="eps must be > 0"):
-            tiny_config(M=2, eps=0.0, eps2=1e-3)
+            tiny_config(M=2, eps=0.0)
         # M = 1 needs no loading, and FilterConfig itself still accepts eps=0
-        tiny_config(M=1, M2=2, eps=0.0, eps2=1e-3)
-        FilterConfig(L=8, M=2, mu=0.5, eps=0.0)
+        tiny_config(M=1, eps=0.0)
+        FilterConfig(M=2, mu=0.5, eps=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), -1e-3])
     def test_bad_noise_variance_is_config_error(self, value):
@@ -805,7 +813,6 @@ class TestConfigRejection:
         [
             ("filter2", "rho", float("nan")),
             ("filter2", "rho", float("inf")),
-            ("filter1", "eps", float("nan")),
             ("filter2", "eps", float("inf")),
         ],
     )
@@ -836,10 +843,16 @@ class TestBadConfigRejectedAtLoad:
                          id="unknown-key"),
             pytest.param(("scenario", "segments", 0, "k"), 2, "'k' in config.scenario.segments[0]",
                          id="unknown-nested-key"),
-            pytest.param(("filter1", "L"), 16, "'L' in config.filter1", id="implied-filter-L"),
+            pytest.param(("filter2", "L"), 16, "unknown key 'L' in config.filter2",
+                         id="implied-filter-L"),
+            pytest.param(("filter1",), {"M": 2, "mu": 0.5, "eps": 2e-4},
+                         "unknown key 'filter1' in config",
+                         id="old-format-filter1"),
+            pytest.param(("filter2", "M"), 17, "filter2.M=17 exceeds scenario L=16",
+                         id="M-above-L"),
             pytest.param(("scenario", "input", "seed"), 5, "'seed' in config.scenario.input",
                          id="implied-input-seed"),
-            pytest.param(("filter1",), 3, "config.filter1 must be a JSON object",
+            pytest.param(("filter2",), 3, "config.filter2 must be a JSON object",
                          id="filter-not-object"),
             pytest.param(("filter2", "proportionate"), 3,
                          "config.filter2.proportionate must be a JSON object",
