@@ -19,15 +19,16 @@ def _load_config(args) -> harness.ExperimentConfig:
     if args.config is None and args.preset is None:
         raise ConfigError("either --config or --preset is required")
     if args.config is not None:
-        cfg = harness.read_config(args.config)
-    else:
-        scale = {"paper-full": "full", "paper-desk": "desk"}[args.preset]
-        cfg = harness.preset_paper_scenario(
-            scale=scale,
-            input_kind=args.input,
-            filter2_kind=args.filter2,
-        )
-    return cfg
+        for flag in ("input", "filter2"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} applies to --preset only; set it in the config file")
+        return harness.read_config(args.config)
+    scale = {"paper-full": "full", "paper-desk": "desk"}[args.preset]
+    return harness.preset_paper_scenario(
+        scale=scale,
+        input_kind=args.input or "white",
+        filter2_kind=args.filter2 or "zaapa",
+    )
 
 
 def _check_steady_window(cfg, k: int) -> None:
@@ -154,10 +155,10 @@ def _add_common(p: argparse.ArgumentParser):
     source.add_argument("--config", help="experiment config JSON")
     source.add_argument("--preset", choices=["paper-full", "paper-desk"],
                         help="built-in scenario preset (alternative to --config)")
-    p.add_argument("--input", choices=["white", "ar1"], default="white",
-                   help="input process for --preset")
-    p.add_argument("--filter2", choices=["zaapa", "zapapa"], default="zaapa",
-                   help="second branch algorithm for --preset")
+    p.add_argument("--input", choices=["white", "ar1"],
+                   help="input process for --preset (default white)")
+    p.add_argument("--filter2", choices=["zaapa", "zapapa"],
+                   help="second branch algorithm for --preset (default zaapa)")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
     p.add_argument("--skip-diverged", action="store_true",
                    help="drop diverged trials instead of aborting: a chunk in which "

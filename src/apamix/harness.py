@@ -7,9 +7,12 @@ in fixed-size chunks, vectorizing the per-sample algebra across the chunk;
 chunk boundaries (and therefore all floating-point reduction orders) are a
 function of ``chunk_size`` alone, never of the worker count.
 
-Inside a chunk, each trial's input is stored time-reversed and
-zero-padded, so a sample's regressor is one slice of that buffer. The
-projection window is a fixed array of M slots that rotates: each sample
+A chunk walks the horizon in blocks of at most 256 samples that never
+cross a segment boundary. At each block it draws every trial's input and
+noise for that block alone (:class:`apamix.signals.TrialStream`), and
+stores the input time-reversed behind the L+M-1 samples before the block
+(zeros before t=0), so a sample's regressor is one slice of that buffer.
+The projection window is a fixed array of M slots that rotates: each sample
 overwrites the slot of its oldest regressor, and nothing is shifted. The
 affine-projection solution does not depend on the order of the window's
 rows, so the Gram matrix, the error vectors and the update all work in
@@ -33,14 +36,16 @@ mixing weight from :func:`apamix.combination.lambda_of` and
 trial-by-trial sums by name, and :func:`run_experiment` adds them up in
 chunk order.
 
-A chunk follows the scenario's segments: it keeps the per-trial records
-(a-priori errors and mixing weight) and the steady-window weight sums of
-the current segment only, and reduces them over the trials when the
-segment ends. Besides its input and noise streams, a chunk's memory thus
-grows with the longest segment, not with the horizon. A reduced segment
-cannot drop a trial, so with ``skip_diverged`` a pass lists the trials
-that diverged, their rows running on to the end on non-finite values
-(rows never mix), and the chunk is then simulated once more without them.
+A chunk keeps the per-trial records (a-priori errors and mixing weight)
+of the current block only, and reduces them over the trials when the
+block ends, with the same per-column sums as one reduction at the end; it
+keeps the steady-window weight sums of the current segment, and reduces
+them when the segment ends. Apart from the sums it returns, a chunk's
+memory thus grows with neither the horizon nor a segment's length. A
+reduced block cannot drop a trial, so with ``skip_diverged`` a pass lists
+the trials that diverged, their rows running on to the end on non-finite
+values (rows never mix), and the chunk is then simulated once more
+without them.
 
 :func:`run_trial` is the scalar reference path built directly on the step
 functions in :mod:`apamix.filters`; it rebuilds every Gram from scratch,
@@ -78,9 +83,9 @@ from .signals import (
     SegmentDef,
     SignalModel,
     SystemScenario,
+    TrialStream,
     make_rng,
     scenario_stream,
-    trial_signals,
 )
 
 __all__ = [
@@ -279,6 +284,7 @@ def run_trial(
 
 
 _MIN_STEADY_WINDOW = 10  # samples; a narrower steady-state window averages too little
+_BLOCK = 256  # samples; the most the engine draws and records per trial at a time
 
 
 def _steady_width(duration: int, fraction: float) -> int:
@@ -354,20 +360,32 @@ def _simulate_pass(
     prop = f2.proportionate
     mixing = config.mixing
 
-    # The input is stored time-reversed and zero-padded: column n-1-i holds
-    # sample i, the columns past n-1 the zeros before t=0, so sample i's
-    # regressor, newest first, is Q[:, j:j+L] with j = n-1-i.
-    Q = np.zeros((R, n + L + M - 1))
-    NOISE = np.empty((R, n))
-    for r, t in enumerate(trial_indices):
-        x, NOISE[r] = trial_signals(scenario, config.scenario.input, make_rng(config.seed, t))
-        Q[r, :n] = x[::-1]
-
     bounds = [int(b) for b in scenario.boundaries]
     n_seg = len(scenario.segments)
     win_start = [
         _steady_window_start(bounds[k], bounds[k + 1], config.steady_window_fraction)
         for k in range(n_seg)
+    ]
+    # Blocks of at most blk samples, cut at every segment boundary and equal
+    # within a segment: a one-sample block would be summed over the trials
+    # pairwise, not row by row, and so differ in the last bits from the
+    # same column reduced in a wider block.
+    blk = min(_BLOCK, max(seg.duration for seg in scenario.segments))
+    edges = [0]
+    for start, stop in zip(bounds, bounds[1:]):
+        k = -(-(stop - start) // blk)
+        edges += [start + (stop - start) * q // k for q in range(1, k + 1)]
+
+    # Each block's input is stored time-reversed behind the L+M-1 samples
+    # before it: column blk-1-c holds the block's sample c, column blk+k the
+    # sample k+1 before the block (zeros before t=0), so sample c's
+    # regressor, newest first, is Q[:, j:j+L] with j = blk-1-c.
+    carry = L + M - 1
+    Q = np.zeros((R, blk + carry))
+    NOISE = np.empty((R, blk))
+    streams = [
+        TrialStream(scenario, config.scenario.input, make_rng(config.seed, t), blk)
+        for t in trial_indices
     ]
 
     # Sample i overwrites slot s = -i % M, so slot (s + k) % M holds sample
@@ -384,11 +402,11 @@ def _simulate_pass(
     load = f2.eps * np.eye(M)
     a = np.full(R, mixing.a0)
 
-    # The current segment's records by trial and sample (ea1, ea2, lam, and
-    # a scratch row for their products), and its steady-window sums of
-    # dev = w_opt - w (both branches), of dev^2 and of dev1*dev2. Each is
-    # reduced into ``sums`` when the segment ends.
-    rec = np.empty((4, R, max(bounds[k + 1] - bounds[k] for k in range(n_seg))))
+    # The current block's records by trial and sample (ea1, ea2, lam, and a
+    # scratch row for their products), reduced into ``sums`` when the block
+    # ends; and the current segment's steady-window sums of dev = w_opt - w
+    # (both branches), of dev^2 and of dev1*dev2, reduced when it ends.
+    rec = np.empty((4, R, blk))
     dev_sum = np.zeros((2, R, L))
     dev_sq = np.zeros((2, R, L))
     dev_cross = np.zeros((R, L))
@@ -399,10 +417,10 @@ def _simulate_pass(
     )
     diverged = []
 
-    def reduce_segment(k):
-        """Add segment k's records and window sums over the trials into ``sums``."""
-        cur = slice(bounds[k], bounds[k + 1])
-        ea1, ea2, lam, prod = rec[:, :, : cur.stop - cur.start]
+    def reduce_block(lo, m):
+        """Add the records of samples ``lo:lo+m`` over the trials into ``sums``."""
+        cur = slice(lo, lo + m)
+        ea1, ea2, lam, prod = rec[:, :, :m]
         lam.sum(axis=0, out=sums["lam"][cur])
         np.multiply(ea1, ea2, out=prod).sum(axis=0, out=sums["prod"][cur])
         np.square(prod, out=prod).sum(axis=0, out=sums["prodsq"][cur])
@@ -413,28 +431,37 @@ def _simulate_pass(
         np.square(ea, out=ea).sum(axis=0, out=sums["esq"][cur])
         np.square(ea1, out=ea1).sum(axis=0, out=sums["e1sq"][cur])
         np.square(ea2, out=ea2).sum(axis=0, out=sums["e2sq"][cur])
+
+    def reduce_segment(k):
+        """Add segment k's window sums over the trials into ``sums``."""
         sums["wsum1"][k], sums["wsum2"][k] = dev_sum.sum(axis=1)
         sums["wsq1"][k], sums["wsq2"][k] = dev_sq.sum(axis=1)
         dev_cross.sum(axis=0, out=sums["cross"][k])
         # sum over trials of the squared per-trial window mean of dev2
-        mean2 = np.divide(dev_sum[1], cur.stop - win_start[k], out=attractor)
+        mean2 = np.divide(dev_sum[1], bounds[k + 1] - win_start[k], out=attractor)
         np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][k])
         for arr in (dev_sum, dev_sq, dev_cross):
             arr[:] = 0.0
 
     alive = np.ones(R, dtype=bool)
     seg = -1
+    b = 0  # the next block
     for i in range(n):
-        j = n - 1 - i
-        s = -i % M
         if i == bounds[seg + 1]:
             seg += 1
             wopt = scenario.segments[seg].w_opt
-        c = i - bounds[seg]  # the sample's column in the segment's records
+        if i == edges[b]:  # draw the block's input and noise
+            lo, m = i, edges[b + 1] - i
+            b += 1
+            for r, stream in enumerate(streams):
+                stream.draw(Q[r, blk - m : blk][::-1], NOISE[r, :m])
+        c = i - lo  # the sample's column in the block's records and noise
+        j = blk - 1 - c
+        s = -i % M
 
         U[:, s] = Q[:, j : j + L]
         dc = U[:, s] @ wopt  # noiseless response
-        Dw[:, s] = d = dc + NOISE[:, i]
+        Dw[:, s] = d = dc + NOISE[:, c]
         lags += Q[:, j, None] * Q[:, j : j + M]
         lags -= Q[:, j + L, None] * Q[:, j + L : j + L + M]
         G[:, s, s:] = lags[:, : M - s]
@@ -494,6 +521,11 @@ def _simulate_pass(
             alive &= ~bad
             if not alive.any():
                 break
+        if i + 1 == edges[b]:
+            if not diverged:
+                reduce_block(lo, m)
+            # the block's newest samples become the next block's older ones
+            Q[:, blk:] = Q[:, blk - m : blk - m + carry]
         if i + 1 == bounds[seg + 1] and not diverged:
             reduce_segment(seg)
     return sums, diverged

@@ -9,6 +9,13 @@ Trial streams are driven by the counter-based Philox generator so that
 Monte-Carlo trials get independent, reproducible streams from
 ``seed XOR trial_index`` alone. Every draw takes its generator from the
 caller; an input model holds no seed of its own.
+
+A trial draws its whole input first, then its noise, from that one
+generator (:func:`trial_signals`). :class:`TrialStream` serves the same
+numbers a piece at a time, so that a simulation need not hold a trial's
+streams for the whole horizon: its input continues the generator (and the
+AR(1) state) from piece to piece, and its noise comes from a copy of the
+generator moved past the trial's input draws.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "gen_input",
     "make_system",
     "trial_signals",
+    "TrialStream",
     "scenario_stream",
 ]
 
@@ -71,22 +79,39 @@ def gen_input(model: SignalModel, n: int, rng: np.random.Generator) -> np.ndarra
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    x = np.empty(n)
+    _fill_input(model, rng, x, None)
+    return x
+
+
+def _fill_input(
+    model: SignalModel, rng: np.random.Generator, x: np.ndarray, y: Optional[float]
+) -> Optional[float]:
+    """Fill ``x`` with the input's next ``len(x)`` samples, from ``len(x)`` draws.
+
+    ``y`` is the AR(1) sample before them, None at t=0. Returns the last
+    sample written, so that the next call continues the process.
+    """
     sigma = np.sqrt(model.variance)
-    g = rng.standard_normal(n)
+    g = rng.standard_normal(len(x))
     if model.kind == "white":
-        return sigma * g
+        np.multiply(sigma, g, out=x)
+        return None
     a = model.pole
-    drive = np.sqrt(1.0 - a * a) * sigma * g[1:]
+    if y is None:  # stationary start
+        y = x[0] = float(sigma * g[0])
+        g, x = g[1:], x[1:]
+    drive = np.sqrt(1.0 - a * a) * sigma * g
     # The one-pole recursion as a plain loop, exactly as lfilter([1], [1, -a],
     # drive, zi=[a*x(0)]) computes it: that filter pads b to [1, 0], so each
     # step of its first-order transposed direct form II is exactly v + a*y,
     # and the two agree bit for bit (tests/test_signals.py checks it).
-    y = float(sigma * g[0])
-    x = [y]
+    out = []
     for v in drive.tolist():
         y = v + a * y
-        x.append(y)
-    return np.array(x)
+        out.append(y)
+    x[:] = out
+    return y
 
 
 def make_system(
@@ -235,6 +260,40 @@ def trial_signals(
     x = gen_input(model, n, rng)
     noise = rng.standard_normal(n) * np.sqrt(scenario.noise_variance)
     return x, noise
+
+
+class TrialStream:
+    """One trial's :func:`trial_signals` arrays, drawn a piece at a time.
+
+    Pieces of any lengths concatenate to ``trial_signals(scenario, model,
+    rng)`` bit for bit. The noise generator is a copy of ``rng`` moved past
+    the trial's n input draws, ``block`` draws at a time, so that no array
+    longer than ``block`` is ever allocated.
+    """
+
+    def __init__(
+        self, scenario: SystemScenario, model: SignalModel, rng: np.random.Generator, block: int
+    ):
+        n = scenario.n_samples
+        self._model = model
+        self._rng = rng
+        self._last = None  # the AR(1) sample before the next piece
+        bits = type(rng.bit_generator)()  # a copy of rng's bit generator
+        bits.state = rng.bit_generator.state
+        self._noise_rng = np.random.Generator(bits)
+        for lo in range(0, n, block):
+            self._noise_rng.standard_normal(min(block, n - lo))
+        self._noise_sd = np.sqrt(scenario.noise_variance)
+
+    def draw(self, x: np.ndarray, noise: np.ndarray) -> None:
+        """Fill ``x`` and ``noise``, of one length, with the next samples in time order.
+
+        ``x`` may be any view, such as a reversed one; ``noise`` must be
+        contiguous.
+        """
+        self._last = _fill_input(self._model, self._rng, x, self._last)
+        self._noise_rng.standard_normal(out=noise)
+        noise *= self._noise_sd
 
 
 def scenario_stream(

@@ -244,21 +244,35 @@ class TestSteadyStateStats:
         assert st.J1 == float(cur.j1[250:].mean())
 
 
+def nan_input(monkeypatch, deaths):
+    """Make the engine's k-th trial stream built turn its input NaN at sample ``deaths[k]``.
+
+    Returns the counter of streams built, ``{"count": streams - 1}``.
+    """
+    real = harness.TrialStream
+    seen = {"count": -1}
+
+    class Fake(real):
+        def __init__(self, *args):
+            super().__init__(*args)
+            seen["count"] += 1
+            self.death = deaths.get(seen["count"])
+            self.drawn = 0  # samples drawn before the next block
+
+        def draw(self, x, noise):
+            super().draw(x, noise)
+            if self.death is not None and self.drawn <= self.death < self.drawn + len(x):
+                x[self.death - self.drawn] = np.nan
+            self.drawn += len(x)
+
+    monkeypatch.setattr(harness, "TrialStream", Fake)
+    return seen
+
+
 class TestDivergenceHandling:
     def test_engine_reports_trial_and_sample(self, monkeypatch):
         cfg = tiny_config(runs=4, n=60, segments=(SegmentDef(60, 16),))
-        real = harness.trial_signals
-        seen = {"count": -1}
-
-        def fake(scenario, model, rng):
-            x, noise = real(scenario, model, rng)
-            seen["count"] += 1
-            if seen["count"] == 2:  # third stream built in the chunk
-                x = x.copy()
-                x[30] = np.nan
-            return x, noise
-
-        monkeypatch.setattr(harness, "trial_signals", fake)
+        nan_input(monkeypatch, {2: 30})  # third stream built in the chunk
         with pytest.raises(DivergenceError) as exc_info:
             run_experiment(replace(cfg, chunk_size=4))
         assert exc_info.value.trial_index == 2
@@ -266,18 +280,7 @@ class TestDivergenceHandling:
 
     def test_skip_diverged_drops_whole_trial(self, monkeypatch):
         cfg = tiny_config(runs=4, n=60, segments=(SegmentDef(60, 16),))
-        real = harness.trial_signals
-        seen = {"count": -1}
-
-        def fake(scenario, model, rng):
-            x, noise = real(scenario, model, rng)
-            seen["count"] += 1
-            if seen["count"] == 1:
-                x = x.copy()
-                x[30] = np.nan
-            return x, noise
-
-        monkeypatch.setattr(harness, "trial_signals", fake)
+        nan_input(monkeypatch, {1: 30})
         cur = run_experiment(replace(cfg, chunk_size=4), skip_diverged=True)
         assert cur.runs_used == 3
         assert cur.skipped == (1,)
@@ -306,18 +309,7 @@ class TestDeadTrialDoesNotLeak:
         deaths = params.get("deaths", {1: 40})  # trial -> the sample its input turns NaN
         config_params = {k: v for k, v in params.items() if k != "deaths"}
         cfg = replace(tiny_config(runs=4, n=100, **config_params), chunk_size=4)
-        real = harness.trial_signals
-        seen = {"count": -1}
-
-        def fake(scenario, model, rng):
-            x, noise = real(scenario, model, rng)
-            seen["count"] += 1
-            if seen["count"] in deaths:  # the first four streams are trials 0-3
-                x = x.copy()
-                x[deaths[seen["count"]]] = np.nan
-            return x, noise
-
-        monkeypatch.setattr(harness, "trial_signals", fake)
+        seen = nan_input(monkeypatch, deaths)  # the first four streams are trials 0-3
         cur = run_experiment(cfg, skip_diverged=True)
         assert cur.skipped == tuple(sorted(deaths, key=deaths.get))
         survivors = [t for t in range(4) if t not in deaths]
@@ -334,23 +326,57 @@ class TestDeadTrialDoesNotLeak:
 
 
 class TestChunkMemory:
+    """A chunk draws and records its trials a block at a time, so its memory
+    grows neither with the horizon nor with a segment's length."""
+
+    @staticmethod
+    def peak(segments):
+        cfg = replace(tiny_config(runs=50, segments=segments), chunk_size=50)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # input and noise bytes of 50 trials x 1200 more samples
+    streams = 2 * 50 * 1200 * 8
+
     def test_peak_does_not_grow_with_the_horizon(self):
-        """Three 600-sample segments against one: only the input and noise
-        streams may grow with the horizon, not the records or window sums."""
+        """Three 600-sample segments against one."""
+        segments = (SegmentDef(600, 16), SegmentDef(600, 8), SegmentDef(600, 2))
+        self.peak(segments[:1])  # the first run also allocates numpy's one-time caches
+        assert self.peak(segments) - self.peak(segments[:1]) < 0.25 * self.streams
 
-        def peak(n_segments):
-            segments = (SegmentDef(600, 16), SegmentDef(600, 8), SegmentDef(600, 2))
-            cfg = replace(tiny_config(runs=50, segments=segments[:n_segments]), chunk_size=50)
-            tracemalloc.start()
-            try:
-                run_experiment(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_peak_does_not_grow_with_the_segment_length(self):
+        """One 1800-sample segment against one of 600."""
+        self.peak((SegmentDef(600, 16),))
+        growth = self.peak((SegmentDef(1800, 16),)) - self.peak((SegmentDef(600, 16),))
+        assert growth < 0.25 * self.streams
 
-        peak(1)  # the first run also allocates numpy's one-time caches
-        streams = 2 * 50 * 1200 * 8  # input and noise bytes of 50 trials x 1200 more samples
-        assert peak(3) - peak(1) < 1.5 * streams
+
+class TestBlockLength:
+    @pytest.mark.parametrize("block", [3, 7, None])  # None: the engine's own, 256
+    def test_curves_do_not_depend_on_the_block_length(self, block, monkeypatch):
+        """Bit for bit against one block per segment, also where segments are
+        one sample longer than a multiple of the block (22 = 3*7 + 1 and 257)."""
+        segments = (SegmentDef(22, 16), SegmentDef(22, 2)) * 3 + (SegmentDef(257, 4),) * 3
+        cfg = tiny_config(runs=40, segments=segments, kind="ar1", pole=0.8,
+                          proportionate=ProportionateConfig())
+        # one chunk: numpy sums a lone column of more than 8 rows pairwise, not row by row
+        cfg = replace(cfg, chunk_size=40)
+
+        def run(b):
+            monkeypatch.setattr(harness, "_BLOCK", b)
+            return run_experiment(cfg)
+
+        got = run(harness._BLOCK if block is None else block)
+        want = run(10**6)
+        for name in ("j1", "j2", "j12", "j", "lam", "j12_se"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for seg_got, seg_want in zip(got.segments, want.segments):
+            for name in ("mean_dev1", "mean_dev2", "mean_dev2_se", "msd1", "msd2", "cross12"):
+                assert np.array_equal(getattr(seg_got, name), getattr(seg_want, name)), name
 
 
 class TestPresets:
@@ -639,6 +665,21 @@ class TestCli:
             cli_main(["simulate", "--preset", "paper-desk", "--config", str(cfg_path)])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["predict"], ["sweep-rho", "--grid", "1e-4:1e-3:2"]])
+    @pytest.mark.parametrize("flag", [["--input", "ar1"], ["--filter2", "zapapa"], ["--input", "white"]])
+    def test_preset_flags_with_config_are_rejected_before_any_trial(
+        self, command, flag, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran with a preset flag next to --config")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(tiny_config(runs=2, n=120), cfg_path)
+        rc = cli_main([command[0], "--config", str(cfg_path), *flag, *command[1:]])
+        assert rc == 2
+        assert f"config error: {flag[0]} applies to --preset only" in capsys.readouterr().err
 
     def test_sweep_rho_checks_only_the_last_segment(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from apamix.signals import (
     SegmentDef,
     SignalModel,
     SystemScenario,
+    TrialStream,
     gen_input,
     make_rng,
     make_system,
@@ -160,6 +161,48 @@ class TestScenarioStream:
         i, j = np.indices((L, L))
         R_true = pole ** np.abs(i - j)
         assert np.abs(R_hat - R_true).max() < 0.05
+
+
+def _pieces(durations, block):
+    """Cut each segment into pieces of at most ``block`` samples."""
+    out = []
+    for d in durations:
+        out += [block] * (d // block) + ([d % block] if d % block else [])
+    return out
+
+
+class TestTrialStream:
+    """Drawn a piece at a time, a trial's streams equal trial_signals' bit for bit."""
+
+    DURATIONS = (300, 257)
+
+    @pytest.mark.parametrize("model", [SignalModel("white", 2.5), SignalModel("ar1", 2.5, 0.8)])
+    @pytest.mark.parametrize(
+        "pieces, block",
+        [
+            (_pieces(DURATIONS, 1), 1),
+            (_pieces(DURATIONS, 7), 7),  # pieces end inside segments and at their boundary
+            (_pieces(DURATIONS, 256), 256),
+            ([557], 557),  # the whole horizon in one piece
+            ([100, 200, 157, 100], 200),  # inside, at the boundary, inside, at the end
+        ],
+    )
+    def test_pieces_concatenate_to_trial_signals(self, model, pieces, block):
+        scen = ScenarioDef(
+            8, tuple(SegmentDef(d, 2) for d in self.DURATIONS), 1e-2, model, seed=3
+        ).materialize()
+        n = scen.n_samples
+        assert sum(pieces) == n
+        want_x, want_noise = trial_signals(scen, model, make_rng(3, 7))
+        stream = TrialStream(scen, model, make_rng(3, 7), block)
+        x_rev = np.empty(n)  # time-reversed, as the engine stores its input
+        noise = np.empty(n)
+        lo = 0
+        for m in pieces:
+            stream.draw(x_rev[n - lo - m : n - lo][::-1], noise[lo : lo + m])
+            lo += m
+        assert np.array_equal(x_rev[::-1], want_x)
+        assert np.array_equal(noise, want_noise)
 
 
 class TestScenarioDef:
