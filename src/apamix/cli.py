@@ -31,15 +31,6 @@ def _load_config(args) -> harness.ExperimentConfig:
     )
 
 
-def _check_steady_window(cfg, k: int) -> None:
-    """Reject segment k before any trial runs if its steady-state window is too short."""
-    duration = cfg.scenario.segments[k].duration
-    try:
-        harness.steady_window_width(duration, cfg.steady_window_fraction)
-    except ValueError as exc:
-        raise ConfigError(f"segment {k} ({duration} samples): {exc}") from exc
-
-
 def _check_out_dir(path) -> None:
     """Reject an output path that cannot be written as a file before any trial runs."""
     if not path:
@@ -70,8 +61,6 @@ def cmd_simulate(args) -> int:
             cfg = replace(cfg, runs=args.runs)
         except ValueError as exc:
             raise ConfigError(f"--runs {args.runs}: {exc}") from exc
-    for k in range(len(cfg.scenario.segments)):
-        _check_steady_window(cfg, k)
     _check_out_dir(args.out)
     curves = harness.run_experiment(cfg, workers=args.workers, skip_diverged=args.skip_diverged)
     if curves.skipped:
@@ -87,8 +76,7 @@ def cmd_predict(args) -> int:
     cfg = _load_config(args)
     model = cfg.scenario.input
     if model.kind != "white":
-        print("closed-form prediction is available for white input only", file=sys.stderr)
-        return 2
+        raise ConfigError("closed-form prediction is available for white input only")
     if cfg.filter2.proportionate is not None:
         print(
             "note: closed forms model the plain zero-attracting branch; "
@@ -136,7 +124,6 @@ def cmd_sweep_rho(args) -> int:
         raise ConfigError(f"bad --grid {args.grid!r}, expected lo:hi:steps") from exc
     if not (0 < lo <= hi < math.inf and steps >= 1):
         raise ConfigError("grid needs finite bounds 0 < lo <= hi and steps >= 1")
-    _check_steady_window(cfg, len(cfg.scenario.segments) - 1)
     _check_out_dir(args.out)
     grid = np.geomspace(lo, hi, steps)
     points = harness.sweep_rho(cfg, grid, workers=args.workers, skip_diverged=args.skip_diverged)

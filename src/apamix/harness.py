@@ -98,7 +98,6 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "steady_state_stats",
-    "steady_window_width",
     "preset_paper_scenario",
     "sweep_rho",
     "read_config",
@@ -287,31 +286,15 @@ _MIN_STEADY_WINDOW = 10  # samples; a narrower steady-state window averages too 
 _BLOCK = 256  # samples; the most the engine draws and records per trial at a time
 
 
-def _steady_width(duration: int, fraction: float) -> int:
-    return int(math.ceil(fraction * duration))
-
-
-def steady_window_width(duration: int, fraction: float) -> int:
-    """Width ``ceil(fraction*duration)`` of a segment's steady-state window.
-
-    Raises ``ValueError`` if the window is shorter than 10 samples.
-    """
-    w = _steady_width(duration, fraction)
-    if w < _MIN_STEADY_WINDOW:
-        raise ValueError(
-            f"steady-state window of {w} samples is too short (< {_MIN_STEADY_WINDOW})"
-        )
-    return w
-
-
 def _steady_window_start(start: int, end: int, fraction: float) -> int:
-    """First sample of the engine's steady-state window of segment ``[start, end)``.
+    """First sample of the steady-state window of segment ``[start, end)``.
 
-    The window is the segment's last ``ceil(fraction*duration)`` samples,
-    widened to 10 and clipped to the segment, so a short segment still
-    gets its per-tap statistics.
+    The one window of the package: the segment's last
+    ``ceil(fraction*duration)`` samples, widened to 10 and clipped to the
+    segment. The engine's per-tap statistics and the curves' steady state
+    (:func:`steady_state_stats`) both average over it.
     """
-    width = max(_MIN_STEADY_WINDOW, _steady_width(end - start, fraction))
+    width = max(_MIN_STEADY_WINDOW, math.ceil(fraction * (end - start)))
     return max(start, end - width)
 
 
@@ -611,12 +594,11 @@ def run_experiment(
 def steady_state_stats(
     curves: LearningCurves, segment: int, window_fraction: float = 0.1
 ) -> SteadyState:
-    """Time-average the curves over the final fraction of one segment."""
+    """Time-average the curves over one segment's steady-state window."""
     if not 0 < window_fraction <= 1:
         raise ValueError(f"window_fraction={window_fraction} must lie in (0, 1]")
     seg = curves.segments[segment]
-    w = steady_window_width(seg.end - seg.start, window_fraction)
-    sl = slice(seg.end - w, seg.end)
+    sl = slice(_steady_window_start(seg.start, seg.end, window_fraction), seg.end)
     return SteadyState(
         J1=float(curves.j1[sl].mean()),
         J2=float(curves.j2[sl].mean()),
@@ -725,11 +707,15 @@ def to_db(x: float) -> float:
     return -math.inf if mag == 0 else 10.0 * math.log10(mag)
 
 
+_JSON_TYPES = {int: "a JSON integer", float: "a JSON number", str: "a JSON string"}
+
+
 def _read(hint, value, path: str):
     """Convert the JSON ``value`` at ``path`` to the annotated type ``hint``.
 
     A dataclass is read from an object, ``Optional[X]`` from null or an X,
-    ``tuple[X, ...]`` from an array, and a scalar by a cast to its type.
+    ``tuple[X, ...]`` from an array, an ``int`` from an integer, a ``float``
+    from a number and a ``str`` from a string.
     """
     if get_origin(hint) is Union:  # Optional[X]
         return None if value is None else _read(get_args(hint)[0], value, path)
@@ -738,6 +724,9 @@ def _read(hint, value, path: str):
             raise ConfigError(f"{path} must be a JSON array")
         return tuple(_read(get_args(hint)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if not is_dataclass(hint):
+        # exact types: a bool is no integer, and no float or string is cast
+        if not (type(value) is hint or hint is float and type(value) is int):
+            raise ConfigError(f"{path} must be {_JSON_TYPES[hint]}, not {value!r}")
         return hint(value)
     if not isinstance(value, dict):
         raise ConfigError(f"{path} must be a JSON object")

@@ -69,6 +69,8 @@ class SignalModel:
         if self.kind == "ar1":
             if self.pole is None or not (-1.0 < self.pole < 1.0):
                 raise ValueError("ar1 pole must lie in (-1, 1)")
+        elif self.pole is not None:
+            raise ValueError("white input takes no pole")
 
 
 def gen_input(model: SignalModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -226,11 +226,32 @@ class TestSteadyStateStats:
         b = steady_state_stats(cur, 1, 0.3)
         assert a.J1 == pytest.approx(b.J1, rel=0.5)  # same order, sampling noise apart
 
-    def test_short_window_rejected(self):
-        cfg = tiny_config(runs=2, n=50)
+    @staticmethod
+    def engine_window_means(cur, k):
+        """The curves averaged over segment k's samples that SegmentStats counts."""
+        seg = cur.segments[k]
+        sl = slice(seg.end - seg.window_samples // cur.runs_used, seg.end)
+        assert sl.start >= seg.start
+        return harness.SteadyState(
+            *(float(getattr(cur, name)[sl].mean()) for name in ("j1", "j2", "j12", "j", "lam"))
+        )
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.1])
+    def test_short_window_widened_to_ten_samples(self, fraction):
+        # 50 samples: ceil(0.5) and ceil(5) are both widened to 10
+        cur = run_experiment(tiny_config(runs=2, n=50))
+        assert cur.segments[0].window_samples == 10 * cur.runs_used
+        assert steady_state_stats(cur, 0, fraction) == self.engine_window_means(cur, 0)
+
+    @pytest.mark.parametrize("durations", [(50, 250), (5, 250), (250, 50)])
+    def test_curves_and_per_tap_statistics_share_one_window(self, durations):
+        cfg = tiny_config(runs=2, segments=tuple(SegmentDef(d, 2) for d in durations))
         cur = run_experiment(cfg)
-        with pytest.raises(ValueError):
-            steady_state_stats(cur, 0, 0.01)
+        for k in range(len(durations)):
+            expected = self.engine_window_means(cur, k)
+            assert steady_state_stats(cur, k, cfg.steady_window_fraction) == expected
+        if durations == (250, 50):  # the sweep reads the last segment over that window
+            assert sweep_rho(cfg, [cfg.filter2.rho]) == [(cfg.filter2.rho, expected)]
 
     @pytest.mark.parametrize("fraction", [1.5, 2.0])
     def test_window_longer_than_segment_rejected(self, fraction):
@@ -550,6 +571,7 @@ class TestCli:
     def test_predict_rejects_colored_input(self, capsys):
         rc = cli_main(["predict", "--preset", "paper-desk", "--input", "ar1"])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: closed-form prediction")
 
     def test_sweep_rho_cli(self, tmp_path, capsys):
         cfg = tiny_config(runs=2, n=120)
@@ -595,26 +617,22 @@ class TestCli:
         assert rc == 2
         assert "config error: --runs" in capsys.readouterr().err
 
-    @staticmethod
-    def short_desk_config(tmp_path):
-        # the desk preset on three 50-sample segments: a 5-sample steady window
-        cfg = preset_paper_scenario(scale="desk")
+    @pytest.mark.parametrize(
+        "extra, rows", [(["simulate"], 3), (["sweep-rho", "--grid", "1e-4:1e-3:2"], 2)]
+    )
+    def test_short_steady_window_is_widened(self, extra, rows, tmp_path, capsys):
+        # the desk preset on three 50-sample segments: ceil(0.1 * 50) = 5
+        # samples, widened to 10
+        cfg = preset_paper_scenario(scale="desk", runs=2)
         segs = tuple(replace(seg, duration=50) for seg in cfg.scenario.segments)
         cfg_path = tmp_path / "cfg.json"
         write_config(replace(cfg, scenario=replace(cfg.scenario, segments=segs)), cfg_path)
-        return str(cfg_path)
-
-    @pytest.mark.parametrize("extra", [["simulate"], ["sweep-rho", "--grid", "1e-4:1e-3:2"]])
-    def test_short_steady_window_is_config_error_before_any_trial(
-        self, extra, tmp_path, capsys, monkeypatch
-    ):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the experiment ran before the config was checked")
-
-        monkeypatch.setattr(harness, "run_experiment", no_run)
-        rc = cli_main([extra[0], "--config", self.short_desk_config(tmp_path), *extra[1:]])
-        assert rc == 2
-        assert "config error: segment" in capsys.readouterr().err
+        rc = cli_main([extra[0], "--config", str(cfg_path), *extra[1:]])
+        assert rc == 0
+        header, *table = capsys.readouterr().out.strip().splitlines()
+        assert header.split()[0] == {"simulate": "seg", "sweep-rho": "rho"}[extra[0]]
+        assert len(table) == rows
+        assert all(np.isfinite([float(v) for v in line.split()]).all() for line in table)
 
     def test_nonfinite_rho_is_config_error_before_any_trial(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -681,11 +699,14 @@ class TestCli:
         assert rc == 2
         assert f"config error: {flag[0]} applies to --preset only" in capsys.readouterr().err
 
-    def test_sweep_rho_checks_only_the_last_segment(self, tmp_path, capsys):
+    @pytest.mark.parametrize("durations", [(50, 120), (120, 50)])
+    def test_sweep_rho_with_a_short_segment(self, durations, tmp_path, capsys):
+        segs = (SegmentDef(durations[0], 16), SegmentDef(durations[1], 2))
         cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(runs=2, segments=(SegmentDef(50, 16), SegmentDef(120, 2))), cfg_path)
+        write_config(tiny_config(runs=2, segments=segs), cfg_path)
         rc = cli_main(["sweep-rho", "--config", str(cfg_path), "--grid", "1e-4:1e-4:1"])
         assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2  # header, one point
 
     def test_bad_grid_is_config_error(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -915,7 +936,29 @@ class TestBadConfigRejectedAtLoad:
             pytest.param(("scenario", "segments", 0, "magnitude_rule"), "huge", "magnitude rule",
                          id="unknown-magnitude-rule"),
             pytest.param(("scenario", "seed"), -1, "scenario seed", id="negative-scenario-seed"),
-            pytest.param(("runs",), INF, "infinity", id="runs-inf"),
+            pytest.param(("runs",), INF, "config.runs must be a JSON integer, not inf",
+                         id="runs-inf"),
+            pytest.param(("runs",), 2.5, "config.runs must be a JSON integer, not 2.5",
+                         id="runs-float"),
+            pytest.param(("runs",), "200", "config.runs must be a JSON integer, not '200'",
+                         id="runs-string"),
+            pytest.param(("runs",), True, "config.runs must be a JSON integer, not True",
+                         id="runs-bool"),
+            pytest.param(("scenario", "L"), 16.9, "config.scenario.L must be a JSON integer",
+                         id="L-float"),
+            pytest.param(("filter2", "M"), 2.7, "config.filter2.M must be a JSON integer",
+                         id="M-float"),
+            pytest.param(("scenario", "segments", 0, "duration"), 250.5,
+                         "config.scenario.segments[0].duration must be a JSON integer",
+                         id="duration-float"),
+            pytest.param(("filter2", "mu"), "0.5", "config.filter2.mu must be a JSON number",
+                         id="mu-string"),
+            pytest.param(("filter2", "mu"), True, "config.filter2.mu must be a JSON number",
+                         id="mu-bool"),
+            pytest.param(("scenario", "segments", 0, "magnitude_rule"), 3,
+                         "magnitude_rule must be a JSON string", id="magnitude-rule-number"),
+            pytest.param(("scenario", "input", "pole"), 0.5, "white input takes no pole",
+                         id="white-pole"),
         ],
     )
     def test_config_error_before_any_trial(self, path, value, match, tmp_path, capsys, monkeypatch):

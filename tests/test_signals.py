@@ -44,6 +44,8 @@ class TestGenInput:
             SignalModel("ar1", pole=1.0)
         with pytest.raises(ValueError):
             SignalModel("white", variance=0.0)
+        with pytest.raises(ValueError, match="no pole"):
+            SignalModel("white", 1.0, 0.5)
 
 
 def ar1_by_lfilter(model, n, rng):
