@@ -41,6 +41,12 @@ def _check_out_dir(path) -> None:
         raise ConfigError(f"--out {path}: directory {Path(path).parent} does not exist")
 
 
+def _workers(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers {args.workers}: workers must be >= 1")
+    return args.workers
+
+
 def _print_steady_table(cfg, curves):
     wf = cfg.steady_window_fraction
     print(f"{'seg':>3} {'K':>4} {'J1':>10} {'J2':>10} {'J12':>10} {'J':>10} "
@@ -62,7 +68,7 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--runs {args.runs}: {exc}") from exc
     _check_out_dir(args.out)
-    curves = harness.run_experiment(cfg, workers=args.workers, skip_diverged=args.skip_diverged)
+    curves = harness.run_experiment(cfg, workers=_workers(args), skip_diverged=args.skip_diverged)
     if curves.skipped:
         print(f"skipped {len(curves.skipped)} diverged trial(s): {sorted(curves.skipped)}")
     _print_steady_table(cfg, curves)
@@ -126,7 +132,7 @@ def cmd_sweep_rho(args) -> int:
         raise ConfigError("grid needs finite bounds 0 < lo <= hi and steps >= 1")
     _check_out_dir(args.out)
     grid = np.geomspace(lo, hi, steps)
-    points = harness.sweep_rho(cfg, grid, workers=args.workers, skip_diverged=args.skip_diverged)
+    points = harness.sweep_rho(cfg, grid, workers=_workers(args), skip_diverged=args.skip_diverged)
     print(f"{'rho':>12} {'J1':>10} {'J2':>10} {'J12':>10} {'J':>10} {'lam':>6}")
     for rho, st in points:
         print(f"{rho:>12.4e} {st.J1:>10.3e} {st.J2:>10.3e} {st.J12:>10.3e} "
@@ -146,10 +152,6 @@ def _add_common(p: argparse.ArgumentParser):
                    help="input process for --preset (default white)")
     p.add_argument("--filter2", choices=["zaapa", "zapapa"],
                    help="second branch algorithm for --preset (default zaapa)")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
-    p.add_argument("--skip-diverged", action="store_true",
-                   help="drop diverged trials instead of aborting: a chunk in which "
-                        "any diverged is simulated once more without them")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,8 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Sparse system identification with an adaptive "
                                              "convex combination of projection filters")
     sub = ap.add_subparsers(dest="command", required=True)
+    trials = argparse.ArgumentParser(add_help=False)  # options of the commands that run trials
+    trials.add_argument("--workers", type=int, default=1, help="worker processes")
+    trials.add_argument("--skip-diverged", action="store_true",
+                        help="drop diverged trials instead of aborting: a chunk in which "
+                             "any diverged is simulated once more without them")
 
-    p = sub.add_parser("simulate", help="run a Monte-Carlo experiment")
+    p = sub.add_parser("simulate", parents=[trials], help="run a Monte-Carlo experiment")
     _add_common(p)
     p.add_argument("--out", help="write learning curves CSV here")
     p.add_argument("--db", action="store_true", help="emit curve magnitudes in dB")
@@ -169,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("sweep-rho", help="empirical steady state vs attractor strength")
+    p = sub.add_parser("sweep-rho", parents=[trials],
+                       help="empirical steady state vs attractor strength")
     _add_common(p)
     p.add_argument("--grid", required=True, help="lo:hi:steps (geometric spacing)")
     p.add_argument("--out", help="write sweep CSV here")

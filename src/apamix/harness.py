@@ -26,12 +26,15 @@ AR(1) input with pole 0.95) it stayed within about 3e-14 of ``|u|^2``, so
 it is never refreshed; tests hold the engine's curves to those of the
 reference path, which rebuilds every Gram from scratch, at 1e-9 relative
 over the 12,000-sample desk horizon. One matmul gives both branches'
-error vectors. Without gains, one solve with two right-hand sides serves
-both branches; with gains, the plain branch solves on the shared Gram and
-the proportionate branch on its own gain-weighted Gram. The engine
-applies the package's own rules to the whole chunk at once: the
-proportionate gains come from :func:`apamix.filters.gain_matrix`, and the
-mixing weight from :func:`apamix.combination.lambda_of` and
+error vectors, and one solve call their projections: without gains, on
+the shared Gram with two right-hand sides; with gains, on a stack of the
+shared Gram and the proportionate branch's gain-weighted one. One matmul
+then gives both branches' updates along the window's regressors, and the
+proportionate branch's is scaled by its gains afterwards, since
+``(g*U)^T s = g*(U^T s)``. The engine applies the package's own rules to
+the whole chunk at once: the proportionate gains come from
+:func:`apamix.filters.gain_matrix`, and the mixing weight from
+:func:`apamix.combination.lambda_of` and
 :func:`apamix.combination.mixing_step`. Each chunk returns its
 trial-by-trial sums by name, and :func:`run_experiment` adds them up in
 chunk order.
@@ -349,15 +352,15 @@ def _simulate_pass(
         _steady_window_start(bounds[k], bounds[k + 1], config.steady_window_fraction)
         for k in range(n_seg)
     ]
-    # Blocks of at most blk samples, cut at every segment boundary and equal
+    # Blocks of at most _BLOCK samples, cut at every segment boundary and equal
     # within a segment: a one-sample block would be summed over the trials
     # pairwise, not row by row, and so differ in the last bits from the
     # same column reduced in a wider block.
-    blk = min(_BLOCK, max(seg.duration for seg in scenario.segments))
     edges = [0]
     for start, stop in zip(bounds, bounds[1:]):
-        k = -(-(stop - start) // blk)
+        k = -(-(stop - start) // _BLOCK)
         edges += [start + (stop - start) * q // k for q in range(1, k + 1)]
+    blk = max(stop - start for start, stop in zip(edges, edges[1:]))  # the widest block
 
     # Each block's input is stored time-reversed behind the L+M-1 samples
     # before it: column blk-1-c holds the block's sample c, column blk+k the
@@ -375,14 +378,18 @@ def _simulate_pass(
     # i-k. Only one row of U and one row and column of G change per sample.
     U = np.zeros((R, M, L))  # regressors by slot
     Dw = np.zeros((R, M))  # desired responses by slot
-    G = np.zeros((R, M, M))  # G[:, p, q] = U[:, p] . U[:, q]
+    # The loaded Grams, solved in one call: G = GG[:, 0], with G[:, p, q] =
+    # U[:, p] . U[:, q] + eps*(p == q), serves both branches without gains;
+    # with gains, GG[:, 1] is the other branch's gain-weighted Gram.
+    load = f2.eps * np.eye(M)
+    GG = np.tile(load, (R, 1 if prop is None else 2, 1, 1))
+    G = GG[:, 0]
     # lags[:, k] = u(i) . u(i-k), updated by x(i)x(i-k) - x(i-L)x(i-L-k)
     lags = np.zeros((R, M))
     W = np.zeros((2, R, L))  # W[0], W[1]: the weights of branch 1 and branch 2
     step = np.empty((2, R, L))  # scratch: a weight update or deviation of both branches
     attractor = np.empty((R, L))  # also scratch for products of deviations
     GU = None if prop is None else np.empty((R, M, L))  # gain-weighted window
-    load = f2.eps * np.eye(M)
     a = np.full(R, mixing.a0)
 
     # The current block's records by trial and sample (ea1, ea2, lam, and a
@@ -449,6 +456,7 @@ def _simulate_pass(
         lags -= Q[:, j + L, None] * Q[:, j + L : j + L + M]
         G[:, s, s:] = lags[:, : M - s]
         G[:, s, :s] = lags[:, M - s :]
+        G[:, s, s] += f2.eps
         G[:, :, s] = G[:, s]
         Y = U @ W.transpose(1, 2, 0)  # (R, M, 2): both branches' outputs over the window
         y1, y2 = Y[:, s, 0], Y[:, s, 1]
@@ -472,21 +480,18 @@ def _simulate_pass(
         np.sign(W[1], out=attractor)
         attractor *= f2.rho
         try:
-            if prop is None:  # one solve takes both branches' errors
-                S = np.linalg.solve(G + load, E)
-                S *= f2.mu
-                np.matmul(S.mT, U, out=step.swapaxes(0, 1))
+            if prop is None:  # one Gram serves both branches: two right-hand sides
+                S = np.linalg.solve(G, E)
             else:  # the plain branch on G, the other on its gain-weighted Gram
-                s1 = np.linalg.solve(G + load, E[..., :1])
-                s1 *= f2.mu
-                np.matmul(s1.mT, U, out=step[0, :, None])
                 g = gain_matrix(W[1], prop.rho_p, prop.delta)
-                V2 = np.multiply(g[:, None, :], U, out=GU)
-                s2 = np.linalg.solve(V2 @ U.mT + load, E[..., 1:])
-                s2 *= f2.mu
-                np.matmul(s2.mT, V2, out=step[1, :, None])
+                np.add(np.multiply(g[:, None, :], U, out=GU) @ U.mT, load, out=GG[:, 1])
+                S = np.linalg.solve(GG, E.mT[..., None])[..., 0].mT  # one right-hand side each
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"projection solve failed at sample {i}: {exc}") from exc
+        S *= f2.mu
+        np.matmul(S.mT, U, out=step.swapaxes(0, 1))
+        if prop is not None:  # (g*U)^T s = g * (U^T s)
+            step[1] *= g
         W += step
         W[1] -= attractor
 
@@ -525,6 +530,8 @@ def run_experiment(
     into fixed chunks of ``config.chunk_size`` and partial sums are reduced
     in chunk order.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     scenario = config.scenario.materialize()
     chunks = [
         list(range(lo, min(lo + config.chunk_size, config.runs)))

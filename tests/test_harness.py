@@ -161,6 +161,23 @@ class TestSegmentStatsMatchReference:
                                            err_msg=field)
 
 
+class TestOneSolvePerSample:
+    @pytest.mark.parametrize("prop", [None, ProportionateConfig()])
+    def test_both_branches_share_one_solve_call(self, prop, monkeypatch):
+        """With or without gains, one batched solve per sample serves both branches."""
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        cfg = replace(tiny_config(runs=3, proportionate=prop), chunk_size=3)  # one chunk
+        curves = run_experiment(cfg)
+        assert len(calls) == curves.n_samples
+
+
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
         cfg = replace(tiny_config(runs=6), chunk_size=2)
@@ -177,6 +194,11 @@ class TestDeterminism:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert np.array_equal(a.j1, b.j1) and np.array_equal(a.lam, b.lam)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(tiny_config(), workers=workers)
 
 
 class TestCurveInvariants:
@@ -374,6 +396,13 @@ class TestChunkMemory:
         self.peak((SegmentDef(600, 16),))
         growth = self.peak((SegmentDef(1800, 16),)) - self.peak((SegmentDef(600, 16),))
         assert growth < 0.25 * self.streams
+
+    def test_peak_does_not_grow_past_the_widest_block(self):
+        """One 300-sample segment, cut into two blocks of 150, against one of 150."""
+        self.peak((SegmentDef(150, 16),))
+        growth = self.peak((SegmentDef(300, 16),)) - self.peak((SegmentDef(150, 16),))
+        block = (2 + 4) * 50 * 150 * 8  # input, noise and four record rows of one block
+        assert growth < 0.1 * block
 
 
 class TestBlockLength:
@@ -616,6 +645,31 @@ class TestCli:
         rc = cli_main(["simulate", "--preset", "paper-desk", "--runs", runs])
         assert rc == 2
         assert "config error: --runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, workers",
+        [(["simulate"], "0"), (["simulate"], "-3"), (["sweep-rho", "--grid", "1e-4:1e-3:2"], "-1")],
+    )
+    def test_workers_below_one_is_config_error_before_any_trial(
+        self, command, workers, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before --workers was checked")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(tiny_config(runs=2, n=120), cfg_path)
+        rc = cli_main([command[0], "--config", str(cfg_path), "--workers", workers, *command[1:]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --workers {workers}: workers must be >= 1\n"
+
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--skip-diverged"]])
+    def test_predict_takes_no_run_options(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["predict", "--preset", "paper-desk", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, rows", [(["simulate"], 3), (["sweep-rho", "--grid", "1e-4:1e-3:2"], 2)]
