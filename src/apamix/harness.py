@@ -7,11 +7,13 @@ in fixed-size chunks, vectorizing the per-sample algebra across the chunk;
 chunk boundaries (and therefore all floating-point reduction orders) are a
 function of ``chunk_size`` alone, never of the worker count.
 
-A chunk walks the horizon in blocks of at most 256 samples that never
-cross a segment boundary. At each block it draws every trial's input and
-noise for that block alone (:class:`apamix.signals.TrialStream`), and
-stores the input time-reversed behind the L+M-1 samples before the block
-(zeros before t=0), so a sample's regressor is one slice of that buffer.
+A chunk walks the horizon in three nested loops: over the segments, each
+of which fixes the true system and the steady-state window; over each
+segment's equal blocks of at most 256 samples; and over the block's
+samples. At the start of a block it draws every trial's input and noise
+for that block alone (:class:`apamix.signals.TrialStream`), and stores the
+input time-reversed behind the L+M-1 samples before the block (zeros
+before t=0), so a sample's regressor is one slice of that buffer.
 The projection window is a fixed array of M slots that rotates: each sample
 overwrites the slot of its oldest regressor, and nothing is shifted. The
 affine-projection solution does not depend on the order of the window's
@@ -40,15 +42,15 @@ trial-by-trial sums by name, and :func:`run_experiment` adds them up in
 chunk order.
 
 A chunk keeps the per-trial records (a-priori errors and mixing weight)
-of the current block only, and reduces them over the trials when the
-block ends, with the same per-column sums as one reduction at the end; it
-keeps the steady-window weight sums of the current segment, and reduces
-them when the segment ends. Apart from the sums it returns, a chunk's
-memory thus grows with neither the horizon nor a segment's length. A
-reduced block cannot drop a trial, so with ``skip_diverged`` a pass lists
-the trials that diverged, their rows running on to the end on non-finite
-values (rows never mix), and the chunk is then simulated once more
-without them.
+of the current block only, and reduces them over the trials where the
+block loop ends, with the same per-column sums as one reduction at the
+end; it keeps the steady-window weight sums of the current segment, and
+reduces them where the segment loop ends. Apart from the sums it
+returns, a chunk's memory thus grows with neither the horizon nor a
+segment's length. A reduced block cannot drop a trial, so with
+``skip_diverged`` a pass lists the trials that diverged, their rows
+running on to the end on non-finite values (rows never mix), and the
+chunk is then simulated once more without them.
 
 :func:`run_trial` is the scalar reference path built directly on the step
 functions in :mod:`apamix.filters`; it rebuilds every Gram from scratch,
@@ -335,8 +337,9 @@ def _simulate_pass(
 
     A diverged trial raises unless ``skip_diverged``; then it is listed,
     and its row keeps running on its non-finite values (rows never mix),
-    and no further segment is reduced: the sums of a pass that lists any
-    are incomplete.
+    and no further block or segment is reduced: the sums of a pass that
+    lists any are incomplete. A pass in which every trial has died ends at
+    once.
     """
     n = scenario.n_samples
     L = scenario.L
@@ -348,19 +351,12 @@ def _simulate_pass(
 
     bounds = [int(b) for b in scenario.boundaries]
     n_seg = len(scenario.segments)
-    win_start = [
-        _steady_window_start(bounds[k], bounds[k + 1], config.steady_window_fraction)
-        for k in range(n_seg)
-    ]
-    # Blocks of at most _BLOCK samples, cut at every segment boundary and equal
-    # within a segment: a one-sample block would be summed over the trials
-    # pairwise, not row by row, and so differ in the last bits from the
-    # same column reduced in a wider block.
-    edges = [0]
-    for start, stop in zip(bounds, bounds[1:]):
-        k = -(-(stop - start) // _BLOCK)
-        edges += [start + (stop - start) * q // k for q in range(1, k + 1)]
-    blk = max(stop - start for start, stop in zip(edges, edges[1:]))  # the widest block
+    # Each segment is cut into equal blocks of at most _BLOCK samples: a
+    # one-sample block would be summed over the trials pairwise, not row by
+    # row, and so differ in the last bits from the same column reduced in a
+    # wider block.
+    n_blocks = [-(-(stop - start) // _BLOCK) for start, stop in zip(bounds, bounds[1:])]
+    blk = max(-(-(stop - start) // k) for start, stop, k in zip(bounds, bounds[1:], n_blocks))
 
     # Each block's input is stored time-reversed behind the L+M-1 samples
     # before it: column blk-1-c holds the block's sample c, column blk+k the
@@ -406,116 +402,108 @@ def _simulate_pass(
         for key in ("wsum1", "wsum2", "wsq1", "wsq2", "cross", "meansq2")
     )
     diverged = []
-
-    def reduce_block(lo, m):
-        """Add the records of samples ``lo:lo+m`` over the trials into ``sums``."""
-        cur = slice(lo, lo + m)
-        ea1, ea2, lam, prod = rec[:, :, :m]
-        lam.sum(axis=0, out=sums["lam"][cur])
-        np.multiply(ea1, ea2, out=prod).sum(axis=0, out=sums["prod"][cur])
-        np.square(prod, out=prod).sum(axis=0, out=sums["prodsq"][cur])
-        ea = np.multiply(lam, ea1, out=prod)  # ea = lam*ea1 + (1-lam)*ea2
-        rest = np.subtract(1.0, lam, out=lam)
-        rest *= ea2
-        ea += rest
-        np.square(ea, out=ea).sum(axis=0, out=sums["esq"][cur])
-        np.square(ea1, out=ea1).sum(axis=0, out=sums["e1sq"][cur])
-        np.square(ea2, out=ea2).sum(axis=0, out=sums["e2sq"][cur])
-
-    def reduce_segment(k):
-        """Add segment k's window sums over the trials into ``sums``."""
-        sums["wsum1"][k], sums["wsum2"][k] = dev_sum.sum(axis=1)
-        sums["wsq1"][k], sums["wsq2"][k] = dev_sq.sum(axis=1)
-        dev_cross.sum(axis=0, out=sums["cross"][k])
-        # sum over trials of the squared per-trial window mean of dev2
-        mean2 = np.divide(dev_sum[1], bounds[k + 1] - win_start[k], out=attractor)
-        np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][k])
-        for arr in (dev_sum, dev_sq, dev_cross):
-            arr[:] = 0.0
-
     alive = np.ones(R, dtype=bool)
-    seg = -1
-    b = 0  # the next block
-    for i in range(n):
-        if i == bounds[seg + 1]:
-            seg += 1
-            wopt = scenario.segments[seg].w_opt
-        if i == edges[b]:  # draw the block's input and noise
-            lo, m = i, edges[b + 1] - i
-            b += 1
-            for r, stream in enumerate(streams):
+
+    for seg, (start, stop, k) in enumerate(zip(bounds, bounds[1:], n_blocks)):
+        wopt = scenario.segments[seg].w_opt
+        win = _steady_window_start(start, stop, config.steady_window_fraction)
+        for q in range(k):
+            lo = start + (stop - start) * q // k
+            m = start + (stop - start) * (q + 1) // k - lo
+            for r, stream in enumerate(streams):  # draw the block's input and noise
                 stream.draw(Q[r, blk - m : blk][::-1], NOISE[r, :m])
-        c = i - lo  # the sample's column in the block's records and noise
-        j = blk - 1 - c
-        s = -i % M
+            for c in range(m):  # c: the sample's column in the block's records and noise
+                i = lo + c
+                j = blk - 1 - c
+                s = -i % M
 
-        U[:, s] = Q[:, j : j + L]
-        dc = U[:, s] @ wopt  # noiseless response
-        Dw[:, s] = d = dc + NOISE[:, c]
-        lags += Q[:, j, None] * Q[:, j : j + M]
-        lags -= Q[:, j + L, None] * Q[:, j + L : j + L + M]
-        G[:, s, s:] = lags[:, : M - s]
-        G[:, s, :s] = lags[:, M - s :]
-        G[:, s, s] += f2.eps
-        G[:, :, s] = G[:, s]
-        Y = U @ W.transpose(1, 2, 0)  # (R, M, 2): both branches' outputs over the window
-        y1, y2 = Y[:, s, 0], Y[:, s, 1]
+                U[:, s] = Q[:, j : j + L]
+                dc = U[:, s] @ wopt  # noiseless response
+                Dw[:, s] = d = dc + NOISE[:, c]
+                lags += Q[:, j, None] * Q[:, j : j + M]
+                lags -= Q[:, j + L, None] * Q[:, j + L : j + L + M]
+                G[:, s, s:] = lags[:, : M - s]
+                G[:, s, :s] = lags[:, M - s :]
+                G[:, s, s] += f2.eps
+                G[:, :, s] = G[:, s]
+                Y = U @ W.transpose(1, 2, 0)  # (R, M, 2): both branches' outputs over the window
+                y1, y2 = Y[:, s, 0], Y[:, s, 1]
 
-        lam = lambda_of(a)
-        rec[0, :, c] = dc - y1
-        rec[1, :, c] = dc - y2
-        rec[2, :, c] = lam
+                lam = lambda_of(a)
+                rec[0, :, c] = dc - y1
+                rec[1, :, c] = dc - y2
+                rec[2, :, c] = lam
 
-        if i >= win_start[seg]:
-            dev = np.subtract(wopt, W, out=step)
-            dev_sum += dev
-            dev_cross += np.multiply(dev[0], dev[1], out=attractor)
-            dev *= dev
-            dev_sq += dev
+                if i >= win:
+                    dev = np.subtract(wopt, W, out=step)
+                    dev_sum += dev
+                    dev_cross += np.multiply(dev[0], dev[1], out=attractor)
+                    dev *= dev
+                    dev_sq += dev
 
-        e_comb = d - (lam * y1 + (1.0 - lam) * y2)
-        a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
+                e_comb = d - (lam * y1 + (1.0 - lam) * y2)
+                a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
 
-        E = Dw[..., None] - Y  # (R, M, 2) error vectors
-        np.sign(W[1], out=attractor)
-        attractor *= f2.rho
-        try:
-            if prop is None:  # one Gram serves both branches: two right-hand sides
-                S = np.linalg.solve(G, E)
-            else:  # the plain branch on G, the other on its gain-weighted Gram
-                g = gain_matrix(W[1], prop.rho_p, prop.delta)
-                np.add(np.multiply(g[:, None, :], U, out=GU) @ U.mT, load, out=GG[:, 1])
-                S = np.linalg.solve(GG, E.mT[..., None])[..., 0].mT  # one right-hand side each
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"projection solve failed at sample {i}: {exc}") from exc
-        S *= f2.mu
-        np.matmul(S.mT, U, out=step.swapaxes(0, 1))
-        if prop is not None:  # (g*U)^T s = g * (U^T s)
-            step[1] *= g
-        W += step
-        W[1] -= attractor
+                E = Dw[..., None] - Y  # (R, M, 2) error vectors
+                np.sign(W[1], out=attractor)
+                attractor *= f2.rho
+                try:
+                    if prop is None:  # one Gram serves both branches: two right-hand sides
+                        S = np.linalg.solve(G, E)
+                    else:  # the plain branch on G, the other on its gain-weighted Gram,
+                        # one right-hand side each
+                        g = gain_matrix(W[1], prop.rho_p, prop.delta)
+                        np.add(np.multiply(g[:, None, :], U, out=GU) @ U.mT, load, out=GG[:, 1])
+                        S = np.linalg.solve(GG, E.mT[..., None])[..., 0].mT
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalError(f"projection solve failed at sample {i}: {exc}") from exc
+                S *= f2.mu
+                np.matmul(S.mT, U, out=step.swapaxes(0, 1))
+                if prop is not None:  # (g*U)^T s = g * (U^T s)
+                    step[1] *= g
+                W += step
+                W[1] -= attractor
 
-        if not np.isfinite(W.sum()):
-            bad = ~np.isfinite(W).all(axis=(0, 2))
-            for r in np.flatnonzero(bad & alive):
-                t = trial_indices[int(r)]
-                if not skip_diverged:
-                    raise DivergenceError(
-                        f"trial {t} diverged at sample {i}",
-                        trial_index=t,
-                        sample_index=i,
-                    )
-                diverged.append((t, i))
-            alive &= ~bad
-            if not alive.any():
-                break
-        if i + 1 == edges[b]:
-            if not diverged:
-                reduce_block(lo, m)
+                if not np.isfinite(W.sum()):
+                    bad = ~np.isfinite(W).all(axis=(0, 2))
+                    for r in np.flatnonzero(bad & alive):
+                        t = trial_indices[int(r)]
+                        if not skip_diverged:
+                            raise DivergenceError(
+                                f"trial {t} diverged at sample {i}",
+                                trial_index=t,
+                                sample_index=i,
+                            )
+                        diverged.append((t, i))
+                    alive &= ~bad
+                    if not alive.any():
+                        return sums, diverged
+
+            if not diverged:  # add the block's records over the trials into ``sums``
+                cur = slice(lo, lo + m)
+                ea1, ea2, lam, prod = rec[:, :, :m]
+                lam.sum(axis=0, out=sums["lam"][cur])
+                np.multiply(ea1, ea2, out=prod).sum(axis=0, out=sums["prod"][cur])
+                np.square(prod, out=prod).sum(axis=0, out=sums["prodsq"][cur])
+                ea = np.multiply(lam, ea1, out=prod)  # ea = lam*ea1 + (1-lam)*ea2
+                rest = np.subtract(1.0, lam, out=lam)
+                rest *= ea2
+                ea += rest
+                np.square(ea, out=ea).sum(axis=0, out=sums["esq"][cur])
+                np.square(ea1, out=ea1).sum(axis=0, out=sums["e1sq"][cur])
+                np.square(ea2, out=ea2).sum(axis=0, out=sums["e2sq"][cur])
             # the block's newest samples become the next block's older ones
             Q[:, blk:] = Q[:, blk - m : blk - m + carry]
-        if i + 1 == bounds[seg + 1] and not diverged:
-            reduce_segment(seg)
+
+        if not diverged:  # add the segment's window sums over the trials into ``sums``
+            sums["wsum1"][seg], sums["wsum2"][seg] = dev_sum.sum(axis=1)
+            sums["wsq1"][seg], sums["wsq2"][seg] = dev_sq.sum(axis=1)
+            dev_cross.sum(axis=0, out=sums["cross"][seg])
+            # sum over trials of the squared per-trial window mean of dev2
+            mean2 = np.divide(dev_sum[1], stop - win, out=attractor)
+            np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][seg])
+            for arr in (dev_sum, dev_sq, dev_cross):
+                arr[:] = 0.0
     return sums, diverged
 
 
@@ -599,9 +587,13 @@ def run_experiment(
 
 
 def steady_state_stats(
-    curves: LearningCurves, segment: int, window_fraction: float = 0.1
+    curves: LearningCurves, segment: int, window_fraction: float
 ) -> SteadyState:
-    """Time-average the curves over one segment's steady-state window."""
+    """Time-average the curves over one segment's steady-state window.
+
+    ``window_fraction`` is normally the config's ``steady_window_fraction``,
+    the window of the engine's per-tap statistics.
+    """
     if not 0 < window_fraction <= 1:
         raise ValueError(f"window_fraction={window_fraction} must lie in (0, 1]")
     seg = curves.segments[segment]
@@ -627,16 +619,14 @@ def default_eps(M: int, input_variance: float = 1.0) -> float:
     return 1e-4 * M * input_variance
 
 
-def _desk_rho_scale(mu: float) -> float:
+def _desk_rho_scale() -> float:
     """Ratio of the admissible attractor ranges of the desk and full sparse systems."""
     desk = theory.rho_bound_global(
-        theory.TheoryInputs(L=64, K=4, M=4, mu=mu, rho=0.0, noise_variance=1e-3)
+        theory.TheoryInputs(L=64, K=4, M=4, mu=0.5, rho=0.0, noise_variance=1e-3)
     )
     full = theory.rho_bound_global(
-        theory.TheoryInputs(L=256, K=16, M=8, mu=mu, rho=0.0, noise_variance=1e-3)
+        theory.TheoryInputs(L=256, K=16, M=8, mu=0.5, rho=0.0, noise_variance=1e-3)
     )
-    if desk is None or full is None:
-        raise ValueError(f"admissible-range bound undefined at mu={mu}")
     return desk / full
 
 
@@ -644,7 +634,6 @@ def preset_paper_scenario(
     scale: str = "desk",
     input_kind: str = "white",
     filter2_kind: str = "zaapa",
-    mu: float = 0.5,
     runs: Optional[int] = None,
     seed: int = 1,
 ) -> ExperimentConfig:
@@ -655,6 +644,7 @@ def preset_paper_scenario(
     1000 runs); ``desk`` is a reduced version for quick runs and CI
     (64 taps, 4000-sample segments, 200 runs) whose attractor strength is
     rescaled by the ratio of the two scales' admissible-range bounds.
+    Both use the step size mu = 0.5.
     """
     if scale not in ("full", "desk"):
         raise ValueError(f"unknown scale {scale!r}")
@@ -671,7 +661,7 @@ def preset_paper_scenario(
     else:
         L, M = 64, 4
         segments = (SegmentDef(4000, 64), SegmentDef(4000, 20), SegmentDef(4000, 4))
-        rho = _FULL_RHO[input_kind] * _desk_rho_scale(mu)
+        rho = _FULL_RHO[input_kind] * _desk_rho_scale()
         n_runs = 200 if runs is None else runs
 
     eps = default_eps(M)
@@ -680,7 +670,7 @@ def preset_paper_scenario(
         scenario=ScenarioDef(
             L=L, segments=segments, noise_variance=1e-3, input=model, seed=seed
         ),
-        filter2=FilterConfig(M=M, mu=mu, rho=rho, eps=eps, proportionate=prop),
+        filter2=FilterConfig(M=M, mu=0.5, rho=rho, eps=eps, proportionate=prop),
         mixing=MixingConfig(),
         runs=n_runs,
         seed=seed,
@@ -791,29 +781,27 @@ def write_config(config: ExperimentConfig, path) -> None:
         fh.write("\n")
 
 
-def write_curves(curves: LearningCurves, path, db: bool = False) -> None:
-    """CSV dump with header iter,j1,j2,j12,j,lambda (lambda always linear)."""
+def _write_table(path, key: str, rows, db: bool) -> None:
+    """CSV with header key,j1,j2,j12,j,lambda; one row per ``(key, j1, j2, j12, j, lam)``.
+
+    The four magnitudes are converted with :func:`to_db` under ``db``;
+    lambda is always linear.
+    """
     conv = to_db if db else (lambda x: x)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["iter", "j1", "j2", "j12", "j", "lambda"])
-        for i in range(curves.n_samples):
-            wr.writerow(
-                [
-                    i,
-                    conv(curves.j1[i]),
-                    conv(curves.j2[i]),
-                    conv(curves.j12[i]),
-                    conv(curves.j[i]),
-                    curves.lam[i],
-                ]
-            )
+        wr.writerow([key, "j1", "j2", "j12", "j", "lambda"])
+        for k, *mags, lam in rows:
+            wr.writerow([k, *map(conv, mags), lam])
+
+
+def write_curves(curves: LearningCurves, path, db: bool = False) -> None:
+    """CSV dump with header iter,j1,j2,j12,j,lambda (lambda always linear)."""
+    rows = zip(range(curves.n_samples), curves.j1, curves.j2, curves.j12, curves.j, curves.lam)
+    _write_table(path, "iter", rows, db)
 
 
 def write_sweep(points: list[tuple[float, SteadyState]], path, db: bool = False) -> None:
-    conv = to_db if db else (lambda x: x)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["rho", "j1", "j2", "j12", "j", "lambda"])
-        for rho, st in points:
-            wr.writerow([rho, conv(st.J1), conv(st.J2), conv(st.J12), conv(st.J), st.lam])
+    """CSV dump with header rho,j1,j2,j12,j,lambda (lambda always linear)."""
+    rows = ((rho, st.J1, st.J2, st.J12, st.J, st.lam) for rho, st in points)
+    _write_table(path, "rho", rows, db)

@@ -14,7 +14,7 @@ the AR(1) case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -84,9 +84,8 @@ def inv_r2_monte_carlo(
 class TheoryInputs:
     """Operating point for the closed forms.
 
-    ``p``, ``beta`` and ``inv_r2`` default to their white-input values
-    (p = 1/L, beta = 1-(1-p)^M, E[1/r^2] = 1/(variance*(L-2))) but can be
-    overridden, e.g. with Monte-Carlo estimates.
+    ``p``, ``beta`` and ``inv_r2`` are derived, at their white-input values:
+    p = 1/L, beta = 1-(1-p)^M and E[1/r^2] = 1/(variance*(L-2)).
     """
 
     L: int
@@ -96,9 +95,9 @@ class TheoryInputs:
     rho: float
     noise_variance: float
     input_variance: float = 1.0
-    p: Optional[float] = None
-    beta: Optional[float] = None
-    inv_r2: Optional[float] = None
+    p: float = field(init=False)
+    beta: float = field(init=False)
+    inv_r2: float = field(init=False)
 
     def __post_init__(self):
         if not 0 <= self.K <= self.L:
@@ -109,14 +108,10 @@ class TheoryInputs:
             raise ValueError("rho must be >= 0")
         if self.noise_variance < 0:
             raise ValueError("noise variance must be >= 0")
-        if self.p is None:
-            object.__setattr__(self, "p", 1.0 / self.L)
-        if self.beta is None:
-            object.__setattr__(self, "beta", beta_of(self.p, self.M))
-        if self.inv_r2 is None:
-            object.__setattr__(self, "inv_r2", inv_r2_expectation(self.L, self.input_variance))
-        if not 0 < self.beta <= 1:
-            raise ValueError("beta must lie in (0, 1]")
+        # inv_r2 first: it rejects L < 3, before 1/L is taken
+        object.__setattr__(self, "inv_r2", inv_r2_expectation(self.L, self.input_variance))
+        object.__setattr__(self, "p", 1.0 / self.L)
+        object.__setattr__(self, "beta", beta_of(self.p, self.M))
 
 
 def apa_msd_per_tap(ti: TheoryInputs) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shlex
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import apamix.harness as harness
-from apamix.cli import main as cli_main
+from apamix.cli import build_parser, main as cli_main
 from apamix.errors import ConfigError, DivergenceError
 from apamix.filters import (
     FilterConfig,
@@ -36,6 +37,7 @@ from apamix.harness import (
     to_db,
     write_config,
     write_curves,
+    write_sweep,
 )
 from apamix.signals import ScenarioDef, SegmentDef, SignalModel, make_rng, scenario_stream
 
@@ -312,6 +314,18 @@ def nan_input(monkeypatch, deaths):
     return seen
 
 
+def assert_curves_are_trial_means(cur, cfg, trials):
+    """The curves are the means of run_trial's records of ``trials``."""
+    recs = [run_trial(cfg, t) for t in trials]
+    ea1, ea2, ea, lam = (
+        np.array([getattr(r, k) for r in recs]) for k in ("ea1", "ea2", "ea", "lam")
+    )
+    pairs = ((cur.j1, ea1**2), (cur.j2, ea2**2), (cur.j12, ea1 * ea2), (cur.j, ea**2))
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want.mean(axis=0), rtol=1e-9, atol=1e-13)
+    np.testing.assert_allclose(cur.lam, lam.mean(axis=0), rtol=1e-9, atol=1e-12)
+
+
 class TestDivergenceHandling:
     def test_engine_reports_trial_and_sample(self, monkeypatch):
         cfg = tiny_config(runs=4, n=60, segments=(SegmentDef(60, 16),))
@@ -358,14 +372,23 @@ class TestDeadTrialDoesNotLeak:
         survivors = [t for t in range(4) if t not in deaths]
         # one more pass, over the survivors only, however many trials died
         assert seen["count"] + 1 == 4 + len(survivors)
-        recs = [run_trial(cfg, t) for t in survivors]
-        ea1, ea2, ea, lam = (
-            np.array([getattr(r, k) for r in recs]) for k in ("ea1", "ea2", "ea", "lam")
-        )
-        pairs = ((cur.j1, ea1**2), (cur.j2, ea2**2), (cur.j12, ea1 * ea2), (cur.j, ea**2))
-        for got, want in pairs:
-            np.testing.assert_allclose(got, want.mean(axis=0), rtol=1e-9, atol=1e-13)
-        np.testing.assert_allclose(cur.lam, lam.mean(axis=0), rtol=1e-9, atol=1e-12)
+        assert_curves_are_trial_means(cur, cfg, survivors)
+
+    def test_dead_chunk_adds_nothing(self, monkeypatch):
+        """Both trials of the first chunk die: it ends early, gets no second pass,
+        and the curves are the second chunk's alone."""
+        cfg = tiny_config(runs=4, n=100)  # chunk_size=2: trials 0-1, then 2-3
+        seen = nan_input(monkeypatch, {0: 30, 1: 70})
+        cur = run_experiment(cfg, skip_diverged=True)
+        assert cur.skipped == (0, 1)
+        assert cur.runs_used == 2
+        assert seen["count"] + 1 == 4  # two streams per chunk, no re-run
+        assert_curves_are_trial_means(cur, cfg, (2, 3))
+
+    def test_all_trials_diverged(self, monkeypatch):
+        nan_input(monkeypatch, {0: 30, 1: 70, 2: 10, 3: 90})
+        with pytest.raises(DivergenceError, match="all trials diverged"):
+            run_experiment(tiny_config(runs=4, n=100), skip_diverged=True)
 
 
 class TestChunkMemory:
@@ -529,6 +552,16 @@ class TestPersistence:
         assert block is not None, "README has no config example"
         config_from_dict(json.loads(block.group(1)))
 
+    def test_readme_cli_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\s*```sh\n(.*?)```", readme, re.DOTALL)
+        assert block is not None, "README has no CLI example block"
+        lines = [ln for ln in block.group(1).splitlines() if ln.startswith("apamix ")]
+        assert lines, "README's CLI block has no apamix line"
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])  # argparse exits on a bad flag
+
     def test_written_key_tree_is_pinned(self, tmp_path):
         # a renamed, added, removed or reordered field changes the file format
         def tree(doc):
@@ -565,6 +598,28 @@ class TestPersistence:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iter,j1,j2,j12,j,lambda"
         assert len(lines) == cur.n_samples + 1
+
+    @pytest.mark.parametrize("db", [False, True])
+    def test_csv_cells_read_back(self, db, tmp_path):
+        """Every cell of both CSV files reads back as the value written: the
+        four magnitudes in dB under ``db``, lambda always linear."""
+        cur = run_experiment(tiny_config(runs=2, n=40))
+        points = [(1e-4, steady_state_stats(cur, 1, 0.1)),
+                  (0.0, harness.SteadyState(J1=1e-3, J2=0.0, J12=-2e-5, J=3e-4, lam=0.25))]
+        write_curves(cur, tmp_path / "curves.csv", db=db)
+        write_sweep(points, tmp_path / "sweep.csv", db=db)
+        conv = to_db if db else float
+        expected = {
+            "curves.csv": [(i, cur.j1[i], cur.j2[i], cur.j12[i], cur.j[i], cur.lam[i])
+                           for i in range(cur.n_samples)],
+            "sweep.csv": [(rho, st.J1, st.J2, st.J12, st.J, st.lam) for rho, st in points],
+        }
+        for name, rows in expected.items():
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            assert len(lines) == len(rows)
+            for line, (key, *mags, lam) in zip(lines, rows):
+                cells = [float(cell) for cell in line.split(",")]
+                assert cells == [key, *map(conv, mags), lam]
 
     def test_db_conversion(self):
         assert to_db(1e-3) == pytest.approx(-30.0, abs=1e-12)

@@ -339,6 +339,10 @@ class TestTheoryInputsValidation:
         with pytest.raises(ValueError):
             TheoryInputs(L=64, K=65, M=4, mu=0.5, rho=0.0, noise_variance=1e-3)
 
+    def test_too_few_taps(self):
+        with pytest.raises(ValueError):
+            TheoryInputs(L=0, K=0, M=1, mu=0.5, rho=0.0, noise_variance=1e-3)
+
     def test_white_defaults(self):
         t = ti_desk()
         assert t.p == pytest.approx(1 / 64, rel=1e-14)
