@@ -12,7 +12,7 @@ import numpy as np
 
 from . import harness, theory
 from .combination import lambda_of
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NumericalError
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -195,6 +195,9 @@ def main(argv=None) -> int:
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
+        return 3
+    except NumericalError as exc:  # e.g. a Gram that is not positive definite
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 
 

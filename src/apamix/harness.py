@@ -7,8 +7,8 @@ in fixed-size chunks, vectorizing the per-sample algebra across the chunk;
 chunk boundaries (and therefore all floating-point reduction orders) are a
 function of ``chunk_size`` alone, never of the worker count.
 
-A chunk walks the horizon in three nested loops: over the segments, each
-of which fixes the true system and the steady-state window; over each
+A chunk walks the horizon in nested loops: over the segments, each of
+which fixes the true system and the steady-state window; over each
 segment's equal blocks of at most 256 samples; and over the block's
 samples. At the start of a block it draws every trial's input and noise
 for that block alone (:class:`apamix.signals.TrialStream`), and stores the
@@ -19,19 +19,25 @@ overwrites the slot of its oldest regressor, and nothing is shifted. The
 affine-projection solution does not depend on the order of the window's
 rows, so the Gram matrix, the error vectors and the update all work in
 slot order. The two branches share one projection (M, mu, eps), so they
-share one window and one Gram matrix; each sample changes one row and
-column of it, taken from a running lag vector ``u(i).u(i-k)`` (k < M)
-that the correlation recursion of fast APA updates in O(M) per trial.
-That running sum is not an exact dot product: its rounding error
-accumulates, but measured over 18,000 samples (L=256, M=8, white and
-AR(1) input with pole 0.95) it stayed within about 3e-14 of ``|u|^2``, so
-it is never refreshed; tests hold the engine's curves to those of the
-reference path, which rebuilds every Gram from scratch, at 1e-9 relative
-over the 12,000-sample desk horizon. One matmul gives both branches'
-error vectors, and one solve call their projections: without gains, on
-the shared Gram with two right-hand sides; with gains, on a stack of the
-shared Gram and the proportionate branch's gain-weighted one. One matmul
-then gives both branches' updates along the window's regressors, and the
+share one window and one loaded Gram matrix, and that Gram depends on the
+input alone, never on the weights (the observation behind fast affine
+projection). So every 20th sample of a block starts a sub-block, whose
+Grams the engine forms at once and inverts in one call of
+:func:`apamix.linalg.invert_spd_batch`. Each entry of a Gram is a lag
+``u(i).u(i-k)`` (k < M) of one of the window's samples; the sub-block's
+lags come from one running sum per lag, continued from the previous
+sample's, which is the correlation recursion of fast APA. That running sum
+is not an exact dot product: its rounding error accumulates, but measured
+over 18,000 samples (L=256, M=8, white and AR(1) input with pole 0.95) it
+stayed within about 4e-14 of ``|u|^2``, so it is never refreshed; tests
+hold the engine's curves to those of the reference path, which rebuilds
+every Gram from scratch, at 1e-9 relative over the 12,000-sample desk
+horizon. Each inverse is formed from scratch, so no error carries from one
+sample to the next. Per sample, one matmul gives both branches' error
+vectors, and one matmul with the sample's inverse their projections; with
+gains, the proportionate branch's projection is instead solved on its
+gain-weighted Gram, which changes with the weights. One matmul then gives
+both branches' updates along the window's regressors, and the
 proportionate branch's is scaled by its gains afterwards, since
 ``(g*U)^T s = g*(U^T s)``. The engine applies the package's own rules to
 the whole chunk at once: the proportionate gains come from
@@ -72,6 +78,7 @@ import numpy as np
 from . import theory
 from .combination import lambda_of, mixing_step, update_a
 from .errors import ConfigError, DivergenceError, NumericalError
+from .linalg import invert_spd_batch
 from .filters import (
     FilterConfig,
     FilterState,
@@ -289,6 +296,7 @@ def run_trial(
 
 _MIN_STEADY_WINDOW = 10  # samples; a narrower steady-state window averages too little
 _BLOCK = 256  # samples; the most the engine draws and records per trial at a time
+_SUB = 20  # samples; the most whose shared-Gram inverses the engine forms at once
 
 
 def _steady_window_start(start: int, end: int, fraction: float) -> int:
@@ -301,6 +309,23 @@ def _steady_window_start(start: int, end: int, fraction: float) -> int:
     """
     width = max(_MIN_STEADY_WINDOW, math.ceil(fraction * (end - start)))
     return max(start, end - width)
+
+
+def _gram_rows(M: int, sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the Gram entries of a sub-block of ``sub`` samples lie in the lag history.
+
+    Slot p holds the sample of age (p + i) % M at sample i, so entry (p, q)
+    of sample i's Gram, u(i-a) . u(i-b) for the ages a and b of slots p and
+    q, is lag |a-b| of sample i-min(a,b), where lags_i[k] = u(i) . u(i-k).
+    ``lower`` lists the entries (p, q), q <= p. With the lag history H of
+    shape (M, sub + M, R), entry ``lower[e]`` of the sub-block's sample t
+    lies in row ``at[r, e, t]`` of ``H.reshape(-1, R)``, for a sub-block
+    starting at a sample i0 with i0 % M == r.
+    """
+    lower = np.array([(p, q) for p in range(M) for q in range(p + 1)])
+    ages = (np.arange(M)[:, None, None] + lower.T[:, None, :, None] + np.arange(sub)) % M
+    young, older = ages.min(axis=0), ages.max(axis=0)
+    return lower, (older - young) * (sub + M) + M + np.arange(sub) - young
 
 
 def _simulate_chunk(
@@ -339,7 +364,9 @@ def _simulate_pass(
     and its row keeps running on its non-finite values (rows never mix),
     and no further block or segment is reduced: the sums of a pass that
     lists any are incomplete. A pass in which every trial has died ends at
-    once.
+    once. A shared Gram that is not positive definite, found when its
+    sub-block is formed, raises a NumericalError only when the loop reaches
+    its sample, so a divergence before it is still reported first.
     """
     n = scenario.n_samples
     L = scenario.L
@@ -371,21 +398,28 @@ def _simulate_pass(
     ]
 
     # Sample i overwrites slot s = -i % M, so slot (s + k) % M holds sample
-    # i-k. Only one row of U and one row and column of G change per sample.
+    # i-k. Only one row of U changes per sample.
     U = np.zeros((R, M, L))  # regressors by slot
     Dw = np.zeros((R, M))  # desired responses by slot
-    # The loaded Grams, solved in one call: G = GG[:, 0], with G[:, p, q] =
-    # U[:, p] . U[:, q] + eps*(p == q), serves both branches without gains;
-    # with gains, GG[:, 1] is the other branch's gain-weighted Gram.
-    load = f2.eps * np.eye(M)
-    GG = np.tile(load, (R, 1 if prop is None else 2, 1, 1))
-    G = GG[:, 0]
-    # lags[:, k] = u(i) . u(i-k), updated by x(i)x(i-k) - x(i-L)x(i-L-k)
-    lags = np.zeros((R, M))
+    # The shared Gram depends on the input alone, so the loaded Grams of a
+    # sub-block of at most _SUB samples are inverted in one kernel call at
+    # its start: H[k, t] holds lag k of the sub-block's sample t-M (its
+    # first M columns carry the M samples before), and Ginv[:, :, t] gets
+    # the inverse for its sample t, in slot order.
+    sub = min(_SUB, blk)
+    H = np.zeros((M, sub + M, R))
+    H_rows = H.reshape(-1, R)
+    lower, at = _gram_rows(M, sub)
+    Ginv = np.empty((M, M, sub, R))
+    X = np.lib.stride_tricks.sliding_window_view(Q, M, axis=1)  # X[:, j, k] = Q[:, j+k]
+    S = np.empty((R, M, 2))  # both branches' projections
+    if prop is not None:  # the other branch's gain-weighted Gram, solved per sample
+        load = f2.eps * np.eye(M)
+        GU = np.empty((R, M, L))
+        GG = np.empty((R, M, M))
     W = np.zeros((2, R, L))  # W[0], W[1]: the weights of branch 1 and branch 2
     step = np.empty((2, R, L))  # scratch: a weight update or deviation of both branches
     attractor = np.empty((R, L))  # also scratch for products of deviations
-    GU = None if prop is None else np.empty((R, M, L))  # gain-weighted window
     a = np.full(R, mixing.a0)
 
     # The current block's records by trial and sample (ea1, ea2, lam, and a
@@ -416,16 +450,29 @@ def _simulate_pass(
                 i = lo + c
                 j = blk - 1 - c
                 s = -i % M
+                col = c % sub  # the sample's column in the sub-block's Gram inverses
+                if col == 0:
+                    # the lags of the sub-block's samples (columns j down to
+                    # j-ms+1), each the previous one's plus x(i)x(i-k) - x(i-L)x(i-L-k)
+                    ms = min(sub, m - c)
+                    cur = slice(j - ms + 1, j + 1)
+                    old = slice(cur.start + L, cur.stop + L)
+                    lag = H[:, M - 1 : M + ms]
+                    np.multiply(X[:, cur][:, ::-1].T, Q[:, cur][:, ::-1].T, out=lag[:, 1:])
+                    lag[:, 1:] -= X[:, old][:, ::-1].T * Q[:, old][:, ::-1].T
+                    np.cumsum(lag, axis=1, out=lag)
+                    # its Grams into the lower triangle of Ginv, and their inverses
+                    for (u, v), rows in zip(lower, at[i % M, :, :ms]):
+                        np.take(H_rows, rows, axis=0, out=Ginv[u, v, :ms], mode="clip")
+                    entries = [[Ginv[u, v, :ms] for v in range(u + 1)] for u in range(M)]
+                    pivots = invert_spd_batch(entries, f2.eps, Ginv[:, :, :ms]).any(axis=1)
+                    # a Gram that is not positive definite fails when the loop gets there
+                    fail = i + int(np.argmax(pivots)) if pivots.any() else -1
+                    H[:, :M] = H[:, ms : ms + M]
 
                 U[:, s] = Q[:, j : j + L]
                 dc = U[:, s] @ wopt  # noiseless response
                 Dw[:, s] = d = dc + NOISE[:, c]
-                lags += Q[:, j, None] * Q[:, j : j + M]
-                lags -= Q[:, j + L, None] * Q[:, j + L : j + L + M]
-                G[:, s, s:] = lags[:, : M - s]
-                G[:, s, :s] = lags[:, M - s :]
-                G[:, s, s] += f2.eps
-                G[:, :, s] = G[:, s]
                 Y = U @ W.transpose(1, 2, 0)  # (R, M, 2): both branches' outputs over the window
                 y1, y2 = Y[:, s, 0], Y[:, s, 1]
 
@@ -444,19 +491,22 @@ def _simulate_pass(
                 e_comb = d - (lam * y1 + (1.0 - lam) * y2)
                 a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
 
-                E = Dw[..., None] - Y  # (R, M, 2) error vectors
+                E = Dw[..., None] - Y  # (R, M, 2) error vectors by slot
                 np.sign(W[1], out=attractor)
                 attractor *= f2.rho
-                try:
-                    if prop is None:  # one Gram serves both branches: two right-hand sides
-                        S = np.linalg.solve(G, E)
-                    else:  # the plain branch on G, the other on its gain-weighted Gram,
-                        # one right-hand side each
-                        g = gain_matrix(W[1], prop.rho_p, prop.delta)
-                        np.add(np.multiply(g[:, None, :], U, out=GU) @ U.mT, load, out=GG[:, 1])
-                        S = np.linalg.solve(GG, E.mT[..., None])[..., 0].mT
-                except np.linalg.LinAlgError as exc:
-                    raise NumericalError(f"projection solve failed at sample {i}: {exc}") from exc
+                if i == fail:
+                    raise NumericalError(f"projection Gram not positive definite at sample {i}")
+                # both branches' projections on the shared Gram
+                np.matmul(Ginv[:, :, col].transpose(2, 0, 1), E, out=S)
+                if prop is not None:  # the other branch on its gain-weighted Gram
+                    g = gain_matrix(W[1], prop.rho_p, prop.delta)
+                    np.add(np.multiply(g[:, None, :], U, out=GU) @ U.mT, load, out=GG)
+                    try:
+                        S[..., 1:] = np.linalg.solve(GG, E[..., 1:])
+                    except np.linalg.LinAlgError as exc:
+                        raise NumericalError(
+                            f"projection solve failed at sample {i}: {exc}"
+                        ) from exc
                 S *= f2.mu
                 np.matmul(S.mT, U, out=step.swapaxes(0, 1))
                 if prop is not None:  # (g*U)^T s = g * (U^T s)

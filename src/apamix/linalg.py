@@ -3,6 +3,14 @@
 Projection orders are tiny (M <= 16 in every scenario), so everything here
 is plain float64 numpy: the solve factors with numpy's Cholesky and
 substitutes with the factor; no sparse or blocked-code machinery.
+
+:func:`invert_spd_batch` inverts many small loaded Grams at once, the
+chunk engine's whole sub-block of samples in one call. numpy's batched
+routines call LAPACK once per matrix, about a microsecond for a 4-by-4
+system, so instead the factorization runs over the batch: every step of
+Cholesky, triangular inversion and ``T^T T`` is one elementwise numpy
+operation on all matrices of the batch. Each matrix's result is thus the
+same, bit for bit, whatever else is in the batch.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["gram_matrix", "solve_spd", "sign_vector"]
+__all__ = ["gram_matrix", "solve_spd", "invert_spd_batch", "sign_vector"]
 
 
 def gram_matrix(U: np.ndarray) -> np.ndarray:
@@ -69,6 +77,71 @@ def solve_spd(A: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
     return np.linalg.solve(C.T, np.linalg.solve(C, b))
+
+
+def invert_spd_batch(entries, eps: float, out: np.ndarray) -> np.ndarray:
+    """Write the entries of ``(A + eps*I)^-1`` for a batch of SPD matrices A.
+
+    Parameters
+    ----------
+    entries : nested sequence of ndarray
+        ``entries[a][b]`` for ``b <= a``, the lower triangle of A: arrays of
+        one common shape, the batch shape, holding that entry of every
+        matrix of the batch. Only they are read, and they may be the lower
+        triangle of ``out`` itself.
+    eps : float
+        Diagonal loading added to every matrix.
+    out : ndarray, shape (M, M, *batch)
+        Receives the inverses: ``out[a, b]`` is their entry (a, b). It is
+        also the work space, besides one scratch array of M rows: the
+        Cholesky factor C of ``A + eps*I`` overwrites its lower triangle,
+        then ``T = C^-1``, column by column, and then ``T^T T``.
+
+    Returns
+    -------
+    ndarray of bool, the batch shape
+        True where a Cholesky pivot was not positive: that matrix is not
+        positive definite, and its result is not finite. A NaN pivot, from
+        a matrix with NaN entries, is not flagged. A matrix never affects
+        the result of another.
+    """
+    M = out.shape[0]
+    for a in range(M):
+        for b in range(a):
+            out[a, b] = entries[a][b]
+        np.add(entries[a][a], eps, out=out[a, a])
+    tmp = np.empty(out.shape[1:])  # a product of up to M rows of the batch
+    bad = np.zeros(out.shape[2:], dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):  # flagged in ``bad`` instead
+        # Cholesky, left-looking: column j of C from A's and C's earlier
+        # columns; the diagonal keeps 1/C[j, j], which T needs too
+        for j in range(M):
+            col = out[j:, j]
+            for k in range(j):
+                col -= np.multiply(out[j:, k], out[j, k], out=tmp[j:])
+            bad |= col[0] <= 0
+            np.sqrt(col[0], out=col[0])
+            np.divide(1.0, col[0], out=col[0])
+            col[1:] *= col[0]
+        # T = C^-1, column by column: T[i, j] = -T[i, i] * sum_k C[i, k] T[k, j],
+        # k from j to i-1, accumulated as z = -sum into the column's own slots
+        for j in range(M - 1):
+            z = out[j + 1 :, j]
+            z *= -out[j, j]  # not np.negative(z, out=z): numpy 2.4 garbles a strided z
+            for k in range(j + 1, M):
+                z[k - j - 1] *= out[k, k]  # now T[k, j]
+                z[k - j :] -= np.multiply(out[k + 1 :, k], z[k - j - 1], out=tmp[k + 1 :])
+        # X = T^T T, row a from T's columns a..M-1: X[a, b] = sum_k T[k, a] T[k, b]
+        # over k >= b, into the upper triangle; T's column a is then free for
+        # X's lower triangle
+        for a in range(M):
+            row = out[a, a:]
+            row[0] *= row[0]
+            for k in range(a + 1, M):
+                np.multiply(out[k, a], out[k, k], out=row[k - a])
+                row[: k - a] += np.multiply(out[k, a], out[k, a:k], out=tmp[: k - a])
+            out[a + 1 :, a] = row[1:]
+    return bad
 
 
 def sign_vector(w: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import apamix.harness as harness
 from apamix.cli import build_parser, main as cli_main
-from apamix.errors import ConfigError, DivergenceError
+from apamix.errors import ConfigError, DivergenceError, NumericalError
 from apamix.filters import (
     FilterConfig,
     FilterState,
@@ -163,21 +163,39 @@ class TestSegmentStatsMatchReference:
                                            err_msg=field)
 
 
-class TestOneSolvePerSample:
-    @pytest.mark.parametrize("prop", [None, ProportionateConfig()])
-    def test_both_branches_share_one_solve_call(self, prop, monkeypatch):
-        """With or without gains, one batched solve per sample serves both branches."""
-        calls = []
-        solve = np.linalg.solve
+class TestSolvesPerSample:
+    """The shared Gram's inverses come from one kernel call per sub-block of
+    samples; only the proportionate branch's gain-weighted Gram, which
+    changes with the weights, is solved per sample."""
+
+    @staticmethod
+    def count(monkeypatch, prop):
+        calls = {"solve": 0, "kernel": 0}
+        solve, kernel = np.linalg.solve, harness.invert_spd_batch
 
         def counting_solve(*args, **kwargs):
-            calls.append(1)
+            calls["solve"] += 1
             return solve(*args, **kwargs)
 
+        def counting_kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            return kernel(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        cfg = replace(tiny_config(runs=3, proportionate=prop), chunk_size=3)  # one chunk
+        monkeypatch.setattr(harness, "invert_spd_batch", counting_kernel)
+        # one chunk; each 250-sample segment is one block
+        cfg = replace(tiny_config(runs=3, proportionate=prop), chunk_size=3)
         curves = run_experiment(cfg)
-        assert len(calls) == curves.n_samples
+        sub_blocks = sum(-(-seg.duration // harness._SUB) for seg in cfg.scenario.segments)
+        return calls, curves.n_samples, sub_blocks
+
+    def test_without_gains_no_solve_and_one_kernel_call_per_sub_block(self, monkeypatch):
+        calls, _, sub_blocks = self.count(monkeypatch, None)
+        assert calls == {"solve": 0, "kernel": sub_blocks}
+
+    def test_with_gains_one_solve_per_sample(self, monkeypatch):
+        calls, n, sub_blocks = self.count(monkeypatch, ProportionateConfig())
+        assert calls == {"solve": n, "kernel": sub_blocks}
 
 
 class TestDeterminism:
@@ -289,8 +307,10 @@ class TestSteadyStateStats:
         assert st.J1 == float(cur.j1[250:].mean())
 
 
-def nan_input(monkeypatch, deaths):
-    """Make the engine's k-th trial stream built turn its input NaN at sample ``deaths[k]``.
+def nan_input(monkeypatch, deaths, fill=None, base=None):
+    """Make the engine's k-th trial stream built turn its input NaN at sample
+    ``deaths[k]``, or ``fill[k]`` where ``fill`` gives one; with ``base``,
+    every other input sample of every stream is ``base``.
 
     Returns the counter of streams built, ``{"count": streams - 1}``.
     """
@@ -302,12 +322,15 @@ def nan_input(monkeypatch, deaths):
             super().__init__(*args)
             seen["count"] += 1
             self.death = deaths.get(seen["count"])
+            self.fill = (fill or {}).get(seen["count"], np.nan)
             self.drawn = 0  # samples drawn before the next block
 
         def draw(self, x, noise):
             super().draw(x, noise)
+            if base is not None:
+                x[:] = base
             if self.death is not None and self.drawn <= self.death < self.drawn + len(x):
-                x[self.death - self.drawn] = np.nan
+                x[self.death - self.drawn] = self.fill
             self.drawn += len(x)
 
     monkeypatch.setattr(harness, "TrialStream", Fake)
@@ -342,6 +365,41 @@ class TestDivergenceHandling:
         assert cur.runs_used == 3
         assert cur.skipped == (1,)
         assert np.isfinite(cur.j1).all() and np.isfinite(cur.j2).all()
+
+
+class TestSingularGram:
+    """A Gram that is not positive definite is a NumericalError naming its sample.
+
+    L = M = 1 without loading, and every input sample 1 but one 0: the Gram
+    of each sample is its input squared, the running lag sums are exact,
+    and the Gram of the zero sample is exactly 0.
+    """
+
+    cfg = replace(tiny_config(L=1, M=1, eps=0.0, runs=2, segments=(SegmentDef(60, 1),)),
+                  chunk_size=2)
+
+    @pytest.mark.parametrize("prop", [None, ProportionateConfig()])
+    @pytest.mark.parametrize("sample", [0, 37])
+    def test_zero_input_names_the_sample(self, prop, sample, monkeypatch):
+        nan_input(monkeypatch, {1: sample}, fill={1: 0.0}, base=1.0)
+        cfg = replace(self.cfg, filter2=replace(self.cfg.filter2, proportionate=prop))
+        with pytest.raises(NumericalError, match=rf"\bsample {sample}\b") as exc_info:
+            run_experiment(cfg)
+        assert not isinstance(exc_info.value, DivergenceError)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_earlier_divergence_is_raised_first(self, skip, monkeypatch):
+        """Trial 0 diverges at sample 35, before trial 1's zero Gram at 37 in
+        the same block; a skipped divergence does not hide the zero Gram."""
+        nan_input(monkeypatch, {0: 35, 1: 37}, fill={1: 0.0}, base=1.0)
+        with pytest.raises(NumericalError) as exc_info:
+            run_experiment(self.cfg, skip_diverged=skip)
+        if skip:
+            assert not isinstance(exc_info.value, DivergenceError)
+            assert re.search(r"\bsample 37\b", str(exc_info.value))
+        else:
+            assert isinstance(exc_info.value, DivergenceError)
+            assert (exc_info.value.trial_index, exc_info.value.sample_index) == (0, 35)
 
 
 class TestDeadTrialDoesNotLeak:
@@ -429,27 +487,38 @@ class TestChunkMemory:
 
 
 class TestBlockLength:
-    @pytest.mark.parametrize("block", [3, 7, None])  # None: the engine's own, 256
-    def test_curves_do_not_depend_on_the_block_length(self, block, monkeypatch):
-        """Bit for bit against one block per segment, also where segments are
-        one sample longer than a multiple of the block (22 = 3*7 + 1 and 257)."""
-        segments = (SegmentDef(22, 16), SegmentDef(22, 2)) * 3 + (SegmentDef(257, 4),) * 3
-        cfg = tiny_config(runs=40, segments=segments, kind="ar1", pole=0.8,
-                          proportionate=ProportionateConfig())
-        # one chunk: numpy sums a lone column of more than 8 rows pairwise, not row by row
-        cfg = replace(cfg, chunk_size=40)
+    """Bit for bit against one block per segment, also where segments are one
+    sample longer than a multiple of the block (22 = 3*7 + 1 and 257), and
+    against one sub-block of shared-Gram inverses per block."""
 
-        def run(b):
-            monkeypatch.setattr(harness, "_BLOCK", b)
-            return run_experiment(cfg)
+    segments = (SegmentDef(22, 16), SegmentDef(22, 2)) * 3 + (SegmentDef(257, 4),) * 3
+    cfg = tiny_config(runs=40, segments=segments, kind="ar1", pole=0.8,
+                      proportionate=ProportionateConfig())
+    # one chunk: numpy sums a lone column of more than 8 rows pairwise, not row by row
+    cfg = replace(cfg, chunk_size=40)
 
-        got = run(harness._BLOCK if block is None else block)
-        want = run(10**6)
+    def run(self, monkeypatch, block=harness._BLOCK, sub=harness._SUB):
+        monkeypatch.setattr(harness, "_BLOCK", block)
+        monkeypatch.setattr(harness, "_SUB", sub)
+        return run_experiment(self.cfg)
+
+    @staticmethod
+    def assert_same(got, want):
         for name in ("j1", "j2", "j12", "j", "lam", "j12_se"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         for seg_got, seg_want in zip(got.segments, want.segments):
             for name in ("mean_dev1", "mean_dev2", "mean_dev2_se", "msd1", "msd2", "cross12"):
                 assert np.array_equal(getattr(seg_got, name), getattr(seg_want, name)), name
+
+    @pytest.mark.parametrize("block", [3, 7, None])  # None: the engine's own, 256
+    def test_curves_do_not_depend_on_the_block_length(self, block, monkeypatch):
+        got = self.run(monkeypatch, block=block or harness._BLOCK)
+        self.assert_same(got, self.run(monkeypatch, block=10**6))
+
+    @pytest.mark.parametrize("sub", [1, 3, None])  # None: the engine's own, _SUB
+    def test_curves_do_not_depend_on_the_sub_block_length(self, sub, monkeypatch):
+        got = self.run(monkeypatch, sub=sub or harness._SUB)
+        self.assert_same(got, self.run(monkeypatch, sub=10**6))
 
 
 class TestPresets:
@@ -645,6 +714,16 @@ class TestCli:
         assert rc == 0
         assert out_path.exists()
         assert "seg" in capsys.readouterr().out
+
+    def test_numerical_error_is_reported_with_exit_3(self, tmp_path, capsys, monkeypatch):
+        # zero input to an unloaded one-tap filter: the Gram of sample 0 is 0
+        cfg_path = tmp_path / "cfg.json"
+        write_config(TestSingularGram.cfg, cfg_path)
+        nan_input(monkeypatch, {}, base=0.0)
+        rc = cli_main(["simulate", "--config", str(cfg_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "sample 0" in err
 
     def test_predict_preset(self, capsys):
         rc = cli_main(["predict", "--preset", "paper-desk"])

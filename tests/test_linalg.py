@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from apamix.errors import NumericalError
-from apamix.linalg import gram_matrix, sign_vector, solve_spd
+from apamix.linalg import gram_matrix, invert_spd_batch, sign_vector, solve_spd
 
 
 def gram_bruteforce(U):
@@ -103,6 +103,84 @@ class TestSolveSpd:
             solve_spd(np.array([[1.0, 5.0], [0.0, 1.0]]), np.ones(2))
         with pytest.raises(ValueError):
             solve_spd(np.eye(2), np.ones(2), eps=-1.0)
+
+
+def spd_batch(rng, n, M, cond):
+    """n loaded Grams ``A + eps*I`` of order M with condition number ``cond``.
+
+    A is positive semi-definite with eigenvalues spread log-uniformly down to
+    0 from a largest one of about M; eps is that largest one over ``cond``.
+    Returns A (n, M, M) and eps.
+    """
+    Qm, _ = np.linalg.qr(rng.standard_normal((n, M, M)))
+    lam = M * np.logspace(0, -np.log10(cond), M)
+    eps = lam[0] / cond
+    lam[-1] = 0.0 if M > 1 else lam[0]
+    return (Qm * lam) @ Qm.mT, eps
+
+
+def invert(A, eps):
+    """invert_spd_batch on a stack (n, M, M); returns (n, M, M) and the flags."""
+    M = A.shape[-1]
+    out = np.empty((M, M) + A.shape[:-2])
+    bad = invert_spd_batch([[A[..., a, b] for b in range(a + 1)] for a in range(M)], eps, out)
+    return np.moveaxis(out, (0, 1), (-2, -1)), bad
+
+
+class TestInvertSpdBatch:
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
+    def test_matches_numpy_inverse(self, M, cond):
+        # an inverse through Cholesky has relative error of order M * cond * u
+        # (u the unit roundoff); so has np.linalg.inv, hence the factor 20
+        A, eps = spd_batch(np.random.default_rng(M), 200, M, cond)
+        loaded = A + eps * np.eye(M)
+        kappa = np.linalg.cond(loaded)
+        assert kappa.max() <= 1.01 * (cond + 1)
+        got, bad = invert(A, eps)
+        assert not bad.any()
+        ref = np.linalg.inv(loaded)
+        err = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert (err <= 20 * M * kappa * np.finfo(float).eps).all(), err.max()
+        assert np.array_equal(got, got.mT)  # symmetric by construction
+
+    @pytest.mark.parametrize("M", [1, 4, 8])
+    def test_result_does_not_depend_on_the_batch(self, M):
+        A, eps = spd_batch(np.random.default_rng(3), 2000, M, 1e4)
+        full, _ = invert(A, eps)
+        for n in (1, 7):
+            part, _ = invert(A[:n], eps)
+            assert np.array_equal(part, full[:n])
+        # a batch of two axes, as the chunk engine passes (samples, trials)
+        grid, _ = invert(A.reshape(20, 100, M, M), eps)
+        assert np.array_equal(grid.reshape(full.shape), full)
+
+    def test_nan_matrix_leaves_its_neighbours_unchanged(self):
+        A, eps = spd_batch(np.random.default_rng(4), 7, 4, 1e3)
+        clean, _ = invert(A, eps)
+        A[3] = np.nan
+        got, bad = invert(A, eps)
+        assert not bad.any()  # a NaN pivot is not flagged
+        assert np.isnan(got[3]).all()
+        keep = [0, 1, 2, 4, 5, 6]
+        assert np.array_equal(got[keep], clean[keep])
+
+    @pytest.mark.parametrize("pivot", [0.0, -1.0])
+    def test_pivot_not_positive_is_flagged(self, pivot):
+        A = np.tile(np.eye(3), (5, 1, 1))
+        A[2, 1, 1] = pivot
+        got, bad = invert(A, 0.0)
+        assert bad.tolist() == [False, False, True, False, False]
+        assert np.array_equal(got[[0, 1, 3, 4]], np.tile(np.eye(3), (4, 1, 1)))
+        assert not np.isfinite(got[2]).all()
+
+    def test_reads_the_lower_triangle_only(self):
+        A, eps = spd_batch(np.random.default_rng(5), 10, 3, 1e2)
+        want, _ = invert(A, eps)
+        out = np.empty((3, 3, 10))
+        entries = [[A[:, a, b] if b <= a else None for b in range(3)] for a in range(3)]
+        invert_spd_batch(entries, eps, out)
+        assert np.array_equal(np.moveaxis(out, (0, 1), (-2, -1)), want)
 
 
 class TestSignVector:
