@@ -9,11 +9,13 @@ function of ``chunk_size`` alone, never of the worker count.
 
 A chunk walks the horizon in nested loops: over the segments, each of
 which fixes the true system and the steady-state window; over each
-segment's equal blocks of at most 256 samples; and over the block's
-samples. At the start of a block it draws every trial's input and noise
-for that block alone (:class:`apamix.signals.TrialStream`), and stores the
-input time-reversed behind the L+M-1 samples before the block (zeros
-before t=0), so a sample's regressor is one slice of that buffer.
+segment's blocks, of one width for the whole horizon (that of the widest
+block of an equal cut of each segment into blocks of at most 256
+samples); and over the block's samples. At the start of a block it
+draws every trial's input and noise for that block alone
+(:class:`apamix.signals.TrialStream`), and stores the input
+time-reversed behind the L+M-1 samples before the block (zeros before
+t=0), so a sample's regressor is one slice of that buffer.
 The projection window is a fixed array of M slots that rotates: each sample
 overwrites the slot of its oldest regressor, and nothing is shifted. The
 affine-projection solution does not depend on the order of the window's
@@ -48,12 +50,13 @@ trial-by-trial sums by name, and :func:`run_experiment` adds them up in
 chunk order.
 
 A chunk keeps the per-trial records (a-priori errors and mixing weight)
-of the current block only, and reduces them over the trials where the
-block loop ends, with the same per-column sums as one reduction at the
-end; it keeps the steady-window weight sums of the current segment, and
-reduces them where the segment loop ends. Apart from the sums it
-returns, a chunk's memory thus grows with neither the horizon nor a
-segment's length. A reduced block cannot drop a trial, so with
+of the current block only, by sample and then trial, and reduces them
+over the trials where the block loop ends: each sample's records are
+summed on their own, so no cut of the horizon into blocks changes a bit
+of the curves. It keeps the steady-window weight sums of the current
+segment, and reduces them where the segment loop ends. Apart from the
+sums it returns, a chunk's memory thus grows with neither the horizon
+nor a segment's length. A reduced block cannot drop a trial, so with
 ``skip_diverged`` a pass lists the trials that diverged, their rows
 running on to the end on non-finite values (rows never mix), and the
 chunk is then simulated once more without them.
@@ -158,8 +161,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < 2**128:  # Philox's key range
+            raise ValueError("seed must lie in [0, 2**128)")
         if not 0 < self.steady_window_fraction <= 1:
             raise ValueError("steady_window_fraction must lie in (0, 1]")
         if self.chunk_size < 1:
@@ -338,8 +341,9 @@ def _simulate_chunk(
 
     Returns the chunk's trial-by-trial sums by name, to be added up in
     chunk order, and the ``(trial_index, sample_index)`` of each trial
-    dropped for diverging. Curve sums have shape ``(n,)``; steady-window
-    weight-deviation sums have shape ``(S, L)``, one row per segment.
+    dropped for diverging. Curve sums have shape ``(n,)``, or ``(2, n)``
+    for the two branches' squared errors; steady-window weight-deviation
+    sums have shape ``(S, 5, L)`` or ``(S, L)``, one entry per segment.
     A segment's sums are final once the segment ends, so a chunk in which
     trials diverged is simulated once more without them; the sums are
     ``None`` when none survive.
@@ -378,12 +382,9 @@ def _simulate_pass(
 
     bounds = [int(b) for b in scenario.boundaries]
     n_seg = len(scenario.segments)
-    # Each segment is cut into equal blocks of at most _BLOCK samples: a
-    # one-sample block would be summed over the trials pairwise, not row by
-    # row, and so differ in the last bits from the same column reduced in a
-    # wider block.
-    n_blocks = [-(-(stop - start) // _BLOCK) for start, stop in zip(bounds, bounds[1:])]
-    blk = max(-(-(stop - start) // k) for start, stop, k in zip(bounds, bounds[1:], n_blocks))
+    # the widest block of an equal cut of each segment into blocks of at
+    # most _BLOCK samples; each segment is then cut into blocks of this width
+    blk = max(-(-d // -(-d // _BLOCK)) for d in np.diff(bounds).tolist())
 
     # Each block's input is stored time-reversed behind the L+M-1 samples
     # before it: column blk-1-c holds the block's sample c, column blk+k the
@@ -422,28 +423,23 @@ def _simulate_pass(
     attractor = np.empty((R, L))  # also scratch for products of deviations
     a = np.full(R, mixing.a0)
 
-    # The current block's records by trial and sample (ea1, ea2, lam, and a
+    # The current block's records by sample and trial (ea1, ea2, lam, and a
     # scratch row for their products), reduced into ``sums`` when the block
     # ends; and the current segment's steady-window sums of dev = w_opt - w
-    # (both branches), of dev^2 and of dev1*dev2, reduced when it ends.
-    rec = np.empty((4, R, blk))
-    dev_sum = np.zeros((2, R, L))
-    dev_sq = np.zeros((2, R, L))
-    dev_cross = np.zeros((R, L))
-    sums = {key: np.empty(n) for key in ("lam", "prod", "prodsq", "esq", "e1sq", "e2sq")}
-    sums.update(
-        (key, np.empty((n_seg, L)))
-        for key in ("wsum1", "wsum2", "wsq1", "wsq2", "cross", "meansq2")
-    )
+    # (both branches), of dev^2 (both branches) and of dev1*dev2, reduced
+    # when it ends.
+    rec = np.empty((4, blk, R))
+    devs = np.zeros((5, R, L))
+    sums = {key: np.empty(n) for key in ("lam", "prod", "prodsq", "esq")}
+    sums.update(esq12=np.empty((2, n)), devs=np.empty((n_seg, 5, L)), meansq2=np.empty((n_seg, L)))
     diverged = []
     alive = np.ones(R, dtype=bool)
 
-    for seg, (start, stop, k) in enumerate(zip(bounds, bounds[1:], n_blocks)):
+    for seg, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         wopt = scenario.segments[seg].w_opt
         win = _steady_window_start(start, stop, config.steady_window_fraction)
-        for q in range(k):
-            lo = start + (stop - start) * q // k
-            m = start + (stop - start) * (q + 1) // k - lo
+        for lo in range(start, stop, blk):
+            m = min(blk, stop - lo)
             for r, stream in enumerate(streams):  # draw the block's input and noise
                 stream.draw(Q[r, blk - m : blk][::-1], NOISE[r, :m])
             for c in range(m):  # c: the sample's column in the block's records and noise
@@ -464,8 +460,7 @@ def _simulate_pass(
                     # its Grams into the lower triangle of Ginv, and their inverses
                     for (u, v), rows in zip(lower, at[i % M, :, :ms]):
                         np.take(H_rows, rows, axis=0, out=Ginv[u, v, :ms], mode="clip")
-                    entries = [[Ginv[u, v, :ms] for v in range(u + 1)] for u in range(M)]
-                    pivots = invert_spd_batch(entries, f2.eps, Ginv[:, :, :ms]).any(axis=1)
+                    pivots = invert_spd_batch(Ginv[:, :, :ms], f2.eps).any(axis=1)
                     # a Gram that is not positive definite fails when the loop gets there
                     fail = i + int(np.argmax(pivots)) if pivots.any() else -1
                     H[:, :M] = H[:, ms : ms + M]
@@ -477,16 +472,15 @@ def _simulate_pass(
                 y1, y2 = Y[:, s, 0], Y[:, s, 1]
 
                 lam = lambda_of(a)
-                rec[0, :, c] = dc - y1
-                rec[1, :, c] = dc - y2
-                rec[2, :, c] = lam
+                np.subtract(dc, Y[:, s].T, out=rec[:2, c])
+                rec[2, c] = lam
 
                 if i >= win:
                     dev = np.subtract(wopt, W, out=step)
-                    dev_sum += dev
-                    dev_cross += np.multiply(dev[0], dev[1], out=attractor)
+                    devs[:2] += dev
+                    devs[4] += np.multiply(dev[0], dev[1], out=attractor)
                     dev *= dev
-                    dev_sq += dev
+                    devs[2:4] += dev
 
                 e_comb = d - (lam * y1 + (1.0 - lam) * y2)
                 a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
@@ -531,29 +525,25 @@ def _simulate_pass(
 
             if not diverged:  # add the block's records over the trials into ``sums``
                 cur = slice(lo, lo + m)
-                ea1, ea2, lam, prod = rec[:, :, :m]
-                lam.sum(axis=0, out=sums["lam"][cur])
-                np.multiply(ea1, ea2, out=prod).sum(axis=0, out=sums["prod"][cur])
-                np.square(prod, out=prod).sum(axis=0, out=sums["prodsq"][cur])
-                ea = np.multiply(lam, ea1, out=prod)  # ea = lam*ea1 + (1-lam)*ea2
+                ea12, (lam, prod) = rec[:2, :m], rec[2:, :m]
+                lam.sum(axis=1, out=sums["lam"][cur])
+                np.multiply(*ea12, out=prod).sum(axis=1, out=sums["prod"][cur])
+                np.square(prod, out=prod).sum(axis=1, out=sums["prodsq"][cur])
+                ea = np.multiply(lam, ea12[0], out=prod)  # ea = lam*ea1 + (1-lam)*ea2
                 rest = np.subtract(1.0, lam, out=lam)
-                rest *= ea2
+                rest *= ea12[1]
                 ea += rest
-                np.square(ea, out=ea).sum(axis=0, out=sums["esq"][cur])
-                np.square(ea1, out=ea1).sum(axis=0, out=sums["e1sq"][cur])
-                np.square(ea2, out=ea2).sum(axis=0, out=sums["e2sq"][cur])
+                np.square(ea, out=ea).sum(axis=1, out=sums["esq"][cur])
+                np.square(ea12, out=ea12).sum(axis=2, out=sums["esq12"][:, cur])
             # the block's newest samples become the next block's older ones
             Q[:, blk:] = Q[:, blk - m : blk - m + carry]
 
         if not diverged:  # add the segment's window sums over the trials into ``sums``
-            sums["wsum1"][seg], sums["wsum2"][seg] = dev_sum.sum(axis=1)
-            sums["wsq1"][seg], sums["wsq2"][seg] = dev_sq.sum(axis=1)
-            dev_cross.sum(axis=0, out=sums["cross"][seg])
+            devs.sum(axis=1, out=sums["devs"][seg])
             # sum over trials of the squared per-trial window mean of dev2
-            mean2 = np.divide(dev_sum[1], stop - win, out=attractor)
+            mean2 = np.divide(devs[1], stop - win, out=attractor)
             np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][seg])
-            for arr in (dev_sum, dev_sq, dev_cross):
-                arr[:] = 0.0
+            devs.fill(0.0)
     return sums, diverged
 
 
@@ -605,7 +595,7 @@ def run_experiment(
         samples = int(bounds[k + 1] - start_w) * used
         active = np.zeros(scenario.L, dtype=bool)
         active[seg.active] = True
-        mean_dev2 = total["wsum2"][k] / samples
+        mean_dev1, mean_dev2, msd1, msd2, cross12 = total["devs"][k] / samples
         var_across = np.maximum(total["meansq2"][k] / used - mean_dev2**2, 0.0)
         seg_stats.append(
             SegmentStats(
@@ -613,19 +603,20 @@ def run_experiment(
                 end=int(bounds[k + 1]),
                 K=int(seg.active.size),
                 active=active,
-                mean_dev1=total["wsum1"][k] / samples,
+                mean_dev1=mean_dev1,
                 mean_dev2=mean_dev2,
                 mean_dev2_se=np.sqrt(var_across / used),
-                msd1=total["wsq1"][k] / samples,
-                msd2=total["wsq2"][k] / samples,
-                cross12=total["cross"][k] / samples,
+                msd1=msd1,
+                msd2=msd2,
+                cross12=cross12,
                 window_samples=samples,
             )
         )
 
+    j1, j2 = total["esq12"] / used
     return LearningCurves(
-        j1=total["e1sq"] / used,
-        j2=total["e2sq"] / used,
+        j1=j1,
+        j2=j2,
         j12=j12,
         j=total["esq"] / used,
         lam=total["lam"] / used,

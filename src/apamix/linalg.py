@@ -79,23 +79,20 @@ def solve_spd(A: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:
     return np.linalg.solve(C.T, np.linalg.solve(C, b))
 
 
-def invert_spd_batch(entries, eps: float, out: np.ndarray) -> np.ndarray:
-    """Write the entries of ``(A + eps*I)^-1`` for a batch of SPD matrices A.
+def invert_spd_batch(out: np.ndarray, eps: float) -> np.ndarray:
+    """Overwrite a batch of SPD matrices A with the entries of ``(A + eps*I)^-1``.
 
     Parameters
     ----------
-    entries : nested sequence of ndarray
-        ``entries[a][b]`` for ``b <= a``, the lower triangle of A: arrays of
-        one common shape, the batch shape, holding that entry of every
-        matrix of the batch. Only they are read, and they may be the lower
-        triangle of ``out`` itself.
-    eps : float
-        Diagonal loading added to every matrix.
     out : ndarray, shape (M, M, *batch)
-        Receives the inverses: ``out[a, b]`` is their entry (a, b). It is
-        also the work space, besides one scratch array of M rows: the
+        On entry, ``out[a, b]`` for ``b <= a`` holds entry (a, b) of every
+        matrix of the batch, the lower triangle of A; the upper triangle is
+        not read. On return, ``out[a, b]`` is entry (a, b) of the inverses.
+        It is also the work space, besides one scratch array of M rows: the
         Cholesky factor C of ``A + eps*I`` overwrites its lower triangle,
         then ``T = C^-1``, column by column, and then ``T^T T``.
+    eps : float
+        Diagonal loading added to every matrix.
 
     Returns
     -------
@@ -107,9 +104,7 @@ def invert_spd_batch(entries, eps: float, out: np.ndarray) -> np.ndarray:
     """
     M = out.shape[0]
     for a in range(M):
-        for b in range(a):
-            out[a, b] = entries[a][b]
-        np.add(entries[a][a], eps, out=out[a, a])
+        out[a, a] += eps
     tmp = np.empty(out.shape[1:])  # a product of up to M rows of the batch
     bad = np.zeros(out.shape[2:], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):  # flagged in ``bad`` instead

@@ -227,8 +227,8 @@ class ScenarioDef:
             raise ValueError("scenario needs at least one segment")
         if not 0 <= self.noise_variance < np.inf:  # also rejects NaN
             raise ValueError("noise variance must be finite and >= 0")
-        if self.seed < 0:
-            raise ValueError("scenario seed must be non-negative")
+        if not 0 <= self.seed < 2**128:  # Philox's key range
+            raise ValueError("scenario seed must lie in [0, 2**128)")
         for j, sd in enumerate(self.segments):
             if sd.K > self.L:
                 raise ValueError(f"segment {j}: active tap count {sd.K} exceeds L={self.L}")

@@ -366,6 +366,37 @@ class TestDivergenceHandling:
         assert cur.skipped == (1,)
         assert np.isfinite(cur.j1).all() and np.isfinite(cur.j2).all()
 
+    def test_reference_trial_reports_trial_and_sample(self, monkeypatch):
+        """run_trial names the trial and sample of a step's DivergenceError."""
+        real, calls = harness.apa_step, {"n": 0}
+
+        def failing_step(state, buf):
+            calls["n"] += 1
+            if calls["n"] == 8:  # sample 7
+                raise DivergenceError("non-finite weights")
+            return real(state, buf)
+
+        monkeypatch.setattr(harness, "apa_step", failing_step)
+        with pytest.raises(DivergenceError, match="non-finite weights") as exc_info:
+            run_trial(tiny_config(n=20), 3)
+        assert (exc_info.value.trial_index, exc_info.value.sample_index) == (3, 7)
+
+    def test_failed_gain_weighted_solve_names_the_sample(self, monkeypatch):
+        """With gains, a LinAlgError of the per-sample solve is a NumericalError
+        naming that sample."""
+        real, calls = np.linalg.solve, {"n": 0}
+
+        def failing_solve(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 13:  # sample 12: one solve per sample
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        cfg = tiny_config(n=20, proportionate=ProportionateConfig())
+        with pytest.raises(NumericalError, match=r"solve failed at sample 12: Singular matrix$"):
+            run_experiment(cfg)
+
 
 class TestSingularGram:
     """A Gram that is not positive definite is a NumericalError naming its sample.
@@ -487,15 +518,15 @@ class TestChunkMemory:
 
 
 class TestBlockLength:
-    """Bit for bit against one block per segment, also where segments are one
-    sample longer than a multiple of the block (22 = 3*7 + 1 and 257), and
-    against one sub-block of shared-Gram inverses per block."""
+    """Bit for bit against one block per segment, also where segments end in
+    a one-sample block (22 = 7*3 + 1 = 3*7 + 1, 257 = 128*2 + 1, and every
+    block of length 1), and against one sub-block of shared-Gram inverses
+    per block."""
 
     segments = (SegmentDef(22, 16), SegmentDef(22, 2)) * 3 + (SegmentDef(257, 4),) * 3
     cfg = tiny_config(runs=40, segments=segments, kind="ar1", pole=0.8,
                       proportionate=ProportionateConfig())
-    # one chunk: numpy sums a lone column of more than 8 rows pairwise, not row by row
-    cfg = replace(cfg, chunk_size=40)
+    cfg = replace(cfg, chunk_size=40)  # one chunk: each sample's 40 records summed pairwise
 
     def run(self, monkeypatch, block=harness._BLOCK, sub=harness._SUB):
         monkeypatch.setattr(harness, "_BLOCK", block)
@@ -510,7 +541,7 @@ class TestBlockLength:
             for name in ("mean_dev1", "mean_dev2", "mean_dev2_se", "msd1", "msd2", "cross12"):
                 assert np.array_equal(getattr(seg_got, name), getattr(seg_want, name)), name
 
-    @pytest.mark.parametrize("block", [3, 7, None])  # None: the engine's own, 256
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, None])  # None: the engine's own, 256
     def test_curves_do_not_depend_on_the_block_length(self, block, monkeypatch):
         got = self.run(monkeypatch, block=block or harness._BLOCK)
         self.assert_same(got, self.run(monkeypatch, block=10**6))
@@ -724,6 +755,27 @@ class TestCli:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and "sample 0" in err
+
+    @pytest.mark.parametrize("skip", [True, False])
+    def test_diverged_trial_is_skipped_or_reported(self, skip, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(replace(tiny_config(runs=4, n=60), chunk_size=4), cfg_path)
+        nan_input(monkeypatch, {1: 30})
+        rc = cli_main(["simulate", "--config", str(cfg_path)] + ["--skip-diverged"] * skip)
+        out, err = capsys.readouterr()
+        if skip:
+            assert rc == 0
+            assert out.startswith("skipped 1 diverged trial(s): [1]\n")
+        else:
+            assert rc == 3
+            assert err == "divergence: trial 1 diverged at sample 30\n"
+
+    def test_predict_notes_proportionate_gains(self, capsys):
+        rc = cli_main(["predict", "--preset", "paper-desk", "--filter2", "zapapa"])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        assert "regime" in out
+        assert err.startswith("note: closed forms model the plain zero-attracting branch")
 
     def test_predict_preset(self, capsys):
         rc = cli_main(["predict", "--preset", "paper-desk"])
@@ -1124,6 +1176,10 @@ class TestBadConfigRejectedAtLoad:
             pytest.param(("scenario", "segments", 0, "magnitude_rule"), "huge", "magnitude rule",
                          id="unknown-magnitude-rule"),
             pytest.param(("scenario", "seed"), -1, "scenario seed", id="negative-scenario-seed"),
+            pytest.param(("scenario", "seed"), 2**130, "scenario seed must lie in [0, 2**128)",
+                         id="scenario-seed-above-key-range"),
+            pytest.param(("seed",), 2**130, "seed must lie in [0, 2**128)",
+                         id="seed-above-key-range"),
             pytest.param(("runs",), INF, "config.runs must be a JSON integer, not inf",
                          id="runs-inf"),
             pytest.param(("runs",), 2.5, "config.runs must be a JSON integer, not 2.5",
@@ -1166,3 +1222,9 @@ class TestBadConfigRejectedAtLoad:
         for command in ("simulate", "predict"):
             assert cli_main([command, "--config", str(cfg_path)]) == 2
             assert "config error:" in capsys.readouterr().err
+
+    def test_largest_seeds_run(self):
+        cfg = tiny_config(runs=1, n=20, seed=2**128 - 1)
+        doc = config_to_dict(cfg)
+        assert doc["seed"] == doc["scenario"]["seed"] == 2**128 - 1
+        assert np.isfinite(run_experiment(config_from_dict(doc)).j).all()

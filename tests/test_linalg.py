@@ -121,9 +121,8 @@ def spd_batch(rng, n, M, cond):
 
 def invert(A, eps):
     """invert_spd_batch on a stack (n, M, M); returns (n, M, M) and the flags."""
-    M = A.shape[-1]
-    out = np.empty((M, M) + A.shape[:-2])
-    bad = invert_spd_batch([[A[..., a, b] for b in range(a + 1)] for a in range(M)], eps, out)
+    out = np.moveaxis(A, (-2, -1), (0, 1)).copy()
+    bad = invert_spd_batch(out, eps)
     return np.moveaxis(out, (0, 1), (-2, -1)), bad
 
 
@@ -177,10 +176,10 @@ class TestInvertSpdBatch:
     def test_reads_the_lower_triangle_only(self):
         A, eps = spd_batch(np.random.default_rng(5), 10, 3, 1e2)
         want, _ = invert(A, eps)
-        out = np.empty((3, 3, 10))
-        entries = [[A[:, a, b] if b <= a else None for b in range(3)] for a in range(3)]
-        invert_spd_batch(entries, eps, out)
-        assert np.array_equal(np.moveaxis(out, (0, 1), (-2, -1)), want)
+        A[:, [0, 0, 1], [1, 2, 2]] = np.nan
+        got, bad = invert(A, eps)
+        assert not bad.any()
+        assert np.array_equal(got, want)
 
 
 class TestSignVector:
