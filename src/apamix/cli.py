@@ -83,13 +83,19 @@ def cmd_predict(args) -> int:
     model = cfg.scenario.input
     if model.kind != "white":
         raise ConfigError("closed-form prediction is available for white input only")
-    if cfg.filter2.proportionate is not None:
+    f2 = cfg.filter2
+    if f2.proportionate is not None:
         print(
             "note: closed forms model the plain zero-attracting branch; "
             "proportionate gains are not modeled",
             file=sys.stderr,
         )
-    f2 = cfg.filter2
+    if f2.M > 1 and f2.mu < 1:  # the forms hold within 0.04 dB at M = 1 only
+        print(
+            f"note: M={f2.M} with mu={f2.mu} lies outside the closed forms' validated domain; "
+            "they do not model the sliding window's reuse of each regressor",
+            file=sys.stderr,
+        )
     lam_plus = lambda_of(cfg.mixing.a_plus)
     preds = []
     for k, seg in enumerate(cfg.scenario.segments):

@@ -170,9 +170,9 @@ class ExperimentConfig:
         M, L = self.filter2.M, self.scenario.L
         if M > L:
             raise ValueError(f"filter2.M={M} exceeds scenario L={L}")
-        if M > 1 and self.filter2.eps == 0:
-            # the window starts with zero columns, so its Gram is singular
-            raise ValueError("filter2: eps must be > 0 when M > 1")
+        if self.filter2.eps == 0:
+            # loading keeps every projection Gram positive definite, whatever the input
+            raise ValueError("filter2: eps must be > 0")
 
     @property
     def filter1(self) -> FilterConfig:
@@ -272,8 +272,9 @@ def run_trial(
     ea2 = np.empty(n)
     ea = np.empty(n)
     lam = np.empty(n)
-    for i, obs in enumerate(scenario_stream(scenario, config.scenario.input, rng)):
-        w_opt = scenario.w_opt_at(i)
+    w_opts = (seg.w_opt for seg in scenario.segments for _ in range(seg.duration))
+    stream = scenario_stream(scenario, config.scenario.input, rng)
+    for i, (obs, w_opt) in enumerate(zip(stream, w_opts)):
         buf = push(buf, obs)
         y1 = float(obs.u @ state1.w)
         y2 = float(obs.u @ state2.w)

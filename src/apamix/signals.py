@@ -184,11 +184,6 @@ class SystemScenario:
         """Cumulative segment start offsets, length ``len(segments)+1``."""
         return np.concatenate([[0], np.cumsum([s.duration for s in self.segments])])
 
-    def w_opt_at(self, i: int) -> np.ndarray:
-        b = self.boundaries
-        k = int(np.searchsorted(b, i, side="right") - 1)
-        return self.segments[k].w_opt
-
 
 @dataclass(frozen=True)
 class SegmentDef:
@@ -310,12 +305,8 @@ def scenario_stream(
     x, noise = trial_signals(scenario, model, rng)
     L = scenario.L
     padded = np.concatenate([np.zeros(L - 1), x])
-    bounds = scenario.boundaries
-    seg = 0
-    for i in range(scenario.n_samples):
-        while i >= bounds[seg + 1]:
-            seg += 1
+    w_opts = (seg.w_opt for seg in scenario.segments for _ in range(seg.duration))
+    for i, w_opt in enumerate(w_opts):
         u = padded[i : i + L][::-1].copy()
-        eps = noise[i]
-        d = float(u @ scenario.segments[seg].w_opt + eps)
-        yield Observation(u=u, d=d, epsilon=float(eps))
+        d = float(u @ w_opt + noise[i])
+        yield Observation(u=u, d=d, epsilon=float(noise[i]))

@@ -307,10 +307,9 @@ class TestSteadyStateStats:
         assert st.J1 == float(cur.j1[250:].mean())
 
 
-def nan_input(monkeypatch, deaths, fill=None, base=None):
+def nan_input(monkeypatch, deaths):
     """Make the engine's k-th trial stream built turn its input NaN at sample
-    ``deaths[k]``, or ``fill[k]`` where ``fill`` gives one; with ``base``,
-    every other input sample of every stream is ``base``.
+    ``deaths[k]``.
 
     Returns the counter of streams built, ``{"count": streams - 1}``.
     """
@@ -322,19 +321,58 @@ def nan_input(monkeypatch, deaths, fill=None, base=None):
             super().__init__(*args)
             seen["count"] += 1
             self.death = deaths.get(seen["count"])
-            self.fill = (fill or {}).get(seen["count"], np.nan)
             self.drawn = 0  # samples drawn before the next block
 
         def draw(self, x, noise):
             super().draw(x, noise)
-            if base is not None:
-                x[:] = base
             if self.death is not None and self.drawn <= self.death < self.drawn + len(x):
-                x[self.death - self.drawn] = self.fill
+                x[self.death - self.drawn] = np.nan
             self.drawn += len(x)
 
     monkeypatch.setattr(harness, "TrialStream", Fake)
     return seen
+
+
+def failing_gram(monkeypatch, kind, sample):
+    """Make the engine find the Gram of ``sample`` unusable in every pass.
+
+    ``kind="shared"``: the shared-Gram kernel flags the Gram of trial 1 at
+    ``sample`` as not positive definite, and leaves its inverse non-finite,
+    as it does for a non-positive pivot. Its calls cover consecutive
+    sub-blocks of a pass, so a sample offset, restarted with each pass,
+    locates them. ``kind="gains"``: the gain-weighted solve, one call per
+    sample of a pass over every trial at once, raises ``LinAlgError`` at
+    ``sample``.
+    """
+    real_pass, real_kernel, real_solve = (
+        harness._simulate_pass, harness.invert_spd_batch, np.linalg.solve)
+    at = {}
+
+    def one_pass(config, scenario, trial_indices, skip_diverged):
+        at.update(trials=list(trial_indices), offset=0)
+        return real_pass(config, scenario, trial_indices, skip_diverged)
+
+    def flagging_kernel(out, eps):  # out: (M, M, samples, trials)
+        bad = real_kernel(out, eps)
+        t = sample - at["offset"]
+        if 0 <= t < bad.shape[0] and 1 in at["trials"]:
+            r = at["trials"].index(1)
+            out[:, :, t, r] = np.nan
+            bad[t, r] = True
+        at["offset"] += bad.shape[0]
+        return bad
+
+    def failing_solve(*args, **kwargs):
+        at["offset"] += 1
+        if at["offset"] == sample + 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_simulate_pass", one_pass)
+    if kind == "shared":
+        monkeypatch.setattr(harness, "invert_spd_batch", flagging_kernel)
+    else:
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
 
 
 def assert_curves_are_trial_means(cur, cfg, trials):
@@ -381,53 +419,50 @@ class TestDivergenceHandling:
             run_trial(tiny_config(n=20), 3)
         assert (exc_info.value.trial_index, exc_info.value.sample_index) == (3, 7)
 
-    def test_failed_gain_weighted_solve_names_the_sample(self, monkeypatch):
-        """With gains, a LinAlgError of the per-sample solve is a NumericalError
-        naming that sample."""
-        real, calls = np.linalg.solve, {"n": 0}
 
-        def failing_solve(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 13:  # sample 12: one solve per sample
-                raise np.linalg.LinAlgError("Singular matrix")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "solve", failing_solve)
-        cfg = tiny_config(n=20, proportionate=ProportionateConfig())
-        with pytest.raises(NumericalError, match=r"solve failed at sample 12: Singular matrix$"):
-            run_experiment(cfg)
+# the Gram that fails, the configs in which it is used, and the message
+SHARED_FAILS = "projection Gram not positive definite at sample {}"
+GRAM_FAILURES = [
+    pytest.param("shared", None, SHARED_FAILS, id="shared"),  # the Gram of both branches
+    # the shared Gram of the plain branch, and the other branch's gain-weighted Gram
+    pytest.param("shared", ProportionateConfig(), SHARED_FAILS, id="shared-with-gains"),
+    pytest.param("gains", ProportionateConfig(),
+                 "projection solve failed at sample {}: Singular matrix", id="gain-weighted"),
+]
 
 
 class TestSingularGram:
-    """A Gram that is not positive definite is a NumericalError naming its sample.
+    """A Gram that the engine cannot invert is a NumericalError naming its sample.
 
-    L = M = 1 without loading, and every input sample 1 but one 0: the Gram
-    of each sample is its input squared, the running lag sums are exact,
-    and the Gram of the zero sample is exactly 0.
+    Every experiment loads its Grams, so the failures are injected: the
+    shared-Gram kernel flags one Gram, or the gain-weighted solve raises.
     """
 
-    cfg = replace(tiny_config(L=1, M=1, eps=0.0, runs=2, segments=(SegmentDef(60, 1),)),
-                  chunk_size=2)
+    cfg = tiny_config(L=4, runs=2, segments=(SegmentDef(60, 2),))  # one chunk, one block
 
-    @pytest.mark.parametrize("prop", [None, ProportionateConfig()])
+    @pytest.mark.parametrize("kind, prop, message", GRAM_FAILURES)
     @pytest.mark.parametrize("sample", [0, 37])
-    def test_zero_input_names_the_sample(self, prop, sample, monkeypatch):
-        nan_input(monkeypatch, {1: sample}, fill={1: 0.0}, base=1.0)
+    def test_failure_names_the_sample(self, kind, prop, message, sample, monkeypatch):
+        failing_gram(monkeypatch, kind, sample)
         cfg = replace(self.cfg, filter2=replace(self.cfg.filter2, proportionate=prop))
-        with pytest.raises(NumericalError, match=rf"\bsample {sample}\b") as exc_info:
+        with pytest.raises(NumericalError) as exc_info:
             run_experiment(cfg)
+        assert str(exc_info.value) == message.format(sample)
         assert not isinstance(exc_info.value, DivergenceError)
 
+    @pytest.mark.parametrize("kind, prop, message", GRAM_FAILURES)
     @pytest.mark.parametrize("skip", [False, True])
-    def test_earlier_divergence_is_raised_first(self, skip, monkeypatch):
-        """Trial 0 diverges at sample 35, before trial 1's zero Gram at 37 in
-        the same block; a skipped divergence does not hide the zero Gram."""
-        nan_input(monkeypatch, {0: 35, 1: 37}, fill={1: 0.0}, base=1.0)
+    def test_earlier_divergence_is_raised_first(self, kind, prop, message, skip, monkeypatch):
+        """Trial 0 diverges at sample 35, before the Gram failure at 37 in the
+        same sub-block; a skipped divergence does not hide the Gram failure."""
+        nan_input(monkeypatch, {0: 35})
+        failing_gram(monkeypatch, kind, 37)
+        cfg = replace(self.cfg, filter2=replace(self.cfg.filter2, proportionate=prop))
         with pytest.raises(NumericalError) as exc_info:
-            run_experiment(self.cfg, skip_diverged=skip)
+            run_experiment(cfg, skip_diverged=skip)
         if skip:
             assert not isinstance(exc_info.value, DivergenceError)
-            assert re.search(r"\bsample 37\b", str(exc_info.value))
+            assert str(exc_info.value) == message.format(37)
         else:
             assert isinstance(exc_info.value, DivergenceError)
             assert (exc_info.value.trial_index, exc_info.value.sample_index) == (0, 35)
@@ -443,8 +478,8 @@ class TestDeadTrialDoesNotLeak:
             dict(),  # one shared solve
             # the plain branch on the shared Gram, the other on its gain-weighted Gram
             dict(proportionate=ProportionateConfig()),
-            # M = 1 without loading, where a zero window would make the Gram singular
-            dict(M=1, eps=0.0, proportionate=ProportionateConfig()),
+            # a one-slot window, with both kinds of Gram
+            dict(M=1, proportionate=ProportionateConfig()),
             # trial 1 dies in the last segment, after the first one was reduced
             dict(deaths={1: 150}),
             # two trials die at different samples: listed in the order they die
@@ -746,15 +781,16 @@ class TestCli:
         assert out_path.exists()
         assert "seg" in capsys.readouterr().out
 
-    def test_numerical_error_is_reported_with_exit_3(self, tmp_path, capsys, monkeypatch):
-        # zero input to an unloaded one-tap filter: the Gram of sample 0 is 0
+    @pytest.mark.parametrize("kind, prop, message", GRAM_FAILURES)
+    def test_numerical_error_is_reported_with_exit_3(self, kind, prop, message, tmp_path,
+                                                     capsys, monkeypatch):
+        cfg = TestSingularGram.cfg
         cfg_path = tmp_path / "cfg.json"
-        write_config(TestSingularGram.cfg, cfg_path)
-        nan_input(monkeypatch, {}, base=0.0)
+        write_config(replace(cfg, filter2=replace(cfg.filter2, proportionate=prop)), cfg_path)
+        failing_gram(monkeypatch, kind, 0)
         rc = cli_main(["simulate", "--config", str(cfg_path)])
         assert rc == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical error:") and "sample 0" in err
+        assert capsys.readouterr().err == f"numerical error: {message.format(0)}\n"
 
     @pytest.mark.parametrize("skip", [True, False])
     def test_diverged_trial_is_skipped_or_reported(self, skip, tmp_path, capsys, monkeypatch):
@@ -780,8 +816,17 @@ class TestCli:
     def test_predict_preset(self, capsys):
         rc = cli_main(["predict", "--preset", "paper-desk"])
         assert rc == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "non_sparse" in out and "regime" in out
+        assert err == ("note: M=4 with mu=0.5 lies outside the closed forms' validated domain; "
+                       "they do not model the sliding window's reuse of each regressor\n")
+
+    def test_predict_notes_nothing_inside_the_validated_domain(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(tiny_config(M=1), cfg_path)
+        assert cli_main(["predict", "--config", str(cfg_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "regime" in out and err == ""
 
     def test_predict_rejects_colored_input(self, capsys):
         rc = cli_main(["predict", "--preset", "paper-desk", "--input", "ar1"])
@@ -1096,12 +1141,12 @@ class TestConfigRejection:
         with pytest.raises(ValueError, match="a0 outside"):
             MixingConfig(a_plus=2.0, a0=3.0)
 
-    def test_unloaded_projection_of_order_above_one(self):
-        with pytest.raises(ValueError, match="eps must be > 0"):
-            tiny_config(M=2, eps=0.0)
-        # M = 1 needs no loading, and FilterConfig itself still accepts eps=0
-        tiny_config(M=1, eps=0.0)
-        FilterConfig(M=2, mu=0.5, eps=0.0)
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_unloaded_projection_rejected_at_every_order(self, M):
+        with pytest.raises(ValueError, match=r"^filter2: eps must be > 0$"):
+            tiny_config(M=M, eps=0.0)
+        # FilterConfig itself still accepts eps=0, for the reference step functions
+        FilterConfig(M=M, mu=0.5, eps=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), -1e-3])
     def test_bad_noise_variance_is_config_error(self, value):
@@ -1152,6 +1197,8 @@ class TestBadConfigRejectedAtLoad:
                          id="old-format-filter1"),
             pytest.param(("filter2", "M"), 17, "filter2.M=17 exceeds scenario L=16",
                          id="M-above-L"),
+            pytest.param(("filter2", "eps"), 0.0, "filter2: eps must be > 0",
+                         id="unloaded-projection"),
             pytest.param(("scenario", "input", "seed"), 5, "'seed' in config.scenario.input",
                          id="implied-input-seed"),
             pytest.param(("filter2",), 3, "config.filter2 must be a JSON object",
