@@ -2,7 +2,8 @@
 
 The mixing weight lam = sigmoid(a) is driven by a stochastic gradient step
 on the combined squared output error; a is clipped to [-a_plus, a_plus] so
-lam never saturates to exactly 0 or 1 and can always move back.
+lam never saturates to exactly 0 or 1 and can always move back, for every
+a_plus that :class:`apamix.harness.MixingConfig` accepts.
 :func:`lambda_of` and :func:`mixing_step` work elementwise on arrays, so the
 per-sample reference (:func:`update_a`) and the vectorized Monte-Carlo
 engine share one implementation of the rule.

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DivergenceError
-from .linalg import gram_matrix, sign_vector, solve_spd
+from .linalg import gram_matrix, solve_spd
 from .signals import Observation
 
 __all__ = [
@@ -140,9 +140,9 @@ def apa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:
 
 
 def za_apa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:
-    """APA update plus the zero attractor -rho*sign(w) on the pre-update weights."""
+    """APA update plus the zero attractor -rho*sign(w) (sign(0) = 0) on the pre-update weights."""
     cfg = state.config
-    attracted = apa_step(state, buffer).w - cfg.rho * sign_vector(state.w)
+    attracted = apa_step(state, buffer).w - cfg.rho * np.sign(state.w)
     return replace(state, w=_check_finite(attracted))
 
 
@@ -169,7 +169,7 @@ def za_papa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:
         raise ValueError("za_papa_step requires a proportionate config")
     g = gain_matrix(state.w, cfg.proportionate.rho_p, cfg.proportionate.delta)
     w = _projection_update(state.w, buffer.U, buffer.d, cfg.mu, cfg.eps, gains=g)
-    w = w - cfg.rho * sign_vector(state.w)
+    w = w - cfg.rho * np.sign(state.w)
     return replace(state, w=_check_finite(w))
 
 

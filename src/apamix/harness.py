@@ -134,6 +134,8 @@ class MixingConfig:
     def __post_init__(self):
         if not 0 < self.a_plus < math.inf:
             raise ValueError("a_plus must be positive and finite")
+        if lambda_of(self.a_plus) == 1.0:  # the mixing step is 0 there: lambda stays at 1
+            raise ValueError(f"a_plus={self.a_plus} rounds lambda to exactly 1")
         if not 0 < self.mu_a < math.inf:
             raise ValueError("mu_a must be positive and finite")
         if not -self.a_plus <= self.a0 <= self.a_plus:
@@ -242,27 +244,18 @@ class SteadyState:
 # ---------------------------------------------------------------------------
 
 
-def run_trial(
-    config: ExperimentConfig,
-    trial_index: int,
-    initial_weights: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> TrialRecord:
+def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Run one trial sample-by-sample through the reference step functions.
 
     The trial's streams come from ``config.seed XOR trial_index`` only.
     Slow (per-sample Python), intended for tests and debugging; use
-    :func:`run_experiment` for ensembles. ``initial_weights`` overrides the
-    zero initialization of both branches (testing hook).
+    :func:`run_experiment` for ensembles.
     """
     scenario = config.scenario.materialize()
     rng = make_rng(config.seed, trial_index)
     n = scenario.n_samples
-    if initial_weights is None:
-        state1 = FilterState.zeros(config.filter1, scenario.L)
-        state2 = FilterState.zeros(config.filter2, scenario.L)
-    else:
-        state1 = FilterState(w=np.array(initial_weights[0], dtype=float), config=config.filter1)
-        state2 = FilterState(w=np.array(initial_weights[1], dtype=float), config=config.filter2)
+    state1 = FilterState.zeros(config.filter1, scenario.L)
+    state2 = FilterState.zeros(config.filter2, scenario.L)
     mixing = config.mixing
     a = mixing.a0
     buf = RegressorBuffer.zeros(scenario.L, config.filter2.M)
@@ -381,7 +374,7 @@ def _simulate_pass(
     prop = f2.proportionate
     mixing = config.mixing
 
-    bounds = [int(b) for b in scenario.boundaries]
+    bounds = scenario.boundaries
     n_seg = len(scenario.segments)
     # the widest block of an equal cut of each segment into blocks of at
     # most _BLOCK samples; each segment is then cut into blocks of this width
@@ -589,20 +582,16 @@ def run_experiment(
 
     bounds = scenario.boundaries
     seg_stats = []
-    for k, seg in enumerate(scenario.segments):
-        start_w = _steady_window_start(
-            int(bounds[k]), int(bounds[k + 1]), config.steady_window_fraction
-        )
-        samples = int(bounds[k + 1] - start_w) * used
-        active = np.zeros(scenario.L, dtype=bool)
-        active[seg.active] = True
+    for k, (seg, start, end) in enumerate(zip(scenario.segments, bounds, bounds[1:])):
+        samples = (end - _steady_window_start(start, end, config.steady_window_fraction)) * used
+        active = seg.w_opt != 0
         mean_dev1, mean_dev2, msd1, msd2, cross12 = total["devs"][k] / samples
         var_across = np.maximum(total["meansq2"][k] / used - mean_dev2**2, 0.0)
         seg_stats.append(
             SegmentStats(
-                start=int(bounds[k]),
-                end=int(bounds[k + 1]),
-                K=int(seg.active.size),
+                start=start,
+                end=end,
+                K=int(active.sum()),
                 active=active,
                 mean_dev1=mean_dev1,
                 mean_dev2=mean_dev2,

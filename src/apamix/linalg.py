@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["gram_matrix", "solve_spd", "invert_spd_batch", "sign_vector"]
+__all__ = ["gram_matrix", "solve_spd", "invert_spd_batch"]
 
 
 def gram_matrix(U: np.ndarray) -> np.ndarray:
@@ -138,11 +138,3 @@ def invert_spd_batch(out: np.ndarray, eps: float) -> np.ndarray:
             out[a + 1 :, a] = row[1:]
     return bad
 
-
-def sign_vector(w: np.ndarray) -> np.ndarray:
-    """Componentwise sign with ``sign(0) = 0``.
-
-    The zero convention keeps the zero attractor from perturbing taps that
-    are exactly zero (e.g. freshly initialized weights).
-    """
-    return np.sign(np.asarray(w, dtype=float))

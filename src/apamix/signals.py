@@ -1,9 +1,9 @@
 """Input signals, sparse test systems, and time-varying scenarios.
 
 A scenario is a piecewise-constant true system: an ordered list of segments,
-each holding its own weight vector and active-tap set. Observations are
-produced by sliding an L-sample window over the input stream (zero-padded
-before t=0) and adding white Gaussian observation noise.
+each holding its own weight vector. Observations are produced by sliding an
+L-sample window over the input stream (zero-padded before t=0) and adding
+white Gaussian observation noise.
 
 Trial streams are driven by the counter-based Philox generator so that
 Monte-Carlo trials get independent, reproducible streams from
@@ -21,6 +21,7 @@ generator moved past the trial's input draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "Observation",
     "make_rng",
     "gen_input",
-    "make_system",
     "trial_signals",
     "TrialStream",
     "scenario_stream",
@@ -116,73 +116,34 @@ def _fill_input(
     return y
 
 
-def make_system(
-    L: int, K: int, magnitude_rule: str, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a length-L system with exactly K nonzero taps.
-
-    Positions are uniform without replacement; nonzero values are N(0,1)
-    (``random``) or random signs (``unit``). Returns ``(w_opt, active)``
-    where ``active`` holds the sorted nonzero indices.
-    """
-    if not 0 <= K <= L:
-        raise ValueError(f"active tap count {K} outside [0, {L}]")
-    if magnitude_rule not in ("random", "unit"):
-        raise ValueError(f"unknown magnitude rule {magnitude_rule!r}")
-    active = np.sort(rng.choice(L, size=K, replace=False))
-    w = np.zeros(L)
-    if K:
-        if magnitude_rule == "random":
-            vals = rng.standard_normal(K)
-            # avoid the measure-zero exact zero that would break the support count
-            vals[vals == 0.0] = 1.0
-        else:
-            vals = rng.integers(0, 2, size=K) * 2.0 - 1.0
-        w[active] = vals
-    return w, active
-
-
 @dataclass(frozen=True)
 class Segment:
     """One piece of a piecewise-constant system."""
 
     duration: int
     w_opt: np.ndarray
-    active: np.ndarray
-
-    def __post_init__(self):
-        if self.duration < 1:
-            raise ValueError("segment duration must be >= 1")
-        nz = np.flatnonzero(self.w_opt)
-        if nz.size != self.active.size or not np.array_equal(np.sort(self.active), nz):
-            raise ValueError("active set does not match the support of w_opt")
 
 
 @dataclass(frozen=True)
 class SystemScenario:
-    """Piecewise-constant true system plus the observation-noise level."""
+    """Piecewise-constant true system plus the observation-noise level.
+
+    :meth:`ScenarioDef.materialize` builds it from a checked definition, so
+    it checks nothing itself.
+    """
 
     L: int
     segments: tuple[Segment, ...]
     noise_variance: float
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("scenario needs at least one segment")
-        if not self.noise_variance >= 0:  # also rejects NaN
-            raise ValueError("noise variance must be >= 0")
-        for seg in self.segments:
-            if seg.w_opt.shape != (self.L,):
-                raise ValueError("segment weight vector length differs from L")
 
     @property
     def n_samples(self) -> int:
         return sum(seg.duration for seg in self.segments)
 
     @property
-    def boundaries(self) -> np.ndarray:
+    def boundaries(self) -> tuple[int, ...]:
         """Cumulative segment start offsets, length ``len(segments)+1``."""
-        return np.concatenate([[0], np.cumsum([s.duration for s in self.segments])])
+        return tuple(accumulate((s.duration for s in self.segments), initial=0))
 
 
 @dataclass(frozen=True)
@@ -229,10 +190,24 @@ class ScenarioDef:
                 raise ValueError(f"segment {j}: active tap count {sd.K} exceeds L={self.L}")
 
     def materialize(self) -> SystemScenario:
+        """Draw each segment's system: exactly K nonzero taps.
+
+        Positions are uniform without replacement; nonzero values are N(0,1)
+        (``random``) or random signs (``unit``).
+        """
         segs = []
         for j, sd in enumerate(self.segments):
-            w, active = make_system(self.L, sd.K, sd.magnitude_rule, make_rng(self.seed, j + 1))
-            segs.append(Segment(sd.duration, w, active))
+            rng = make_rng(self.seed, j + 1)
+            active = np.sort(rng.choice(self.L, size=sd.K, replace=False))
+            if sd.magnitude_rule == "random":
+                vals = rng.standard_normal(sd.K)
+                # avoid the measure-zero exact zero that would break the support count
+                vals[vals == 0.0] = 1.0
+            else:
+                vals = rng.integers(0, 2, size=sd.K) * 2.0 - 1.0
+            w = np.zeros(self.L)
+            w[active] = vals
+            segs.append(Segment(sd.duration, w))
         return SystemScenario(self.L, tuple(segs), self.noise_variance)
 
 

@@ -14,7 +14,6 @@ from apamix.filters import (
     za_apa_step,
     za_papa_step,
 )
-from apamix.linalg import sign_vector
 from apamix.signals import Observation, make_rng
 
 
@@ -128,7 +127,7 @@ class TestZaApaStep:
         buf, _ = filled_buffer(rng, 6, 3, noise=0.1)
         za = za_apa_step(state, buf).w
         apa = apa_step(state, buf).w
-        assert np.array_equal(za, apa - cfg.rho * sign_vector(state.w))
+        assert np.array_equal(za, apa - cfg.rho * np.sign(state.w))
 
     def test_inactive_tap_shrinks_toward_zero(self):
         # toy L=2 system with one inactive tap: over a shared seed set, the
@@ -160,6 +159,28 @@ class TestZaApaStep:
         assert abs(np.mean(avg_za)) < abs(np.mean(avg_apa))
         # the attractor also shrinks the spread on the inactive tap
         assert np.std(avg_za) < np.std(avg_apa)
+
+
+class TestConvergedStart:
+    @pytest.mark.parametrize(
+        "step, gains",
+        [(apa_step, None), (za_apa_step, None), (za_papa_step, ProportionateConfig())],
+    )
+    def test_converged_start_stays_converged(self, step, gains):
+        # noiseless, attractor off, weights at the truth: the truth is a fixed
+        # point, so every a-priori error stays zero up to rounding
+        rng = np.random.default_rng(12)
+        L, M = 16, 4
+        cfg = FilterConfig(M=M, mu=0.5, rho=0.0, eps=2e-4, proportionate=gains)
+        w_opt = np.where(rng.random(L) < 0.5, rng.standard_normal(L), 0.0)
+        state = FilterState(w=w_opt.copy(), config=cfg)
+        buf = RegressorBuffer.zeros(L, M)
+        for _ in range(150):
+            u = rng.standard_normal(L)
+            buf = push(buf, obs(u, u @ w_opt))
+            assert abs(buf.d[0] - u @ state.w) < 1e-12
+            state = step(state, buf)
+        assert np.abs(state.w - w_opt).max() < 1e-12
 
 
 class TestGainMatrix:

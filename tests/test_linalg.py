@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
 
 from apamix.errors import NumericalError
-from apamix.linalg import gram_matrix, invert_spd_batch, sign_vector, solve_spd
+from apamix.linalg import gram_matrix, invert_spd_batch, solve_spd
 
 
 def gram_bruteforce(U):
@@ -180,19 +179,3 @@ class TestInvertSpdBatch:
         got, bad = invert(A, eps)
         assert not bad.any()
         assert np.array_equal(got, want)
-
-
-class TestSignVector:
-    def test_basic(self):
-        assert np.array_equal(sign_vector([1.5, -2.0, 0.0]), [1.0, -1.0, 0.0])
-
-    def test_all_zero(self):
-        assert np.array_equal(sign_vector(np.zeros(5)), np.zeros(5))
-
-    def test_subnormal_scale(self):
-        assert np.array_equal(sign_vector([-1e-300, 1e-300]), [-1.0, 1.0])
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=20))
-    def test_idempotent(self, values):
-        w = np.array(values)
-        assert np.array_equal(sign_vector(sign_vector(w)), sign_vector(w))

@@ -11,7 +11,6 @@ from apamix.signals import (
     TrialStream,
     gen_input,
     make_rng,
-    make_system,
     scenario_stream,
     trial_signals,
 )
@@ -71,32 +70,36 @@ class TestAr1MatchesLfilter:
         assert np.array_equal(x, ar1_by_lfilter(model, n, make_rng(9, 4)))
 
 
-class TestMakeSystem:
+def _drawn(L, K, magnitude_rule="random", seed=0):
+    """The system that a one-segment definition materializes to."""
+    d = ScenarioDef(L, (SegmentDef(10, K, magnitude_rule),), 0.0, SignalModel("white"), seed)
+    return d.materialize().segments[0].w_opt
+
+
+class TestMaterialize:
     def test_full_support(self):
-        w, active = make_system(16, 16, "random", make_rng(0))
-        assert np.count_nonzero(w) == 16 and active.size == 16
+        assert np.count_nonzero(_drawn(16, 16)) == 16
 
     def test_empty_support(self):
-        w, active = make_system(16, 0, "random", make_rng(0))
-        assert not w.any() and active.size == 0
+        w = _drawn(16, 0)
+        assert w.shape == (16,) and not w.any()
 
     def test_paper_sparse_count(self):
-        w, active = make_system(256, 16, "random", make_rng(1))
-        assert np.count_nonzero(w) == 16
-        assert np.array_equal(np.flatnonzero(w), active)
+        w = _drawn(256, 16, seed=1)
+        assert w.shape == (256,) and np.count_nonzero(w) == 16
 
     def test_unit_rule(self):
-        w, active = make_system(32, 8, "unit", make_rng(2))
-        assert set(np.abs(w[active])) == {1.0}
+        w = _drawn(32, 8, "unit", seed=2)
+        assert np.count_nonzero(w) == 8 and set(np.abs(w[w != 0])) == {1.0}
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            make_system(4, 5, "random", make_rng(0))
+        with pytest.raises(ValueError, match="exceeds L=4"):
+            _drawn(4, 5)
 
 
 def _single_segment_scenario(L, w_opt, duration, noise_variance):
     w_opt = np.asarray(w_opt, float)
-    seg = Segment(duration=duration, w_opt=w_opt, active=np.flatnonzero(w_opt))
+    seg = Segment(duration=duration, w_opt=w_opt)
     return SystemScenario(L=L, segments=(seg,), noise_variance=noise_variance)
 
 
@@ -127,8 +130,8 @@ class TestScenarioStream:
 
     def test_segment_switch_boundary(self):
         L = 2
-        seg_a = Segment(duration=10, w_opt=np.array([1.0, 0.0]), active=np.array([0]))
-        seg_b = Segment(duration=10, w_opt=np.array([3.0, 0.0]), active=np.array([0]))
+        seg_a = Segment(duration=10, w_opt=np.array([1.0, 0.0]))
+        seg_b = Segment(duration=10, w_opt=np.array([3.0, 0.0]))
         scen = SystemScenario(L=L, segments=(seg_a, seg_b), noise_variance=0.0)
         model = SignalModel("white")
         x, _ = trial_signals(scen, model, make_rng(4))
@@ -219,12 +222,13 @@ class TestScenarioDef:
         s1, s2 = d.materialize(), d.materialize()
         for a, b in zip(s1.segments, s2.segments):
             assert np.array_equal(a.w_opt, b.w_opt)
-        assert s1.segments[1].active.size == 4
+        assert np.count_nonzero(s1.segments[1].w_opt) == 4
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            SystemScenario(L=2, segments=(), noise_variance=0.0)
-        with pytest.raises(ValueError):
-            Segment(duration=0, w_opt=np.array([1.0]), active=np.array([0]))
-        with pytest.raises(ValueError):
-            Segment(duration=5, w_opt=np.array([1.0, 0.0]), active=np.array([1]))
+        white = SignalModel("white")
+        with pytest.raises(ValueError, match="at least one segment"):
+            ScenarioDef(L=2, segments=(), noise_variance=0.0, input=white)
+        with pytest.raises(ValueError, match="duration must be >= 1"):
+            SegmentDef(duration=0, K=1)
+        with pytest.raises(ValueError, match="noise variance must be finite"):
+            ScenarioDef(L=2, segments=(SegmentDef(5, 1),), noise_variance=float("inf"), input=white)
