@@ -46,8 +46,8 @@ the whole chunk at once: the proportionate gains come from
 :func:`apamix.filters.gain_matrix`, and the mixing weight from
 :func:`apamix.combination.lambda_of` and
 :func:`apamix.combination.mixing_step`. Each chunk returns its
-trial-by-trial sums by name, and :func:`run_experiment` adds them up in
-chunk order.
+trial-by-trial sums by name, and :func:`run_experiment` adds them into a
+running total in chunk order.
 
 A chunk keeps the per-trial records (a-priori errors and mixing weight)
 of the current block only, by sample and then trial, and reduces them
@@ -72,7 +72,6 @@ import csv
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from functools import reduce
 from itertools import repeat
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -134,8 +133,9 @@ class MixingConfig:
     def __post_init__(self):
         if not 0 < self.a_plus < math.inf:
             raise ValueError("a_plus must be positive and finite")
-        if lambda_of(self.a_plus) == 1.0:  # the mixing step is 0 there: lambda stays at 1
-            raise ValueError(f"a_plus={self.a_plus} rounds lambda to exactly 1")
+        # lambda lies in [1 - lam, lam]: at 0.5 it cannot move, at 1 the mixing step is 0
+        if not 0.5 < (lam := lambda_of(self.a_plus)) < 1:
+            raise ValueError(f"a_plus={self.a_plus} rounds lambda to exactly {lam:g}")
         if not 0 < self.mu_a < math.inf:
             raise ValueError("mu_a must be positive and finite")
         if not -self.a_plus <= self.a0 <= self.a_plus:
@@ -335,36 +335,15 @@ def _simulate_chunk(
 
     Returns the chunk's trial-by-trial sums by name, to be added up in
     chunk order, and the ``(trial_index, sample_index)`` of each trial
-    dropped for diverging. Curve sums have shape ``(n,)``, or ``(2, n)``
-    for the two branches' squared errors; steady-window weight-deviation
-    sums have shape ``(S, 5, L)`` or ``(S, L)``, one entry per segment.
-    A segment's sums are final once the segment ends, so a chunk in which
-    trials diverged is simulated once more without them; the sums are
-    ``None`` when none survive.
-    """
-    sums, diverged = _simulate_pass(config, scenario, trial_indices, skip_diverged)
-    if diverged:
-        dead = {t for t, _ in diverged}
-        survivors = [t for t in trial_indices if t not in dead]
-        sums = _simulate_pass(config, scenario, survivors, False)[0] if survivors else None
-    return sums, diverged
-
-
-def _simulate_pass(
-    config: ExperimentConfig,
-    scenario: SystemScenario,
-    trial_indices: Sequence[int],
-    skip_diverged: bool,
-) -> tuple[dict[str, np.ndarray], list[tuple[int, int]]]:
-    """One pass of the chunk engine over ``trial_indices``.
-
-    A diverged trial raises unless ``skip_diverged``; then it is listed,
-    and its row keeps running on its non-finite values (rows never mix),
-    and no further block or segment is reduced: the sums of a pass that
-    lists any are incomplete. A pass in which every trial has died ends at
-    once. A shared Gram that is not positive definite, found when its
-    sub-block is formed, raises a NumericalError only when the loop reaches
-    its sample, so a divergence before it is still reported first.
+    dropped for diverging, in the order they died. Curve sums have shape
+    ``(n,)``, or ``(2, n)`` for the two branches' squared errors;
+    steady-window weight-deviation sums have shape ``(S, 5, L)`` or
+    ``(S, L)``, one entry per segment. The sums cover the survivors only,
+    and are ``None`` when none survive. A diverged trial raises unless
+    ``skip_diverged``. A shared Gram that is not positive definite, found
+    when its sub-block is formed, raises a NumericalError only when the
+    loop reaches its sample, so a divergence before it is still reported
+    first.
     """
     n = scenario.n_samples
     L = scenario.L
@@ -515,7 +494,7 @@ def _simulate_pass(
                         diverged.append((t, i))
                     alive &= ~bad
                     if not alive.any():
-                        return sums, diverged
+                        return None, diverged
 
             if not diverged:  # add the block's records over the trials into ``sums``
                 cur = slice(lo, lo + m)
@@ -538,6 +517,9 @@ def _simulate_pass(
             mean2 = np.divide(devs[1], stop - win, out=attractor)
             np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][seg])
             devs.fill(0.0)
+    if diverged:  # the sums stop where the first trial died: simulate the survivors alone
+        survivors = [t for t, ok in zip(trial_indices, alive) if ok]
+        return _simulate_chunk(config, scenario, survivors, False)[0], diverged
     return sums, diverged
 
 
@@ -549,8 +531,8 @@ def run_experiment(
     """Ensemble-average the configured number of trials.
 
     Results are bit-identical for any ``workers`` value: trials are cut
-    into fixed chunks of ``config.chunk_size`` and partial sums are reduced
-    in chunk order.
+    into fixed chunks of ``config.chunk_size``, and each chunk's sums are
+    added into a running total in chunk order.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -566,16 +548,21 @@ def run_experiment(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_chunk, *args))
+            results = pool.map(_simulate_chunk, *args)  # done when the pool shuts down
     else:
-        results = list(map(_simulate_chunk, *args))
+        results = map(_simulate_chunk, *args)
 
-    skipped = tuple(t for _, diverged in results for (t, _) in diverged)
+    total, skipped = None, []
+    for sums, diverged in results:  # add each chunk's sums into the total as it comes
+        skipped += (t for t, _ in diverged)
+        if total is None:
+            total = sums
+        elif sums is not None:
+            for key, part in sums.items():
+                np.add(total[key], part, out=total[key])
     used = config.runs - len(skipped)
     if used == 0:
         raise DivergenceError("all trials diverged")
-    kept = [sums for sums, _ in results if sums is not None]  # chunks with survivors
-    total = {key: reduce(np.add, (sums[key] for sums in kept)) for key in kept[0]}
 
     j12 = total["prod"] / used
     var_prod = np.maximum(total["prodsq"] / used - j12**2, 0.0)
@@ -613,7 +600,7 @@ def run_experiment(
         j12_se=np.sqrt(var_prod / used),
         segments=tuple(seg_stats),
         runs_used=used,
-        skipped=skipped,
+        skipped=tuple(skipped),
     )
 
 

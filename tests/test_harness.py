@@ -345,7 +345,7 @@ def failing_gram(monkeypatch, kind, sample):
     ``sample``.
     """
     real_pass, real_kernel, real_solve = (
-        harness._simulate_pass, harness.invert_spd_batch, np.linalg.solve)
+        harness._simulate_chunk, harness.invert_spd_batch, np.linalg.solve)
     at = {}
 
     def one_pass(config, scenario, trial_indices, skip_diverged):
@@ -368,7 +368,7 @@ def failing_gram(monkeypatch, kind, sample):
             raise np.linalg.LinAlgError("Singular matrix")
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_simulate_pass", one_pass)
+    monkeypatch.setattr(harness, "_simulate_chunk", one_pass)
     if kind == "shared":
         monkeypatch.setattr(harness, "invert_spd_batch", flagging_kernel)
     else:
@@ -520,8 +520,8 @@ class TestChunkMemory:
     grows neither with the horizon nor with a segment's length."""
 
     @staticmethod
-    def peak(segments):
-        cfg = replace(tiny_config(runs=50, segments=segments), chunk_size=50)
+    def peak(segments, runs=50, chunk_size=50):
+        cfg = replace(tiny_config(runs=runs, segments=segments), chunk_size=chunk_size)
         tracemalloc.start()
         try:
             run_experiment(cfg)
@@ -550,6 +550,15 @@ class TestChunkMemory:
         growth = self.peak((SegmentDef(300, 16),)) - self.peak((SegmentDef(150, 16),))
         block = (2 + 4) * 50 * 150 * 8  # input, noise and four record rows of one block
         assert growth < 0.1 * block
+
+    def test_peak_does_not_grow_with_the_chunk_count(self):
+        """Four chunks of two trials against one, over one 1800-sample segment:
+        each chunk's sums go into the running total as the chunk ends."""
+        chunks_of_two = dict(segments=(SegmentDef(1800, 16),), chunk_size=2)
+        self.peak(runs=2, **chunks_of_two)
+        growth = self.peak(runs=8, **chunks_of_two) - self.peak(runs=2, **chunks_of_two)
+        curve_sums = 6 * 1800 * 8  # lam, prod, prodsq, esq and both branches' esq of one chunk
+        assert growth < 2 * curve_sums
 
 
 class TestBlockLength:
@@ -1128,6 +1137,11 @@ class TestConfigRejection:
         with pytest.raises(ValueError, match="a_plus=40.0 rounds lambda to exactly 1"):
             MixingConfig(a_plus=40.0)
 
+    def test_mixing_clip_must_keep_lambda_above_one_half(self):
+        MixingConfig(a_plus=1e-9)
+        with pytest.raises(ValueError, match=r"a_plus=1e-17 rounds lambda to exactly 0\.5$"):
+            MixingConfig(a_plus=1e-17)
+
     def test_mixing_start_must_lie_inside_clip(self):
         with pytest.raises(ValueError, match="a0 outside"):
             MixingConfig(a_plus=2.0, a0=3.0)
@@ -1203,6 +1217,7 @@ class TestBadConfigRejectedAtLoad:
             pytest.param(("mixing", "a_plus"), INF, "a_plus must be positive and finite",
                          id="a_plus-inf"),
             pytest.param(("mixing", "a_plus"), 40.0, "a_plus", id="a_plus-lambda-one"),
+            pytest.param(("mixing", "a_plus"), 1e-17, "a_plus", id="a_plus-lambda-one-half"),
             pytest.param(("scenario", "input", "variance"), INF, "input variance",
                          id="input-variance-inf"),
             pytest.param(("scenario", "noise_variance"), INF, "noise variance",
