@@ -68,9 +68,7 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--runs {args.runs}: {exc}") from exc
     _check_out_dir(args.out)
-    curves = harness.run_experiment(cfg, workers=_workers(args), skip_diverged=args.skip_diverged)
-    if curves.skipped:
-        print(f"skipped {len(curves.skipped)} diverged trial(s): {sorted(curves.skipped)}")
+    curves = harness.run_experiment(cfg, workers=_workers(args))
     _print_steady_table(cfg, curves)
     if args.out:
         harness.write_curves(curves, args.out, db=args.db)
@@ -138,7 +136,7 @@ def cmd_sweep_rho(args) -> int:
         raise ConfigError("grid needs finite bounds 0 < lo <= hi and steps >= 1")
     _check_out_dir(args.out)
     grid = np.geomspace(lo, hi, steps)
-    points = harness.sweep_rho(cfg, grid, workers=_workers(args), skip_diverged=args.skip_diverged)
+    points = harness.sweep_rho(cfg, grid, workers=_workers(args))
     print(f"{'rho':>12} {'J1':>10} {'J2':>10} {'J12':>10} {'J':>10} {'lam':>6}")
     for rho, st in points:
         print(f"{rho:>12.4e} {st.J1:>10.3e} {st.J2:>10.3e} {st.J12:>10.3e} "
@@ -167,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     trials = argparse.ArgumentParser(add_help=False)  # options of the commands that run trials
     trials.add_argument("--workers", type=int, default=1, help="worker processes")
-    trials.add_argument("--skip-diverged", action="store_true",
-                        help="drop diverged trials instead of aborting: a chunk in which "
-                             "any diverged is simulated once more without them")
 
     p = sub.add_parser("simulate", parents=[trials], help="run a Monte-Carlo experiment")
     _add_common(p)

@@ -56,10 +56,7 @@ summed on their own, so no cut of the horizon into blocks changes a bit
 of the curves. It keeps the steady-window weight sums of the current
 segment, and reduces them where the segment loop ends. Apart from the
 sums it returns, a chunk's memory thus grows with neither the horizon
-nor a segment's length. A reduced block cannot drop a trial, so with
-``skip_diverged`` a pass lists the trials that diverged, their rows
-running on to the end on non-finite values (rows never mix), and the
-chunk is then simulated once more without them.
+nor a segment's length.
 
 :func:`run_trial` is the scalar reference path built directly on the step
 functions in :mod:`apamix.filters`; it rebuilds every Gram from scratch,
@@ -71,6 +68,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -173,7 +171,9 @@ class ExperimentConfig:
         if M > L:
             raise ValueError(f"filter2.M={M} exceeds scenario L={L}")
         if self.filter2.eps == 0:
-            # loading keeps every projection Gram positive definite, whatever the input
+            # in exact arithmetic, loading keeps every projection Gram positive
+            # definite; in floating point, an eps below the Gram's rounding
+            # error can still leave one that is not
             raise ValueError("filter2: eps must be > 0")
 
     @property
@@ -220,8 +220,7 @@ class LearningCurves:
     lam: np.ndarray
     j12_se: np.ndarray
     segments: tuple[SegmentStats, ...]
-    runs_used: int
-    skipped: tuple[int, ...] = ()
+    runs_used: int  # always ``config.runs``: a diverged trial raises
 
     @property
     def n_samples(self) -> int:
@@ -329,18 +328,15 @@ def _simulate_chunk(
     config: ExperimentConfig,
     scenario: SystemScenario,
     trial_indices: Sequence[int],
-    skip_diverged: bool,
-) -> tuple[Optional[dict[str, np.ndarray]], list[tuple[int, int]]]:
+) -> dict[str, np.ndarray]:
     """Simulate one chunk of trials of ``config`` on the materialized ``scenario``.
 
     Returns the chunk's trial-by-trial sums by name, to be added up in
-    chunk order, and the ``(trial_index, sample_index)`` of each trial
-    dropped for diverging, in the order they died. Curve sums have shape
-    ``(n,)``, or ``(2, n)`` for the two branches' squared errors;
-    steady-window weight-deviation sums have shape ``(S, 5, L)`` or
-    ``(S, L)``, one entry per segment. The sums cover the survivors only,
-    and are ``None`` when none survive. A diverged trial raises unless
-    ``skip_diverged``. A shared Gram that is not positive definite, found
+    chunk order. Curve sums have shape ``(n,)``, or ``(2, n)`` for the two
+    branches' squared errors; steady-window weight-deviation sums have
+    shape ``(S, 5, L)`` or ``(S, L)``, one entry per segment. The first
+    trial whose weights turn non-finite raises a DivergenceError naming it
+    and the sample. A shared Gram that is not positive definite, found
     when its sub-block is formed, raises a NumericalError only when the
     loop reaches its sample, so a divergence before it is still reported
     first.
@@ -405,8 +401,6 @@ def _simulate_chunk(
     devs = np.zeros((5, R, L))
     sums = {key: np.empty(n) for key in ("lam", "prod", "prodsq", "esq")}
     sums.update(esq12=np.empty((2, n)), devs=np.empty((n_seg, 5, L)), meansq2=np.empty((n_seg, L)))
-    diverged = []
-    alive = np.ones(R, dtype=bool)
 
     for seg, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         wopt = scenario.segments[seg].w_opt
@@ -482,57 +476,42 @@ def _simulate_chunk(
                 W[1] -= attractor
 
                 if not np.isfinite(W.sum()):
-                    bad = ~np.isfinite(W).all(axis=(0, 2))
-                    for r in np.flatnonzero(bad & alive):
-                        t = trial_indices[int(r)]
-                        if not skip_diverged:
-                            raise DivergenceError(
-                                f"trial {t} diverged at sample {i}",
-                                trial_index=t,
-                                sample_index=i,
-                            )
-                        diverged.append((t, i))
-                    alive &= ~bad
-                    if not alive.any():
-                        return None, diverged
+                    r = np.flatnonzero(~np.isfinite(W).all(axis=(0, 2)))[0]  # the first row
+                    t = trial_indices[int(r)]
+                    raise DivergenceError(
+                        f"trial {t} diverged at sample {i}", trial_index=t, sample_index=i
+                    )
 
-            if not diverged:  # add the block's records over the trials into ``sums``
-                cur = slice(lo, lo + m)
-                ea12, (lam, prod) = rec[:2, :m], rec[2:, :m]
-                lam.sum(axis=1, out=sums["lam"][cur])
-                np.multiply(*ea12, out=prod).sum(axis=1, out=sums["prod"][cur])
-                np.square(prod, out=prod).sum(axis=1, out=sums["prodsq"][cur])
-                ea = np.multiply(lam, ea12[0], out=prod)  # ea = lam*ea1 + (1-lam)*ea2
-                rest = np.subtract(1.0, lam, out=lam)
-                rest *= ea12[1]
-                ea += rest
-                np.square(ea, out=ea).sum(axis=1, out=sums["esq"][cur])
-                np.square(ea12, out=ea12).sum(axis=2, out=sums["esq12"][:, cur])
+            # add the block's records over the trials into ``sums``
+            cur = slice(lo, lo + m)
+            ea12, (lam, prod) = rec[:2, :m], rec[2:, :m]
+            lam.sum(axis=1, out=sums["lam"][cur])
+            np.multiply(*ea12, out=prod).sum(axis=1, out=sums["prod"][cur])
+            np.square(prod, out=prod).sum(axis=1, out=sums["prodsq"][cur])
+            ea = np.multiply(lam, ea12[0], out=prod)  # ea = lam*ea1 + (1-lam)*ea2
+            rest = np.subtract(1.0, lam, out=lam)
+            rest *= ea12[1]
+            ea += rest
+            np.square(ea, out=ea).sum(axis=1, out=sums["esq"][cur])
+            np.square(ea12, out=ea12).sum(axis=2, out=sums["esq12"][:, cur])
             # the block's newest samples become the next block's older ones
             Q[:, blk:] = Q[:, blk - m : blk - m + carry]
 
-        if not diverged:  # add the segment's window sums over the trials into ``sums``
-            devs.sum(axis=1, out=sums["devs"][seg])
-            # sum over trials of the squared per-trial window mean of dev2
-            mean2 = np.divide(devs[1], stop - win, out=attractor)
-            np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][seg])
-            devs.fill(0.0)
-    if diverged:  # the sums stop where the first trial died: simulate the survivors alone
-        survivors = [t for t, ok in zip(trial_indices, alive) if ok]
-        return _simulate_chunk(config, scenario, survivors, False)[0], diverged
-    return sums, diverged
+        # add the segment's window sums over the trials into ``sums``
+        devs.sum(axis=1, out=sums["devs"][seg])
+        # sum over trials of the squared per-trial window mean of dev2
+        mean2 = np.divide(devs[1], stop - win, out=attractor)
+        np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][seg])
+        devs.fill(0.0)
+    return sums
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    skip_diverged: bool = False,
-) -> LearningCurves:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> LearningCurves:
     """Ensemble-average the configured number of trials.
 
     Results are bit-identical for any ``workers`` value: trials are cut
     into fixed chunks of ``config.chunk_size``, and each chunk's sums are
-    added into a running total in chunk order.
+    added into a running total in chunk order, as the chunk comes.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -541,39 +520,32 @@ def run_experiment(
         list(range(lo, min(lo + config.chunk_size, config.runs)))
         for lo in range(0, config.runs, config.chunk_size)
     ]
-    args = (repeat(config), repeat(scenario), chunks, repeat(skip_diverged))
+    pool, run = nullcontext(), map
     if workers > 1 and len(chunks) > 1:
         # imported here: only a multi-worker run needs the pool, and its
         # modules cost every start-up about 20 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_simulate_chunk, *args)  # done when the pool shuts down
-    else:
-        results = map(_simulate_chunk, *args)
-
-    total, skipped = None, []
-    for sums, diverged in results:  # add each chunk's sums into the total as it comes
-        skipped += (t for t, _ in diverged)
-        if total is None:
-            total = sums
-        elif sums is not None:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        run = pool.map
+    with pool:  # add each chunk's sums into the total as the chunk comes
+        results = run(_simulate_chunk, repeat(config), repeat(scenario), chunks)
+        total = next(results)
+        for sums in results:
             for key, part in sums.items():
                 np.add(total[key], part, out=total[key])
-    used = config.runs - len(skipped)
-    if used == 0:
-        raise DivergenceError("all trials diverged")
+    runs = config.runs
 
-    j12 = total["prod"] / used
-    var_prod = np.maximum(total["prodsq"] / used - j12**2, 0.0)
+    j12 = total["prod"] / runs
+    var_prod = np.maximum(total["prodsq"] / runs - j12**2, 0.0)
 
     bounds = scenario.boundaries
     seg_stats = []
     for k, (seg, start, end) in enumerate(zip(scenario.segments, bounds, bounds[1:])):
-        samples = (end - _steady_window_start(start, end, config.steady_window_fraction)) * used
+        samples = (end - _steady_window_start(start, end, config.steady_window_fraction)) * runs
         active = seg.w_opt != 0
         mean_dev1, mean_dev2, msd1, msd2, cross12 = total["devs"][k] / samples
-        var_across = np.maximum(total["meansq2"][k] / used - mean_dev2**2, 0.0)
+        var_across = np.maximum(total["meansq2"][k] / runs - mean_dev2**2, 0.0)
         seg_stats.append(
             SegmentStats(
                 start=start,
@@ -582,7 +554,7 @@ def run_experiment(
                 active=active,
                 mean_dev1=mean_dev1,
                 mean_dev2=mean_dev2,
-                mean_dev2_se=np.sqrt(var_across / used),
+                mean_dev2_se=np.sqrt(var_across / runs),
                 msd1=msd1,
                 msd2=msd2,
                 cross12=cross12,
@@ -590,17 +562,16 @@ def run_experiment(
             )
         )
 
-    j1, j2 = total["esq12"] / used
+    j1, j2 = total["esq12"] / runs
     return LearningCurves(
         j1=j1,
         j2=j2,
         j12=j12,
-        j=total["esq"] / used,
-        lam=total["lam"] / used,
-        j12_se=np.sqrt(var_prod / used),
+        j=total["esq"] / runs,
+        lam=total["lam"] / runs,
+        j12_se=np.sqrt(var_prod / runs),
         segments=tuple(seg_stats),
-        runs_used=used,
-        skipped=tuple(skipped),
+        runs_used=runs,
     )
 
 
@@ -699,14 +670,13 @@ def sweep_rho(
     config: ExperimentConfig,
     rho_values: Sequence[float],
     workers: int = 1,
-    skip_diverged: bool = False,
 ) -> list[tuple[float, SteadyState]]:
     """Final-segment steady state, over the config's window, across attractor strengths."""
     wf = config.steady_window_fraction
     out = []
     for rho in rho_values:
         cfg = replace(config, filter2=replace(config.filter2, rho=float(rho)))
-        curves = run_experiment(cfg, workers=workers, skip_diverged=skip_diverged)
+        curves = run_experiment(cfg, workers=workers)
         out.append((float(rho), steady_state_stats(curves, len(curves.segments) - 1, wf)))
     return out
 

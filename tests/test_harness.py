@@ -348,9 +348,9 @@ def failing_gram(monkeypatch, kind, sample):
         harness._simulate_chunk, harness.invert_spd_batch, np.linalg.solve)
     at = {}
 
-    def one_pass(config, scenario, trial_indices, skip_diverged):
+    def one_pass(config, scenario, trial_indices):
         at.update(trials=list(trial_indices), offset=0)
-        return real_pass(config, scenario, trial_indices, skip_diverged)
+        return real_pass(config, scenario, trial_indices)
 
     def flagging_kernel(out, eps):  # out: (M, M, samples, trials)
         bad = real_kernel(out, eps)
@@ -375,18 +375,6 @@ def failing_gram(monkeypatch, kind, sample):
         monkeypatch.setattr(np.linalg, "solve", failing_solve)
 
 
-def assert_curves_are_trial_means(cur, cfg, trials):
-    """The curves are the means of run_trial's records of ``trials``."""
-    recs = [run_trial(cfg, t) for t in trials]
-    ea1, ea2, ea, lam = (
-        np.array([getattr(r, k) for r in recs]) for k in ("ea1", "ea2", "ea", "lam")
-    )
-    pairs = ((cur.j1, ea1**2), (cur.j2, ea2**2), (cur.j12, ea1 * ea2), (cur.j, ea**2))
-    for got, want in pairs:
-        np.testing.assert_allclose(got, want.mean(axis=0), rtol=1e-9, atol=1e-13)
-    np.testing.assert_allclose(cur.lam, lam.mean(axis=0), rtol=1e-9, atol=1e-12)
-
-
 class TestDivergenceHandling:
     def test_engine_reports_trial_and_sample(self, monkeypatch):
         cfg = tiny_config(runs=4, n=60, segments=(SegmentDef(60, 16),))
@@ -395,14 +383,6 @@ class TestDivergenceHandling:
             run_experiment(replace(cfg, chunk_size=4))
         assert exc_info.value.trial_index == 2
         assert exc_info.value.sample_index == 30
-
-    def test_skip_diverged_drops_whole_trial(self, monkeypatch):
-        cfg = tiny_config(runs=4, n=60, segments=(SegmentDef(60, 16),))
-        nan_input(monkeypatch, {1: 30})
-        cur = run_experiment(replace(cfg, chunk_size=4), skip_diverged=True)
-        assert cur.runs_used == 3
-        assert cur.skipped == (1,)
-        assert np.isfinite(cur.j1).all() and np.isfinite(cur.j2).all()
 
     def test_reference_trial_reports_trial_and_sample(self, monkeypatch):
         """run_trial names the trial and sample of a step's DivergenceError."""
@@ -420,6 +400,57 @@ class TestDivergenceHandling:
         assert (exc_info.value.trial_index, exc_info.value.sample_index) == (3, 7)
 
 
+class TestFirstDivergenceIsRaised:
+    """A chunk's rows share its window, lag, Gram and solve buffers; whichever
+    Gram a diverging trial meets, the run stops at the first sample at which
+    a row turns non-finite and names that row's trial."""
+
+    @pytest.mark.parametrize(
+        "params, first",
+        [
+            (dict(), (1, 40)),  # one shared solve
+            # the plain branch on the shared Gram, the other on its gain-weighted Gram
+            (dict(proportionate=ProportionateConfig()), (1, 40)),
+            # a one-slot window, with both kinds of Gram
+            (dict(M=1, proportionate=ProportionateConfig()), (1, 40)),
+            # trial 1 dies in the last segment, after the first one was reduced
+            (dict(deaths={1: 150}), (1, 150)),
+            # two trials die at different samples: the earlier sample is named
+            (dict(deaths={1: 120, 3: 40}), (3, 40)),
+            # two trials die at one sample: the lower row is named
+            (dict(deaths={3: 40, 1: 40}), (1, 40)),
+        ],
+        ids=["shared", "gain-weighted", "one-slot", "last-segment", "earlier-sample",
+             "same-sample"],
+    )
+    def test_names_the_first_trial_and_sample(self, params, first, monkeypatch):
+        deaths = params.get("deaths", {1: 40})  # trial -> the sample its input turns NaN
+        config_params = {k: v for k, v in params.items() if k != "deaths"}
+        cfg = replace(tiny_config(runs=4, n=100, **config_params), chunk_size=4)
+        seen = nan_input(monkeypatch, deaths)  # the four streams are trials 0-3
+        with pytest.raises(DivergenceError) as exc_info:
+            run_experiment(cfg)
+        assert (exc_info.value.trial_index, exc_info.value.sample_index) == first
+        assert str(exc_info.value) == "trial {} diverged at sample {}".format(*first)
+        assert seen["count"] + 1 == 4  # one pass: no trial is run again
+
+    def test_later_chunk_is_not_run(self, monkeypatch):
+        """Trial 0 of the first chunk dies: the second chunk, whose trial 2
+        would die sooner, is never built."""
+        cfg = tiny_config(runs=4, n=100)  # chunk_size=2: trials 0-1, then 2-3
+        seen = nan_input(monkeypatch, {0: 90, 2: 10})
+        with pytest.raises(DivergenceError) as exc_info:
+            run_experiment(cfg)
+        assert (exc_info.value.trial_index, exc_info.value.sample_index) == (0, 90)
+        assert seen["count"] + 1 == 2
+
+    def test_every_trial_diverging_names_the_first(self, monkeypatch):
+        nan_input(monkeypatch, {0: 30, 1: 70, 2: 10, 3: 90})
+        with pytest.raises(DivergenceError) as exc_info:
+            run_experiment(tiny_config(runs=4, n=100))
+        assert (exc_info.value.trial_index, exc_info.value.sample_index) == (0, 30)
+
+
 # the Gram that fails, the configs in which it is used, and the message
 SHARED_FAILS = "projection Gram not positive definite at sample {}"
 GRAM_FAILURES = [
@@ -434,7 +465,7 @@ GRAM_FAILURES = [
 class TestSingularGram:
     """A Gram that the engine cannot invert is a NumericalError naming its sample.
 
-    Every experiment loads its Grams, so the failures are injected: the
+    Every experiment loads its Grams, so most failures are injected: the
     shared-Gram kernel flags one Gram, or the gain-weighted solve raises.
     """
 
@@ -450,69 +481,59 @@ class TestSingularGram:
         assert str(exc_info.value) == message.format(sample)
         assert not isinstance(exc_info.value, DivergenceError)
 
-    @pytest.mark.parametrize("kind, prop, message", GRAM_FAILURES)
-    @pytest.mark.parametrize("skip", [False, True])
-    def test_earlier_divergence_is_raised_first(self, kind, prop, message, skip, monkeypatch):
+    def test_loading_below_the_rounding_error_fails(self):
+        """A real failure: with input variance 1e6 and eps=1e-12, the loaded
+        Gram of sample 7, the first full window, has eigenvalues from about
+        1e-12 to 1.5e7, so rounding outweighs the loading, and the engine's
+        Cholesky meets a pivot that is not positive. The reference path
+        factors the same Gram with LAPACK and happens to get through."""
+        cfg = ExperimentConfig(
+            scenario=ScenarioDef(
+                L=64,
+                segments=(SegmentDef(20, 64),),
+                noise_variance=1e-3,
+                input=SignalModel(kind="white", variance=1e6),
+            ),
+            filter2=FilterConfig(M=8, mu=0.5, rho=0.0, eps=1e-12),
+            runs=1,
+            seed=1010365541293,
+        )
+        with pytest.raises(NumericalError) as exc_info:
+            run_experiment(cfg)
+        assert str(exc_info.value) == SHARED_FAILS.format(7)
+        assert not isinstance(exc_info.value, DivergenceError)
+        run_trial(cfg, 0)
+
+        scenario = cfg.scenario.materialize()
+        buf = RegressorBuffer.zeros(64, 8)
+        stream = scenario_stream(scenario, cfg.scenario.input, make_rng(cfg.seed, 0))
+        for _, obs in zip(range(8), stream):
+            buf = push(buf, obs)
+        eig = np.linalg.eigvalsh(buf.U.T @ buf.U + cfg.filter2.eps * np.eye(8))
+        assert eig[0] < 1e-15 * eig[-1]  # below double precision's relative resolution
+
+    @pytest.mark.parametrize("kind, prop, _message", GRAM_FAILURES)
+    def test_earlier_divergence_is_raised_first(self, kind, prop, _message, monkeypatch):
         """Trial 0 diverges at sample 35, before the Gram failure at 37 in the
-        same sub-block; a skipped divergence does not hide the Gram failure."""
+        same sub-block."""
         nan_input(monkeypatch, {0: 35})
         failing_gram(monkeypatch, kind, 37)
         cfg = replace(self.cfg, filter2=replace(self.cfg.filter2, proportionate=prop))
+        with pytest.raises(DivergenceError) as exc_info:
+            run_experiment(cfg)
+        assert (exc_info.value.trial_index, exc_info.value.sample_index) == (0, 35)
+
+    @pytest.mark.parametrize("kind, prop, message", GRAM_FAILURES)
+    def test_earlier_gram_failure_is_raised_first(self, kind, prop, message, monkeypatch):
+        """The Gram fails at sample 35, before trial 0 diverges at 37 in the
+        same sub-block."""
+        nan_input(monkeypatch, {0: 37})
+        failing_gram(monkeypatch, kind, 35)
+        cfg = replace(self.cfg, filter2=replace(self.cfg.filter2, proportionate=prop))
         with pytest.raises(NumericalError) as exc_info:
-            run_experiment(cfg, skip_diverged=skip)
-        if skip:
-            assert not isinstance(exc_info.value, DivergenceError)
-            assert str(exc_info.value) == message.format(37)
-        else:
-            assert isinstance(exc_info.value, DivergenceError)
-            assert (exc_info.value.trial_index, exc_info.value.sample_index) == (0, 35)
-
-
-class TestDeadTrialDoesNotLeak:
-    """A dead trial's row shares the chunk's window, lag, Gram and solve buffers,
-    and its records share the sums of every segment it lived through."""
-
-    @pytest.mark.parametrize(
-        "params",
-        [
-            dict(),  # one shared solve
-            # the plain branch on the shared Gram, the other on its gain-weighted Gram
-            dict(proportionate=ProportionateConfig()),
-            # a one-slot window, with both kinds of Gram
-            dict(M=1, proportionate=ProportionateConfig()),
-            # trial 1 dies in the last segment, after the first one was reduced
-            dict(deaths={1: 150}),
-            # two trials die at different samples: listed in the order they die
-            dict(deaths={1: 120, 3: 40}),
-        ],
-    )
-    def test_survivors_match_reference(self, params, monkeypatch):
-        deaths = params.get("deaths", {1: 40})  # trial -> the sample its input turns NaN
-        config_params = {k: v for k, v in params.items() if k != "deaths"}
-        cfg = replace(tiny_config(runs=4, n=100, **config_params), chunk_size=4)
-        seen = nan_input(monkeypatch, deaths)  # the first four streams are trials 0-3
-        cur = run_experiment(cfg, skip_diverged=True)
-        assert cur.skipped == tuple(sorted(deaths, key=deaths.get))
-        survivors = [t for t in range(4) if t not in deaths]
-        # one more pass, over the survivors only, however many trials died
-        assert seen["count"] + 1 == 4 + len(survivors)
-        assert_curves_are_trial_means(cur, cfg, survivors)
-
-    def test_dead_chunk_adds_nothing(self, monkeypatch):
-        """Both trials of the first chunk die: it ends early, gets no second pass,
-        and the curves are the second chunk's alone."""
-        cfg = tiny_config(runs=4, n=100)  # chunk_size=2: trials 0-1, then 2-3
-        seen = nan_input(monkeypatch, {0: 30, 1: 70})
-        cur = run_experiment(cfg, skip_diverged=True)
-        assert cur.skipped == (0, 1)
-        assert cur.runs_used == 2
-        assert seen["count"] + 1 == 4  # two streams per chunk, no re-run
-        assert_curves_are_trial_means(cur, cfg, (2, 3))
-
-    def test_all_trials_diverged(self, monkeypatch):
-        nan_input(monkeypatch, {0: 30, 1: 70, 2: 10, 3: 90})
-        with pytest.raises(DivergenceError, match="all trials diverged"):
-            run_experiment(tiny_config(runs=4, n=100), skip_diverged=True)
+            run_experiment(cfg)
+        assert not isinstance(exc_info.value, DivergenceError)
+        assert str(exc_info.value) == message.format(35)
 
 
 class TestChunkMemory:
@@ -520,11 +541,11 @@ class TestChunkMemory:
     grows neither with the horizon nor with a segment's length."""
 
     @staticmethod
-    def peak(segments, runs=50, chunk_size=50):
+    def peak(segments, runs=50, chunk_size=50, workers=1):
         cfg = replace(tiny_config(runs=runs, segments=segments), chunk_size=chunk_size)
         tracemalloc.start()
         try:
-            run_experiment(cfg)
+            run_experiment(cfg, workers=workers)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -559,6 +580,18 @@ class TestChunkMemory:
         growth = self.peak(runs=8, **chunks_of_two) - self.peak(runs=2, **chunks_of_two)
         curve_sums = 6 * 1800 * 8  # lam, prod, prodsq, esq and both branches' esq of one chunk
         assert growth < 2 * curve_sums
+
+    def test_pool_peak_does_not_grow_with_the_chunk_count(self):
+        """Forty chunks of two trials against ten, on two workers: each chunk's
+        sums go into the running total as the pool yields them. Holding them
+        all until the pool shut down would add 30 chunks' sums; a quarter of
+        that allows for the pool's bookkeeping of each chunk. The horizon is
+        short, as the forked workers trace their allocations too."""
+        chunks_of_two = dict(segments=(SegmentDef(300, 16),), chunk_size=2, workers=2)
+        self.peak(runs=4, **chunks_of_two)  # the first pool imports its modules
+        growth = self.peak(runs=80, **chunks_of_two) - self.peak(runs=20, **chunks_of_two)
+        curve_sums = 6 * 300 * 8
+        assert growth < 30 * curve_sums / 4
 
 
 class TestBlockLength:
@@ -801,19 +834,13 @@ class TestCli:
         assert rc == 3
         assert capsys.readouterr().err == f"numerical error: {message.format(0)}\n"
 
-    @pytest.mark.parametrize("skip", [True, False])
-    def test_diverged_trial_is_skipped_or_reported(self, skip, tmp_path, capsys, monkeypatch):
+    def test_diverged_trial_is_reported_with_exit_3(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         write_config(replace(tiny_config(runs=4, n=60), chunk_size=4), cfg_path)
         nan_input(monkeypatch, {1: 30})
-        rc = cli_main(["simulate", "--config", str(cfg_path)] + ["--skip-diverged"] * skip)
-        out, err = capsys.readouterr()
-        if skip:
-            assert rc == 0
-            assert out.startswith("skipped 1 diverged trial(s): [1]\n")
-        else:
-            assert rc == 3
-            assert err == "divergence: trial 1 diverged at sample 30\n"
+        rc = cli_main(["simulate", "--config", str(cfg_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == "divergence: trial 1 diverged at sample 30\n"
 
     def test_predict_notes_proportionate_gains(self, capsys):
         rc = cli_main(["predict", "--preset", "paper-desk", "--filter2", "zapapa"])
@@ -904,10 +931,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"config error: --workers {workers}: workers must be >= 1\n"
 
-    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--skip-diverged"]])
-    def test_predict_takes_no_run_options(self, flag, capsys):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["predict"], ["--workers", "2"]),
+            # no command skips a diverged trial: every divergence raises
+            (["simulate"], ["--skip-diverged"]),
+            (["sweep-rho", "--grid", "1e-4:1e-3:2"], ["--skip-diverged"]),
+            (["predict"], ["--skip-diverged"]),
+        ],
+        ids=["predict-workers", "simulate-skip", "sweep-rho-skip", "predict-skip"],
+    )
+    def test_unknown_run_options_are_rejected(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["predict", "--preset", "paper-desk", *flag])
+            cli_main([*command, "--preset", "paper-desk", *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
