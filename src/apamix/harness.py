@@ -1,10 +1,11 @@
 """Monte-Carlo experiment runner, EMSE estimation, presets, and persistence.
 
-Trials are independent: trial t draws its input/noise streams from the
-counter-based stream ``seed XOR t`` and nothing else, so results do not
-depend on how trials are scheduled. For speed the engine simulates trials
-in fixed-size chunks, vectorizing the per-sample algebra across the chunk;
-chunk boundaries (and therefore all floating-point reduction orders) are a
+Trials are independent: trial t draws its input and noise from
+:class:`apamix.signals.TrialStream` on the seed and t alone (the
+counter-based stream ``seed XOR t``), so results do not depend on how
+trials are scheduled. For speed the engine simulates trials in fixed-size
+chunks, vectorizing the per-sample algebra across the chunk; chunk
+boundaries (and therefore all floating-point reduction orders) are a
 function of ``chunk_size`` alone, never of the worker count.
 
 A chunk walks the horizon in nested loops: over the segments, each of
@@ -96,7 +97,6 @@ from .signals import (
     SignalModel,
     SystemScenario,
     TrialStream,
-    make_rng,
     scenario_stream,
 )
 
@@ -167,14 +167,18 @@ class ExperimentConfig:
             raise ValueError("steady_window_fraction must lie in (0, 1]")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        M, L = self.filter2.M, self.scenario.L
+        M, L, eps = self.filter2.M, self.scenario.L, self.filter2.eps
         if M > L:
             raise ValueError(f"filter2.M={M} exceeds scenario L={L}")
-        if self.filter2.eps == 0:
-            # in exact arithmetic, loading keeps every projection Gram positive
-            # definite; in floating point, an eps below the Gram's rounding
-            # error can still leave one that is not
+        if eps == 0:
+            # in exact arithmetic, any loading keeps every projection Gram
+            # positive definite
             raise ValueError("filter2: eps must be > 0")
+        # in floating point, an eps below the spacing of doubles at a full
+        # window's expected Gram diagonal L*variance (within a factor 2)
+        # moves that diagonal by at most about one ulp: it loads nothing
+        if eps < (floor := L * self.scenario.input.variance * np.finfo(float).eps):
+            raise ValueError(f"filter2: eps={eps:g} is below L*variance*2**-52={floor:.3g}")
 
     @property
     def filter1(self) -> FilterConfig:
@@ -246,12 +250,11 @@ class SteadyState:
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Run one trial sample-by-sample through the reference step functions.
 
-    The trial's streams come from ``config.seed XOR trial_index`` only.
-    Slow (per-sample Python), intended for tests and debugging; use
-    :func:`run_experiment` for ensembles.
+    Its observations are :func:`apamix.signals.scenario_stream` on ``config.seed``
+    and ``trial_index``, the engine's streams for that trial. Slow (per-sample
+    Python), for tests and debugging; use :func:`run_experiment` for ensembles.
     """
     scenario = config.scenario.materialize()
-    rng = make_rng(config.seed, trial_index)
     n = scenario.n_samples
     state1 = FilterState.zeros(config.filter1, scenario.L)
     state2 = FilterState.zeros(config.filter2, scenario.L)
@@ -260,13 +263,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     buf = RegressorBuffer.zeros(scenario.L, config.filter2.M)
     step2 = za_papa_step if config.filter2.proportionate is not None else za_apa_step
 
-    ea1 = np.empty(n)
-    ea2 = np.empty(n)
-    ea = np.empty(n)
-    lam = np.empty(n)
-    w_opts = (seg.w_opt for seg in scenario.segments for _ in range(seg.duration))
-    stream = scenario_stream(scenario, config.scenario.input, rng)
-    for i, (obs, w_opt) in enumerate(zip(stream, w_opts)):
+    ea1, ea2, ea, lam = np.empty((4, n))
+    for i, (obs, w_opt) in enumerate(scenario_stream(scenario, config.seed, trial_index)):
         buf = push(buf, obs)
         y1 = float(obs.u @ state1.w)
         y2 = float(obs.u @ state2.w)
@@ -362,10 +360,7 @@ def _simulate_chunk(
     carry = L + M - 1
     Q = np.zeros((R, blk + carry))
     NOISE = np.empty((R, blk))
-    streams = [
-        TrialStream(scenario, config.scenario.input, make_rng(config.seed, t), blk)
-        for t in trial_indices
-    ]
+    streams = [TrialStream(scenario, config.seed, t) for t in trial_indices]
 
     # Sample i overwrites slot s = -i % M, so slot (s + k) % M holds sample
     # i-k. Only one row of U changes per sample.
@@ -534,6 +529,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> LearningCurves
         for sums in results:
             for key, part in sums.items():
                 np.add(total[key], part, out=total[key])
+            del sums  # or it stays alive while the next chunk runs
     runs = config.runs
 
     j12 = total["prod"] / runs

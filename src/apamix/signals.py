@@ -7,15 +7,13 @@ white Gaussian observation noise.
 
 Trial streams are driven by the counter-based Philox generator so that
 Monte-Carlo trials get independent, reproducible streams from
-``seed XOR trial_index`` alone. Every draw takes its generator from the
-caller; an input model holds no seed of its own.
-
-A trial draws its whole input first, then its noise, from that one
-generator (:func:`trial_signals`). :class:`TrialStream` serves the same
-numbers a piece at a time, so that a simulation need not hold a trial's
-streams for the whole horizon: its input continues the generator (and the
-AR(1) state) from piece to piece, and its noise comes from a copy of the
-generator moved past the trial's input draws.
+``seed XOR trial_index`` alone. An input model holds no seed of its own;
+the materialized scenario carries it, and :class:`TrialStream` alone lays
+out a trial's draws: its input is the first n draws of the trial's
+generator, and its noise comes from a second generator on the same key,
+moved past those n draws. It serves them a piece at a time, so that a
+simulation need not hold a trial's streams for the whole horizon;
+:func:`trial_signals` is the whole horizon in one piece.
 """
 
 from __future__ import annotations
@@ -129,12 +127,13 @@ class SystemScenario:
     """Piecewise-constant true system plus the observation-noise level.
 
     :meth:`ScenarioDef.materialize` builds it from a checked definition, so
-    it checks nothing itself.
+    it checks nothing itself. ``input`` is the model of the input process.
     """
 
     L: int
     segments: tuple[Segment, ...]
     noise_variance: float
+    input: SignalModel
 
     @property
     def n_samples(self) -> int:
@@ -208,7 +207,7 @@ class ScenarioDef:
             w = np.zeros(self.L)
             w[active] = vals
             segs.append(Segment(sd.duration, w))
-        return SystemScenario(self.L, tuple(segs), self.noise_variance)
+        return SystemScenario(self.L, tuple(segs), self.noise_variance, self.input)
 
 
 @dataclass(frozen=True)
@@ -220,41 +219,21 @@ class Observation:
     epsilon: float
 
 
-def trial_signals(
-    scenario: SystemScenario, model: SignalModel, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one trial's raw input and noise arrays.
-
-    Draw order is fixed (input first, then noise) so that any consumer of
-    the same generator sees identical streams.
-    """
-    n = scenario.n_samples
-    x = gen_input(model, n, rng)
-    noise = rng.standard_normal(n) * np.sqrt(scenario.noise_variance)
-    return x, noise
-
-
 class TrialStream:
-    """One trial's :func:`trial_signals` arrays, drawn a piece at a time.
+    """Trial ``trial``'s input and noise on ``scenario``, drawn a piece at a time.
 
-    Pieces of any lengths concatenate to ``trial_signals(scenario, model,
-    rng)`` bit for bit. The noise generator is a copy of ``rng`` moved past
-    the trial's n input draws, ``block`` draws at a time, so that no array
-    longer than ``block`` is ever allocated.
+    The one layout of a trial's draws: the input comes from the first n
+    draws of ``make_rng(seed, trial)``, and the noise from a second
+    generator on the same key, moved past them by one ``standard_normal(n)``
+    call. Pieces of any lengths concatenate to the same arrays bit for bit.
     """
 
-    def __init__(
-        self, scenario: SystemScenario, model: SignalModel, rng: np.random.Generator, block: int
-    ):
-        n = scenario.n_samples
-        self._model = model
-        self._rng = rng
+    def __init__(self, scenario: SystemScenario, seed: int, trial: int):
+        self._model = scenario.input
+        self._rng = make_rng(seed, trial)
         self._last = None  # the AR(1) sample before the next piece
-        bits = type(rng.bit_generator)()  # a copy of rng's bit generator
-        bits.state = rng.bit_generator.state
-        self._noise_rng = np.random.Generator(bits)
-        for lo in range(0, n, block):
-            self._noise_rng.standard_normal(min(block, n - lo))
+        self._noise_rng = make_rng(seed, trial)
+        self._noise_rng.standard_normal(scenario.n_samples)
         self._noise_sd = np.sqrt(scenario.noise_variance)
 
     def draw(self, x: np.ndarray, noise: np.ndarray) -> None:
@@ -268,20 +247,27 @@ class TrialStream:
         noise *= self._noise_sd
 
 
+def trial_signals(scenario: SystemScenario, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trial ``trial``'s whole input and noise arrays: one :class:`TrialStream` piece."""
+    x, noise = np.empty(scenario.n_samples), np.empty(scenario.n_samples)
+    TrialStream(scenario, seed, trial).draw(x, noise)
+    return x, noise
+
+
 def scenario_stream(
-    scenario: SystemScenario, model: SignalModel, rng: np.random.Generator
-) -> Iterator[Observation]:
-    """Yield the observation sequence for one trial.
+    scenario: SystemScenario, seed: int, trial: int
+) -> Iterator[tuple[Observation, np.ndarray]]:
+    """Yield trial ``trial``'s observations, each with the system it observes.
 
     The regressor at time i is the window ``[x(i), x(i-1), ..., x(i-L+1)]``
     with zeros before t=0; the desired response uses the segment-active
     system at i plus independent observation noise.
     """
-    x, noise = trial_signals(scenario, model, rng)
+    x, noise = trial_signals(scenario, seed, trial)
     L = scenario.L
     padded = np.concatenate([np.zeros(L - 1), x])
     w_opts = (seg.w_opt for seg in scenario.segments for _ in range(seg.duration))
     for i, w_opt in enumerate(w_opts):
         u = padded[i : i + L][::-1].copy()
         d = float(u @ w_opt + noise[i])
-        yield Observation(u=u, d=d, epsilon=float(noise[i]))
+        yield Observation(u=u, d=d, epsilon=float(noise[i])), w_opt

@@ -4,10 +4,12 @@ Every name a module lists in ``__all__`` exists: perfbench/tracer.py looks
 up each listed name to wrap it, so a name left behind by a deletion would
 break a traced benchmark run. Every name perfbench/child.py reads span
 times of is one the tracer wraps, and a traced run of each workload calls
-it. Importing the CLI loads no SciPy module: SciPy is a test-only
-dependency, and importing it cost every ``apamix`` invocation about a
-second of set-up. Nor does it load the process pool's modules, which only
-a run with more than one worker needs.
+it. Each workload's steady-state table at the benchmark's default seed
+matches perfbench/fingerprints.json, so an edit that changes the answers
+fails here, not only in a benchmark run. Importing the CLI loads no SciPy
+module: SciPy is a test-only dependency, and importing it cost every
+``apamix`` invocation about a second of set-up. Nor does it load the
+process pool's modules, which only a run with more than one worker needs.
 """
 
 import importlib
@@ -85,3 +87,22 @@ def test_traced_benchmark_run_reports_every_metric(workload, tmp_path):
     assert out["oracle_failures"] == []
     bad = {name: v for name, (v, _unit) in out["metrics"].items() if not math.isfinite(v)}
     assert not bad, bad
+
+
+@pytest.mark.parametrize("workload", ["desk-zaapa", "desk-zapapa-ar1", "full-zaapa-short"])
+def test_default_seed_table_matches_the_fingerprint(workload, tmp_path, monkeypatch):
+    # the benchmark's own check, in a fresh interpreter that writes no bytecode
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "check", workload],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    table = json.loads(proc.stdout.strip().splitlines()[-1])["table"]
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    wl = importlib.import_module("workloads")
+    stored = json.loads((ROOT / "perfbench" / "fingerprints.json").read_text())
+    mismatch = wl.table_mismatch(stored[workload], table)
+    assert mismatch is None, mismatch

@@ -39,7 +39,7 @@ from apamix.harness import (
     write_curves,
     write_sweep,
 )
-from apamix.signals import ScenarioDef, SegmentDef, SignalModel, make_rng, scenario_stream
+from apamix.signals import ScenarioDef, SegmentDef, SignalModel, scenario_stream
 
 
 def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
@@ -119,8 +119,7 @@ def reference_segment_stats(cfg):
         s2 = FilterState.zeros(cfg.filter2, cfg.scenario.L)
         buf = RegressorBuffer.zeros(cfg.scenario.L, cfg.filter2.M)
         trial_dev2 = np.zeros((n_seg, cfg.scenario.L))
-        stream = scenario_stream(scenario, cfg.scenario.input, make_rng(cfg.seed, t))
-        for i, obs in enumerate(stream):
+        for i, (obs, _) in enumerate(scenario_stream(scenario, cfg.seed, t)):
             k = int(np.searchsorted(bounds, i, side="right") - 1)
             if i >= bounds[k + 1] - widths[k]:
                 w_opt = scenario.segments[k].w_opt
@@ -481,36 +480,38 @@ class TestSingularGram:
         assert str(exc_info.value) == message.format(sample)
         assert not isinstance(exc_info.value, DivergenceError)
 
-    def test_loading_below_the_rounding_error_fails(self):
-        """A real failure: with input variance 1e6 and eps=1e-12, the loaded
-        Gram of sample 7, the first full window, has eigenvalues from about
-        1e-12 to 1.5e7, so rounding outweighs the loading, and the engine's
-        Cholesky meets a pivot that is not positive. The reference path
-        factors the same Gram with LAPACK and happens to get through."""
-        cfg = ExperimentConfig(
-            scenario=ScenarioDef(
-                L=64,
-                segments=(SegmentDef(20, 64),),
-                noise_variance=1e-3,
-                input=SignalModel(kind="white", variance=1e6),
-            ),
-            filter2=FilterConfig(M=8, mu=0.5, rho=0.0, eps=1e-12),
-            runs=1,
-            seed=1010365541293,
+    def test_loading_below_the_rounding_error_fails(self, tmp_path, capsys):
+        """With input variance 1e6 and eps=1e-12, the loaded Gram of sample 7,
+        the first full window, has eigenvalues from about 1e-12 to 1.5e7, so
+        rounding outweighs the loading and the engine's Cholesky can meet a
+        pivot that is not positive. The eps floor L*variance*2**-52, 1.4e-8
+        at L=64, rejects such a config when it loads, by the API and the CLI
+        alike; an eps just above it loads."""
+        scenario = ScenarioDef(
+            L=64,
+            segments=(SegmentDef(20, 64),),
+            noise_variance=1e-3,
+            input=SignalModel(kind="white", variance=1e6),
         )
-        with pytest.raises(NumericalError) as exc_info:
-            run_experiment(cfg)
-        assert str(exc_info.value) == SHARED_FAILS.format(7)
-        assert not isinstance(exc_info.value, DivergenceError)
-        run_trial(cfg, 0)
-
-        scenario = cfg.scenario.materialize()
+        seed = 1010365541293
         buf = RegressorBuffer.zeros(64, 8)
-        stream = scenario_stream(scenario, cfg.scenario.input, make_rng(cfg.seed, 0))
-        for _, obs in zip(range(8), stream):
+        for _, (obs, _) in zip(range(8), scenario_stream(scenario.materialize(), seed, 0)):
             buf = push(buf, obs)
-        eig = np.linalg.eigvalsh(buf.U.T @ buf.U + cfg.filter2.eps * np.eye(8))
+        eig = np.linalg.eigvalsh(buf.U.T @ buf.U + 1e-12 * np.eye(8))
         assert eig[0] < 1e-15 * eig[-1]  # below double precision's relative resolution
+
+        message = "filter2: eps=1e-12 is below L*variance*2**-52=1.42e-08"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(scenario=scenario, filter2=FilterConfig(M=8, mu=0.5, eps=1e-12),
+                             runs=1, seed=seed)
+        cfg = ExperimentConfig(scenario=scenario, filter2=FilterConfig(M=8, mu=0.5, eps=1.5e-8),
+                               runs=1, seed=seed)  # just above the floor: loads
+        doc = config_to_dict(cfg)
+        doc["filter2"]["eps"] = 1e-12
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+        assert f"config error: invalid config: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, prop, _message", GRAM_FAILURES)
     def test_earlier_divergence_is_raised_first(self, kind, prop, _message, monkeypatch):
@@ -550,19 +551,19 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
 
-    # input and noise bytes of 50 trials x 1200 more samples
-    streams = 2 * 50 * 1200 * 8
+    # input and noise bytes of 50 trials x 500 more samples
+    streams = 2 * 50 * 500 * 8
 
     def test_peak_does_not_grow_with_the_horizon(self):
-        """Three 600-sample segments against one."""
-        segments = (SegmentDef(600, 16), SegmentDef(600, 8), SegmentDef(600, 2))
+        """Three 250-sample segments against one, each drawn in one block."""
+        segments = (SegmentDef(250, 16), SegmentDef(250, 8), SegmentDef(250, 2))
         self.peak(segments[:1])  # the first run also allocates numpy's one-time caches
         assert self.peak(segments) - self.peak(segments[:1]) < 0.25 * self.streams
 
     def test_peak_does_not_grow_with_the_segment_length(self):
-        """One 1800-sample segment against one of 600."""
-        self.peak((SegmentDef(600, 16),))
-        growth = self.peak((SegmentDef(1800, 16),)) - self.peak((SegmentDef(600, 16),))
+        """One 750-sample segment against one of 250, both drawn in blocks of 250."""
+        self.peak((SegmentDef(250, 16),))
+        growth = self.peak((SegmentDef(750, 16),)) - self.peak((SegmentDef(250, 16),))
         assert growth < 0.25 * self.streams
 
     def test_peak_does_not_grow_past_the_widest_block(self):
@@ -573,25 +574,29 @@ class TestChunkMemory:
         assert growth < 0.1 * block
 
     def test_peak_does_not_grow_with_the_chunk_count(self):
-        """Four chunks of two trials against one, over one 1800-sample segment:
-        each chunk's sums go into the running total as the chunk ends."""
-        chunks_of_two = dict(segments=(SegmentDef(1800, 16),), chunk_size=2)
+        """Six chunks of two trials against two, over one 200-sample segment:
+        each chunk's sums go into the running total as the chunk ends, and
+        are let go before the next chunk runs."""
+        chunks_of_two = dict(segments=(SegmentDef(200, 16),), chunk_size=2)
         self.peak(runs=2, **chunks_of_two)
-        growth = self.peak(runs=8, **chunks_of_two) - self.peak(runs=2, **chunks_of_two)
-        curve_sums = 6 * 1800 * 8  # lam, prod, prodsq, esq and both branches' esq of one chunk
+        growth = self.peak(runs=12, **chunks_of_two) - self.peak(runs=4, **chunks_of_two)
+        curve_sums = 6 * 200 * 8  # lam, prod, prodsq, esq and both branches' esq of one chunk
         assert growth < 2 * curve_sums
 
     def test_pool_peak_does_not_grow_with_the_chunk_count(self):
-        """Forty chunks of two trials against ten, on two workers: each chunk's
-        sums go into the running total as the pool yields them. Holding them
-        all until the pool shut down would add 30 chunks' sums; a quarter of
-        that allows for the pool's bookkeeping of each chunk. The horizon is
-        short, as the forked workers trace their allocations too."""
-        chunks_of_two = dict(segments=(SegmentDef(300, 16),), chunk_size=2, workers=2)
-        self.peak(runs=4, **chunks_of_two)  # the first pool imports its modules
-        growth = self.peak(runs=80, **chunks_of_two) - self.peak(runs=20, **chunks_of_two)
+        """Twenty chunks of two trials against five, on two workers: each
+        chunk's sums go into the running total as the pool yields them.
+        Holding them all until the pool shut down would add 15 chunks' sums;
+        a quarter of that allows for the pool's bookkeeping of each chunk.
+        The horizon is short, as the forked workers trace their allocations
+        too."""
+        chunks_of_two = dict(chunk_size=2, workers=2)
+        self.peak((SegmentDef(20, 16),), runs=4, **chunks_of_two)  # the first pool imports modules
+        segments = (SegmentDef(300, 16),)
+        growth = (self.peak(segments, runs=40, **chunks_of_two)
+                  - self.peak(segments, runs=10, **chunks_of_two))
         curve_sums = 6 * 300 * 8
-        assert growth < 30 * curve_sums / 4
+        assert growth < 15 * curve_sums / 4
 
 
 class TestBlockLength:
@@ -1241,6 +1246,9 @@ class TestBadConfigRejectedAtLoad:
                          id="M-above-L"),
             pytest.param(("filter2", "eps"), 0.0, "filter2: eps must be > 0",
                          id="unloaded-projection"),
+            pytest.param(("filter2", "eps"), 1e-15,
+                         "filter2: eps=1e-15 is below L*variance*2**-52=3.55e-15",
+                         id="loading-below-rounding-error"),
             pytest.param(("scenario", "input", "seed"), 5, "'seed' in config.scenario.input",
                          id="implied-input-seed"),
             pytest.param(("filter2",), 3, "config.filter2 must be a JSON object",
