@@ -1,7 +1,7 @@
 """Monte-Carlo experiment runner, EMSE estimation, presets, and persistence.
 
 Trials are independent: trial t draws its input and noise from
-:class:`apamix.signals.TrialStream` on the seed and t alone (the
+:class:`apamix.signals.TrialStream` on the scenario's seed and t alone (the
 counter-based stream ``seed XOR t``), so results do not depend on how
 trials are scheduled. For speed the engine simulates trials in fixed-size
 chunks, vectorizing the per-sample algebra across the chunk; chunk
@@ -147,22 +147,20 @@ class ExperimentConfig:
     ``filter2`` is the zero-attracting branch, proportionate when its
     config says so. The plain affine-projection branch :attr:`filter1`
     shares its projection (M, mu, eps) and is not stored: the paper's two
-    branches differ only in the attractor.
+    branches differ only in the attractor. The experiment's one seed is
+    ``scenario.seed``, which keys both the systems and the trials.
     """
 
     scenario: ScenarioDef
     filter2: FilterConfig
     mixing: MixingConfig = field(default_factory=MixingConfig, kw_only=True)
     runs: int
-    seed: int = 0
     steady_window_fraction: float = 0.1
     chunk_size: int = 100
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if not 0 <= self.seed < 2**128:  # Philox's key range
-            raise ValueError("seed must lie in [0, 2**128)")
         if not 0 < self.steady_window_fraction <= 1:
             raise ValueError("steady_window_fraction must lie in (0, 1]")
         if self.chunk_size < 1:
@@ -250,8 +248,8 @@ class SteadyState:
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Run one trial sample-by-sample through the reference step functions.
 
-    Its observations are :func:`apamix.signals.scenario_stream` on ``config.seed``
-    and ``trial_index``, the engine's streams for that trial. Slow (per-sample
+    Its observations are :func:`apamix.signals.scenario_stream` for
+    ``trial_index``, the engine's streams for that trial. Slow (per-sample
     Python), for tests and debugging; use :func:`run_experiment` for ensembles.
     """
     scenario = config.scenario.materialize()
@@ -264,7 +262,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     step2 = za_papa_step if config.filter2.proportionate is not None else za_apa_step
 
     ea1, ea2, ea, lam = np.empty((4, n))
-    for i, (obs, w_opt) in enumerate(scenario_stream(scenario, config.seed, trial_index)):
+    for i, (obs, w_opt) in enumerate(scenario_stream(scenario, trial_index)):
         buf = push(buf, obs)
         y1 = float(obs.u @ state1.w)
         y2 = float(obs.u @ state2.w)
@@ -360,7 +358,7 @@ def _simulate_chunk(
     carry = L + M - 1
     Q = np.zeros((R, blk + carry))
     NOISE = np.empty((R, blk))
-    streams = [TrialStream(scenario, config.seed, t) for t in trial_indices]
+    streams = [TrialStream(scenario, t) for t in trial_indices]
 
     # Sample i overwrites slot s = -i % M, so slot (s + k) % M holds sample
     # i-k. Only one row of U changes per sample.
@@ -652,13 +650,10 @@ def preset_paper_scenario(
     eps = default_eps(M)
     prop = ProportionateConfig() if filter2_kind == "zapapa" else None
     return ExperimentConfig(
-        scenario=ScenarioDef(
-            L=L, segments=segments, noise_variance=1e-3, input=model, seed=seed
-        ),
+        scenario=ScenarioDef(L=L, segments=segments, noise_variance=1e-3, input=model, seed=seed),
         filter2=FilterConfig(M=M, mu=0.5, rho=rho, eps=eps, proportionate=prop),
         mixing=MixingConfig(),
         runs=n_runs,
-        seed=seed,
     )
 
 

@@ -7,13 +7,15 @@ white Gaussian observation noise.
 
 Trial streams are driven by the counter-based Philox generator so that
 Monte-Carlo trials get independent, reproducible streams from
-``seed XOR trial_index`` alone. An input model holds no seed of its own;
-the materialized scenario carries it, and :class:`TrialStream` alone lays
-out a trial's draws: its input is the first n draws of the trial's
-generator, and its noise comes from a second generator on the same key,
-moved past those n draws. It serves them a piece at a time, so that a
-simulation need not hold a trial's streams for the whole horizon;
-:func:`trial_signals` is the whole horizon in one piece.
+``seed XOR trial_index`` alone. The scenario's seed is the experiment's
+only one: it also keys segment j's system (``seed XOR (j+1)``). An input
+model holds no seed of its own; the materialized scenario carries the
+model and the seed, and :class:`TrialStream` alone lays out a trial's
+draws: its input is the first n draws of the trial's generator, and its
+noise comes from a second generator on the same key, moved past those n
+draws. It serves them a piece at a time, so that a simulation need not
+hold a trial's streams for the whole horizon; :func:`trial_signals` is
+the whole horizon in one piece.
 """
 
 from __future__ import annotations
@@ -127,13 +129,15 @@ class SystemScenario:
     """Piecewise-constant true system plus the observation-noise level.
 
     :meth:`ScenarioDef.materialize` builds it from a checked definition, so
-    it checks nothing itself. ``input`` is the model of the input process.
+    it checks nothing itself. ``input`` is the model of the input process,
+    and ``seed`` keys the trials' streams (:class:`TrialStream`).
     """
 
     L: int
     segments: tuple[Segment, ...]
     noise_variance: float
     input: SignalModel
+    seed: int
 
     @property
     def n_samples(self) -> int:
@@ -166,9 +170,10 @@ class SegmentDef:
 class ScenarioDef:
     """JSON-facing scenario description; systems are drawn on materialize().
 
-    Segment systems are drawn deterministically from ``seed``: segment j
-    uses the stream ``seed XOR (j+1)``, so a definition always materializes
-    to the same scenario.
+    ``seed`` is the experiment's only seed. Segment systems are drawn
+    deterministically from it: segment j uses the stream ``seed XOR (j+1)``,
+    so a definition always materializes to the same scenario. Trial t's
+    input and noise use the stream ``seed XOR t`` (:class:`TrialStream`).
     """
 
     L: int
@@ -207,7 +212,7 @@ class ScenarioDef:
             w = np.zeros(self.L)
             w[active] = vals
             segs.append(Segment(sd.duration, w))
-        return SystemScenario(self.L, tuple(segs), self.noise_variance, self.input)
+        return SystemScenario(self.L, tuple(segs), self.noise_variance, self.input, self.seed)
 
 
 @dataclass(frozen=True)
@@ -223,16 +228,16 @@ class TrialStream:
     """Trial ``trial``'s input and noise on ``scenario``, drawn a piece at a time.
 
     The one layout of a trial's draws: the input comes from the first n
-    draws of ``make_rng(seed, trial)``, and the noise from a second
+    draws of ``make_rng(scenario.seed, trial)``, and the noise from a second
     generator on the same key, moved past them by one ``standard_normal(n)``
     call. Pieces of any lengths concatenate to the same arrays bit for bit.
     """
 
-    def __init__(self, scenario: SystemScenario, seed: int, trial: int):
+    def __init__(self, scenario: SystemScenario, trial: int):
         self._model = scenario.input
-        self._rng = make_rng(seed, trial)
+        self._rng = make_rng(scenario.seed, trial)
         self._last = None  # the AR(1) sample before the next piece
-        self._noise_rng = make_rng(seed, trial)
+        self._noise_rng = make_rng(scenario.seed, trial)
         self._noise_rng.standard_normal(scenario.n_samples)
         self._noise_sd = np.sqrt(scenario.noise_variance)
 
@@ -247,23 +252,21 @@ class TrialStream:
         noise *= self._noise_sd
 
 
-def trial_signals(scenario: SystemScenario, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
+def trial_signals(scenario: SystemScenario, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """Trial ``trial``'s whole input and noise arrays: one :class:`TrialStream` piece."""
     x, noise = np.empty(scenario.n_samples), np.empty(scenario.n_samples)
-    TrialStream(scenario, seed, trial).draw(x, noise)
+    TrialStream(scenario, trial).draw(x, noise)
     return x, noise
 
 
-def scenario_stream(
-    scenario: SystemScenario, seed: int, trial: int
-) -> Iterator[tuple[Observation, np.ndarray]]:
+def scenario_stream(scenario: SystemScenario, trial: int) -> Iterator[tuple[Observation, np.ndarray]]:
     """Yield trial ``trial``'s observations, each with the system it observes.
 
     The regressor at time i is the window ``[x(i), x(i-1), ..., x(i-L+1)]``
     with zeros before t=0; the desired response uses the segment-active
     system at i plus independent observation noise.
     """
-    x, noise = trial_signals(scenario, seed, trial)
+    x, noise = trial_signals(scenario, trial)
     L = scenario.L
     padded = np.concatenate([np.zeros(L - 1), x])
     w_opts = (seg.w_opt for seg in scenario.segments for _ in range(seg.duration))

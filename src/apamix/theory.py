@@ -63,8 +63,8 @@ def inv_r2_expectation(L: int, input_variance: float = 1.0) -> float:
     """
     if L < 3:
         raise ValueError("analytic E[1/r^2] needs L >= 3")
-    if not input_variance > 0:
-        raise ValueError("input variance must be positive")
+    if not 0 < input_variance < math.inf:
+        raise ValueError("input variance must be positive and finite")
     return 1.0 / (input_variance * (L - 2))
 
 
@@ -104,10 +104,10 @@ class TheoryInputs:
             raise ValueError("need 0 <= K <= L")
         if not 0 < self.mu < 2:
             raise ValueError("step size mu must lie in (0, 2)")
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be >= 0")
+        if not 0 <= self.rho < math.inf:  # also rejects NaN
+            raise ValueError("rho must be finite and >= 0")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise variance must be finite and >= 0")
         # inv_r2 first: it rejects L < 3, before 1/L is taken
         object.__setattr__(self, "inv_r2", inv_r2_expectation(self.L, self.input_variance))
         object.__setattr__(self, "p", 1.0 / self.L)

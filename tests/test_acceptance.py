@@ -77,7 +77,6 @@ def sparse_static_config(rho, runs=200, seed=33, filter2_kind="zaapa"):
         filter2=FilterConfig(M=4, mu=0.5, rho=rho, eps=eps, proportionate=prop),
         mixing=MixingConfig(),
         runs=runs,
-        seed=seed,
     )
 
 

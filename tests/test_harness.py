@@ -59,7 +59,6 @@ def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
         filter2=FilterConfig(M=M, mu=mu, rho=rho, eps=eps, proportionate=proportionate),
         mixing=MixingConfig(),
         runs=runs,
-        seed=seed,
         chunk_size=2,
     )
 
@@ -119,7 +118,7 @@ def reference_segment_stats(cfg):
         s2 = FilterState.zeros(cfg.filter2, cfg.scenario.L)
         buf = RegressorBuffer.zeros(cfg.scenario.L, cfg.filter2.M)
         trial_dev2 = np.zeros((n_seg, cfg.scenario.L))
-        for i, (obs, _) in enumerate(scenario_stream(scenario, cfg.seed, t)):
+        for i, (obs, _) in enumerate(scenario_stream(scenario, t)):
             k = int(np.searchsorted(bounds, i, side="right") - 1)
             if i >= bounds[k + 1] - widths[k]:
                 w_opt = scenario.segments[k].w_opt
@@ -492,20 +491,19 @@ class TestSingularGram:
             segments=(SegmentDef(20, 64),),
             noise_variance=1e-3,
             input=SignalModel(kind="white", variance=1e6),
+            seed=1010365541293,
         )
-        seed = 1010365541293
         buf = RegressorBuffer.zeros(64, 8)
-        for _, (obs, _) in zip(range(8), scenario_stream(scenario.materialize(), seed, 0)):
+        for _, (obs, _) in zip(range(8), scenario_stream(scenario.materialize(), 0)):
             buf = push(buf, obs)
         eig = np.linalg.eigvalsh(buf.U.T @ buf.U + 1e-12 * np.eye(8))
         assert eig[0] < 1e-15 * eig[-1]  # below double precision's relative resolution
 
         message = "filter2: eps=1e-12 is below L*variance*2**-52=1.42e-08"
         with pytest.raises(ValueError, match=re.escape(message)):
-            ExperimentConfig(scenario=scenario, filter2=FilterConfig(M=8, mu=0.5, eps=1e-12),
-                             runs=1, seed=seed)
+            ExperimentConfig(scenario=scenario, filter2=FilterConfig(M=8, mu=0.5, eps=1e-12), runs=1)
         cfg = ExperimentConfig(scenario=scenario, filter2=FilterConfig(M=8, mu=0.5, eps=1.5e-8),
-                               runs=1, seed=seed)  # just above the floor: loads
+                               runs=1)  # just above the floor: loads
         doc = config_to_dict(cfg)
         doc["filter2"]["eps"] = 1e-12
         cfg_path = tmp_path / "cfg.json"
@@ -675,7 +673,6 @@ def experiment_configs(draw):
     open_unit = st.floats(-1, 1, exclude_min=True, exclude_max=True)
     positive = st.floats(1e-9, 1e3)
     mu = st.floats(0, 2, exclude_max=True)
-    seed = draw(st.integers(0, 2**32))
     segments = st.builds(
         SegmentDef, st.integers(1, 10**5), st.integers(0, L), st.sampled_from(["random", "unit"])
     )
@@ -690,7 +687,7 @@ def experiment_configs(draw):
                 variance=draw(positive),
                 pole=draw(open_unit) if kind == "ar1" else None,
             ),
-            seed=seed,
+            seed=draw(st.integers(0, 2**32)),
         ),
         filter2=FilterConfig(
             M=draw(st.integers(1, min(L, 8))),
@@ -701,7 +698,6 @@ def experiment_configs(draw):
         ),
         mixing=MixingConfig(mu_a=draw(positive), a_plus=a_plus, a0=draw(st.floats(-a_plus, a_plus))),
         runs=draw(st.integers(1, 10**6)),
-        seed=draw(st.integers(0, 2**32)),
         steady_window_fraction=draw(st.floats(0, 1, exclude_min=True)),
         chunk_size=draw(st.integers(1, 1000)),
     )
@@ -764,7 +760,6 @@ class TestPersistence:
             "filter2": {**filt, "proportionate": {"rho_p": None, "delta": None}},
             "mixing": {"mu_a": None, "a_plus": None, "a0": None},
             "runs": None,
-            "seed": None,
             "steady_window_fraction": None,
             "chunk_size": None,
         }
@@ -1074,7 +1069,6 @@ class TestStabilityAndConvergedStart:
             filter2=FilterConfig(M=M, mu=mu, rho=1e-4, eps=eps),
             mixing=MixingConfig(),
             runs=1,
-            seed=11,
         )
         curves = run_experiment(cfg)  # any divergence would raise
         assert np.isfinite(curves.j1).all() and np.isfinite(curves.j2).all()
@@ -1104,7 +1098,6 @@ class TestAdmissibleRangeBracketing:
                 filter2=FilterConfig(M=4, mu=0.5, rho=rho, eps=eps),
                 mixing=MixingConfig(),
                 runs=80,
-                seed=44,
             )
             curves = run_experiment(cfg)
             return steady_state_stats(curves, 0, 0.1)
@@ -1242,6 +1235,7 @@ class TestBadConfigRejectedAtLoad:
             pytest.param(("filter1",), {"M": 2, "mu": 0.5, "eps": 2e-4},
                          "unknown key 'filter1' in config",
                          id="old-format-filter1"),
+            pytest.param(("seed",), 5, "unknown key 'seed' in config", id="old-format-seed"),
             pytest.param(("filter2", "M"), 17, "filter2.M=17 exceeds scenario L=16",
                          id="M-above-L"),
             pytest.param(("filter2", "eps"), 0.0, "filter2: eps must be > 0",
@@ -1277,8 +1271,6 @@ class TestBadConfigRejectedAtLoad:
             pytest.param(("scenario", "seed"), -1, "scenario seed", id="negative-scenario-seed"),
             pytest.param(("scenario", "seed"), 2**130, "scenario seed must lie in [0, 2**128)",
                          id="scenario-seed-above-key-range"),
-            pytest.param(("seed",), 2**130, "seed must lie in [0, 2**128)",
-                         id="seed-above-key-range"),
             pytest.param(("runs",), INF, "config.runs must be a JSON integer, not inf",
                          id="runs-inf"),
             pytest.param(("runs",), 2.5, "config.runs must be a JSON integer, not 2.5",
@@ -1325,5 +1317,5 @@ class TestBadConfigRejectedAtLoad:
     def test_largest_seeds_run(self):
         cfg = tiny_config(runs=1, n=20, seed=2**128 - 1)
         doc = config_to_dict(cfg)
-        assert doc["seed"] == doc["scenario"]["seed"] == 2**128 - 1
+        assert doc["scenario"]["seed"] == 2**128 - 1
         assert np.isfinite(run_experiment(config_from_dict(doc)).j).all()

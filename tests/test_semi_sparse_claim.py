@@ -31,8 +31,8 @@ def semi_sparse_steady_state(seed):
 
 
 def test_combination_beats_both_branches_on_a_semi_sparse_system():
-    # seeds k * 2**20 (the scenario seed too): no two sub-experiments share
-    # a stream, though trial t's stream is keyed ``seed XOR t``
+    # seeds k * 2**20: no two sub-experiments share a stream, though trial
+    # t's stream is keyed ``seed XOR t`` and segment j's ``seed XOR (j+1)``
     lam, gain = np.array([semi_sparse_steady_state(k * 2**20) for k in range(1, 5)]).T
     assert ((0.1 < lam) & (lam < 0.9)).all(), lam
     se = gain.std(ddof=1) / np.sqrt(len(gain))

@@ -97,32 +97,34 @@ class TestMaterialize:
             _drawn(4, 5)
 
 
-def _single_segment_scenario(L, w_opt, duration, noise_variance, model=SignalModel("white")):
+def _single_segment_scenario(L, w_opt, duration, noise_variance, seed,
+                             model=SignalModel("white")):
     w_opt = np.asarray(w_opt, float)
     seg = Segment(duration=duration, w_opt=w_opt)
-    return SystemScenario(L=L, segments=(seg,), noise_variance=noise_variance, input=model)
+    return SystemScenario(L=L, segments=(seg,), noise_variance=noise_variance, input=model,
+                          seed=seed)
 
 
 class TestScenarioStream:
     def test_identity_channel(self):
         L = 4
-        scen = _single_segment_scenario(L, [1.0, 0, 0, 0], 50, 0.0)
-        x, _ = trial_signals(scen, 1, 0)
-        for i, (obs, _) in enumerate(scenario_stream(scen, 1, 0)):
+        scen = _single_segment_scenario(L, [1.0, 0, 0, 0], 50, 0.0, seed=1)
+        x, _ = trial_signals(scen, 0)
+        for i, (obs, _) in enumerate(scenario_stream(scen, 0)):
             assert obs.d == pytest.approx(x[i], abs=1e-15)
 
     def test_window_contents_and_zero_padding(self):
         L = 3
-        scen = _single_segment_scenario(L, [0.0, 0, 1.0], 5, 0.0)
-        x, _ = trial_signals(scen, 2, 0)
-        obs = [o for o, _ in scenario_stream(scen, 2, 0)]
+        scen = _single_segment_scenario(L, [0.0, 0, 1.0], 5, 0.0, seed=2)
+        x, _ = trial_signals(scen, 0)
+        obs = [o for o, _ in scenario_stream(scen, 0)]
         assert np.allclose(obs[0].u, [x[0], 0, 0])
         assert np.allclose(obs[1].u, [x[1], x[0], 0])
         assert np.allclose(obs[4].u, [x[4], x[3], x[2]])
 
     def test_observation_identity(self):
-        scen = _single_segment_scenario(4, [0.5, -1.0, 0, 2.0], 100, 1e-2)
-        for obs, w_opt in scenario_stream(scen, 3, 0):
+        scen = _single_segment_scenario(4, [0.5, -1.0, 0, 2.0], 100, 1e-2, seed=3)
+        for obs, w_opt in scenario_stream(scen, 0):
             assert w_opt is scen.segments[0].w_opt
             assert obs.d == pytest.approx(float(obs.u @ w_opt) + obs.epsilon, abs=1e-15)
 
@@ -131,25 +133,25 @@ class TestScenarioStream:
         seg_a = Segment(duration=10, w_opt=np.array([1.0, 0.0]))
         seg_b = Segment(duration=10, w_opt=np.array([3.0, 0.0]))
         scen = SystemScenario(
-            L=L, segments=(seg_a, seg_b), noise_variance=0.0, input=SignalModel("white")
+            L=L, segments=(seg_a, seg_b), noise_variance=0.0, input=SignalModel("white"), seed=4
         )
-        x, _ = trial_signals(scen, 4, 0)
-        obs, w_opts = zip(*scenario_stream(scen, 4, 0))
+        x, _ = trial_signals(scen, 0)
+        obs, w_opts = zip(*scenario_stream(scen, 0))
         assert obs[9].d == pytest.approx(1.0 * x[9], abs=1e-15)
         assert obs[10].d == pytest.approx(3.0 * x[10], abs=1e-15)
         assert w_opts[9] is seg_a.w_opt and w_opts[10] is seg_b.w_opt
 
     def test_reproducible_streams(self):
-        scen = _single_segment_scenario(4, [1.0, 0, 0, 0], 200, 1e-3, SignalModel("ar1", pole=0.5))
-        a = [(o.u.copy(), o.d, o.epsilon) for o, _ in scenario_stream(scen, 6, 0)]
-        b = [(o.u.copy(), o.d, o.epsilon) for o, _ in scenario_stream(scen, 6, 0)]
+        scen = _single_segment_scenario(4, [1.0, 0, 0, 0], 200, 1e-3, 6, SignalModel("ar1", pole=0.5))
+        a = [(o.u.copy(), o.d, o.epsilon) for o, _ in scenario_stream(scen, 0)]
+        b = [(o.u.copy(), o.d, o.epsilon) for o, _ in scenario_stream(scen, 0)]
         for (ua, da, ea), (ub, db, eb) in zip(a, b):
             assert np.array_equal(ua, ub) and da == db and ea == eb
 
     def test_noise_independent_of_input(self):
         n = 100_000
-        scen = _single_segment_scenario(2, [1.0, 0.0], n, 1.0)
-        x, eps = trial_signals(scen, 7, 0)
+        scen = _single_segment_scenario(2, [1.0, 0.0], n, 1.0, seed=7)
+        x, eps = trial_signals(scen, 0)
         xc = (x - x.mean()) / x.std()
         ec = (eps - eps.mean()) / eps.std()
         assert abs(np.mean(xc * ec)) < 4.0 / np.sqrt(n)
@@ -165,10 +167,10 @@ class TestScenarioStream:
         assert np.abs(R_hat - R_true).max() < 0.05
 
 
-def reference_signals(scenario, seed, trial):
+def reference_signals(scenario, trial):
     """A trial's input, then its noise, from one generator on its key: the
     layout of a trial's draws, written out without TrialStream."""
-    rng = make_rng(seed, trial)
+    rng = make_rng(scenario.seed, trial)
     n = scenario.n_samples
     x = gen_input(scenario.input, n, rng)
     return x, rng.standard_normal(n) * np.sqrt(scenario.noise_variance)
@@ -194,8 +196,8 @@ def _two_segment_scenario(model):
 @pytest.mark.parametrize("model", MODELS)
 def test_trial_signals_follow_the_reference_layout(model):
     scen = _two_segment_scenario(model)
-    want_x, want_noise = reference_signals(scen, 3, 7)
-    x, noise = trial_signals(scen, 3, 7)
+    want_x, want_noise = reference_signals(scen, 7)
+    x, noise = trial_signals(scen, 7)
     assert np.array_equal(x, want_x)
     assert np.array_equal(noise, want_noise)
 
@@ -218,8 +220,8 @@ class TestTrialStream:
         scen = _two_segment_scenario(model)
         n = scen.n_samples
         assert sum(pieces) == n
-        want_x, want_noise = reference_signals(scen, 3, 7)
-        stream = TrialStream(scen, 3, 7)
+        want_x, want_noise = reference_signals(scen, 7)
+        stream = TrialStream(scen, 7)
         x_rev = np.empty(n)  # time-reversed, as the engine stores its input
         noise = np.empty(n)
         lo = 0
@@ -240,7 +242,7 @@ class TestScenarioDef:
             seed=9,
         )
         s1, s2 = d.materialize(), d.materialize()
-        assert s1.input is d.input
+        assert s1.input is d.input and s1.seed == d.seed
         for a, b in zip(s1.segments, s2.segments):
             assert np.array_equal(a.w_opt, b.w_opt)
         assert np.count_nonzero(s1.segments[1].w_opt) == 4

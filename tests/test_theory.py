@@ -343,6 +343,23 @@ class TestTheoryInputsValidation:
         with pytest.raises(ValueError):
             TheoryInputs(L=0, K=0, M=1, mu=0.5, rho=0.0, noise_variance=1e-3)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("rho", float("nan"), "rho must be finite and >= 0"),
+            ("rho", float("inf"), "rho must be finite and >= 0"),
+            ("rho", -1e-6, "rho must be finite and >= 0"),
+            ("noise_variance", float("nan"), "noise variance must be finite and >= 0"),
+            ("noise_variance", float("inf"), "noise variance must be finite and >= 0"),
+            ("input_variance", float("inf"), "input variance must be positive and finite"),
+            ("input_variance", float("nan"), "input variance must be positive and finite"),
+        ],
+    )
+    def test_non_finite_or_negative_input_names_its_field(self, field, value, match):
+        point = dict(L=64, K=4, M=4, mu=0.5, rho=0.0, noise_variance=1e-3)
+        with pytest.raises(ValueError, match=match):
+            TheoryInputs(**{**point, field: value})
+
     def test_white_defaults(self):
         t = ti_desk()
         assert t.p == pytest.approx(1 / 64, rel=1e-14)
