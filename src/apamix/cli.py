@@ -79,8 +79,8 @@ def cmd_simulate(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
     model = cfg.scenario.input
-    if model.kind != "white":
-        raise ConfigError("closed-form prediction is available for white input only")
+    if model.pole != 0:
+        raise ConfigError("closed-form prediction is available for white input (pole 0) only")
     f2 = cfg.filter2
     if f2.proportionate is not None:
         print(

@@ -597,9 +597,9 @@ def steady_state_stats(
 _FULL_RHO = {"white": 8e-6, "ar1": 3e-5}
 
 
-def default_eps(M: int, input_variance: float = 1.0) -> float:
+def default_eps(M: int) -> float:
     """Default diagonal loading, small against the Gram diagonal ~ L*variance."""
-    return 1e-4 * M * input_variance
+    return 1e-4 * M
 
 
 def _desk_rho_scale() -> float:
@@ -631,11 +631,12 @@ def preset_paper_scenario(
     """
     if scale not in ("full", "desk"):
         raise ValueError(f"unknown scale {scale!r}")
+    if input_kind not in ("white", "ar1"):
+        raise ValueError(f"unknown input kind {input_kind!r}")
     if filter2_kind not in ("zaapa", "zapapa"):
         raise ValueError(f"unknown filter2 kind {filter2_kind!r}")
 
-    pole = 0.8 if input_kind == "ar1" else None
-    model = SignalModel(kind=input_kind, variance=1.0, pole=pole)
+    model = SignalModel(pole=0.8 if input_kind == "ar1" else 0.0)
     if scale == "full":
         L, M = 256, 8
         segments = (SegmentDef(6000, 256), SegmentDef(6000, 80), SegmentDef(6000, 16))

@@ -50,33 +50,27 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SignalModel:
-    """Stationary input process: white Gaussian or AR(1).
+    """Stationary Gaussian AR(1) input, x(t) = pole*x(t-1) + driving noise.
 
-    ``variance`` is the variance of the process itself; for AR(1) the
-    driving noise is scaled by sqrt(1 - pole^2) so the output keeps that
-    variance in steady state.
+    White input is pole 0. ``variance`` is the variance of the process
+    itself: the driving noise is scaled by sqrt(1 - pole^2) so the output
+    keeps that variance in steady state.
     """
 
-    kind: str
     variance: float = 1.0
-    pole: Optional[float] = None
+    pole: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("white", "ar1"):
-            raise ValueError(f"unknown input kind {self.kind!r}")
         if not 0 < self.variance < np.inf:
             raise ValueError("input variance must be positive and finite")
-        if self.kind == "ar1":
-            if self.pole is None or not (-1.0 < self.pole < 1.0):
-                raise ValueError("ar1 pole must lie in (-1, 1)")
-        elif self.pole is not None:
-            raise ValueError("white input takes no pole")
+        if not -1.0 < self.pole < 1.0:  # also rejects NaN
+            raise ValueError(f"input pole {self.pole} must lie in (-1, 1)")
 
 
 def gen_input(model: SignalModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Generate ``n`` samples of the input process.
 
-    White: i.i.d. N(0, variance). AR(1): stationary start
+    Pole 0 (white): i.i.d. N(0, variance). Any other pole: stationary start
     x(0) ~ N(0, variance), then x(t) = pole*x(t-1) + sqrt(1-pole^2)*sigma*g(t).
     """
     if n < 1:
@@ -96,7 +90,7 @@ def _fill_input(
     """
     sigma = np.sqrt(model.variance)
     g = rng.standard_normal(len(x))
-    if model.kind == "white":
+    if model.pole == 0:
         np.multiply(sigma, g, out=x)
         return None
     a = model.pole
@@ -183,6 +177,8 @@ class ScenarioDef:
     seed: int = 0
 
     def __post_init__(self):
+        if self.L < 1:
+            raise ValueError(f"filter length L={self.L} must be >= 1")
         if not self.segments:
             raise ValueError("scenario needs at least one segment")
         if not 0 <= self.noise_variance < np.inf:  # also rejects NaN

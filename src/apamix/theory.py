@@ -1,14 +1,14 @@
 """Closed-form steady-state predictors for the filter pair and their mix.
 
-All closed forms are specialized to white input (every input-covariance
-eigenvalue equals the input variance, so each eigendirection is selected
-with probability 1/L). They model the projection update as independent
-draws from an orthogonal direction set; see the README for where that
-idealization is and is not an accurate absolute-level predictor of the
-sliding-window simulation.
+All closed forms are specialized to white input, the input model's pole 0
+(every input-covariance eigenvalue equals the input variance, so each
+eigendirection is selected with probability 1/L). They model the
+projection update as independent draws from an orthogonal direction set;
+see the README for where that idealization is and is not an accurate
+absolute-level predictor of the sliding-window simulation.
 
 Colored-input prediction is intentionally not offered; simulation covers
-the AR(1) case.
+the nonzero poles.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ def sparse_static_config(rho, runs=200, seed=33, filter2_kind="zaapa"):
             L=64,
             segments=(SegmentDef(4000, 4),),
             noise_variance=1e-3,
-            input=SignalModel("white", 1.0, None),
+            input=SignalModel(variance=1.0, pole=0.0),
             seed=seed,
         ),
         filter2=FilterConfig(M=4, mu=0.5, rho=rho, eps=eps, proportionate=prop),

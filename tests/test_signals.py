@@ -18,33 +18,31 @@ from apamix.signals import (
 
 class TestGenInput:
     def test_white_variance(self):
-        x = gen_input(SignalModel("white", variance=1.0), 200_000, make_rng(3))
+        x = gen_input(SignalModel(variance=1.0), 200_000, make_rng(3))
         assert np.var(x) == pytest.approx(1.0, rel=0.02)
 
     def test_ar1_stationary_moments(self):
-        x = gen_input(SignalModel("ar1", variance=1.0, pole=0.8), 200_000, make_rng(4))
+        x = gen_input(SignalModel(variance=1.0, pole=0.8), 200_000, make_rng(4))
         assert np.var(x) == pytest.approx(1.0, rel=0.02)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1 - 0.8) < 0.02
 
     def test_ar1_zero_pole_is_whitelike(self):
-        x = gen_input(SignalModel("ar1", variance=1.0, pole=0.0), 100_000, make_rng(5))
+        x = gen_input(SignalModel(variance=1.0, pole=0.0), 100_000, make_rng(5))
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1) < 0.02
 
     def test_variance_scaling(self):
-        x = gen_input(SignalModel("white", variance=4.0), 100_000, make_rng(6))
+        x = gen_input(SignalModel(variance=4.0), 100_000, make_rng(6))
         assert np.var(x) == pytest.approx(4.0, rel=0.03)
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            SignalModel("pink")
-        with pytest.raises(ValueError):
-            SignalModel("ar1", pole=1.0)
-        with pytest.raises(ValueError):
-            SignalModel("white", variance=0.0)
-        with pytest.raises(ValueError, match="no pole"):
-            SignalModel("white", 1.0, 0.5)
+        with pytest.raises(ValueError, match="pole"):
+            SignalModel(pole=1.0)
+        with pytest.raises(ValueError, match="pole"):
+            SignalModel(pole=float("nan"))
+        with pytest.raises(ValueError, match="input variance"):
+            SignalModel(variance=0.0)
 
 
 def ar1_by_lfilter(model, n, rng):
@@ -64,7 +62,7 @@ class TestAr1MatchesLfilter:
     @pytest.mark.parametrize("n", [1, 2, 3, 20_000])
     @pytest.mark.parametrize("pole", [0.8, -0.8, 0.0, 0.999, -0.999])
     def test_bit_identical(self, pole, n):
-        model = SignalModel("ar1", variance=2.5, pole=pole)
+        model = SignalModel(variance=2.5, pole=pole)
         x = gen_input(model, n, make_rng(9, 4))
         assert x.shape == (n,)
         assert np.array_equal(x, ar1_by_lfilter(model, n, make_rng(9, 4)))
@@ -72,7 +70,7 @@ class TestAr1MatchesLfilter:
 
 def _drawn(L, K, magnitude_rule="random", seed=0):
     """The system that a one-segment definition materializes to."""
-    d = ScenarioDef(L, (SegmentDef(10, K, magnitude_rule),), 0.0, SignalModel("white"), seed)
+    d = ScenarioDef(L, (SegmentDef(10, K, magnitude_rule),), 0.0, SignalModel(), seed)
     return d.materialize().segments[0].w_opt
 
 
@@ -98,7 +96,7 @@ class TestMaterialize:
 
 
 def _single_segment_scenario(L, w_opt, duration, noise_variance, seed,
-                             model=SignalModel("white")):
+                             model=SignalModel()):
     w_opt = np.asarray(w_opt, float)
     seg = Segment(duration=duration, w_opt=w_opt)
     return SystemScenario(L=L, segments=(seg,), noise_variance=noise_variance, input=model,
@@ -133,7 +131,7 @@ class TestScenarioStream:
         seg_a = Segment(duration=10, w_opt=np.array([1.0, 0.0]))
         seg_b = Segment(duration=10, w_opt=np.array([3.0, 0.0]))
         scen = SystemScenario(
-            L=L, segments=(seg_a, seg_b), noise_variance=0.0, input=SignalModel("white"), seed=4
+            L=L, segments=(seg_a, seg_b), noise_variance=0.0, input=SignalModel(), seed=4
         )
         x, _ = trial_signals(scen, 0)
         obs, w_opts = zip(*scenario_stream(scen, 0))
@@ -142,7 +140,7 @@ class TestScenarioStream:
         assert w_opts[9] is seg_a.w_opt and w_opts[10] is seg_b.w_opt
 
     def test_reproducible_streams(self):
-        scen = _single_segment_scenario(4, [1.0, 0, 0, 0], 200, 1e-3, 6, SignalModel("ar1", pole=0.5))
+        scen = _single_segment_scenario(4, [1.0, 0, 0, 0], 200, 1e-3, 6, SignalModel(pole=0.5))
         a = [(o.u.copy(), o.d, o.epsilon) for o, _ in scenario_stream(scen, 0)]
         b = [(o.u.copy(), o.d, o.epsilon) for o, _ in scenario_stream(scen, 0)]
         for (ua, da, ea), (ub, db, eb) in zip(a, b):
@@ -159,7 +157,7 @@ class TestScenarioStream:
     def test_ar1_regressor_covariance(self):
         # entrywise check of R_ij = variance * pole^|i-j| at small L
         L, n, pole = 8, 100_000, 0.8
-        x = gen_input(SignalModel("ar1", variance=1.0, pole=pole), n, make_rng(8))
+        x = gen_input(SignalModel(variance=1.0, pole=pole), n, make_rng(8))
         windows = np.lib.stride_tricks.sliding_window_view(x, L)
         R_hat = windows.T @ windows / windows.shape[0]
         i, j = np.indices((L, L))
@@ -184,7 +182,7 @@ def _pieces(durations, block):
     return out
 
 
-MODELS = [SignalModel("white", 2.5), SignalModel("ar1", 2.5, 0.8)]
+MODELS = [SignalModel(2.5), SignalModel(2.5, 0.8)]
 DURATIONS = (300, 257)
 
 
@@ -238,7 +236,7 @@ class TestScenarioDef:
             L=32,
             segments=(SegmentDef(100, 32), SegmentDef(100, 4)),
             noise_variance=1e-3,
-            input=SignalModel("white"),
+            input=SignalModel(),
             seed=9,
         )
         s1, s2 = d.materialize(), d.materialize()
@@ -248,7 +246,7 @@ class TestScenarioDef:
         assert np.count_nonzero(s1.segments[1].w_opt) == 4
 
     def test_invariants(self):
-        white = SignalModel("white")
+        white = SignalModel()
         with pytest.raises(ValueError, match="at least one segment"):
             ScenarioDef(L=2, segments=(), noise_variance=0.0, input=white)
         with pytest.raises(ValueError, match="duration must be >= 1"):

@@ -77,7 +77,7 @@ class TestInvR2:
 
     def test_monte_carlo_cross_check(self):
         # chi-square reciprocal mean, estimated from 1e6 sliding windows
-        est = inv_r2_monte_carlo(SignalModel("white", variance=1.0), L=256, draws=1_000_000)
+        est = inv_r2_monte_carlo(SignalModel(variance=1.0), L=256, draws=1_000_000)
         assert est == pytest.approx(1.0 / 254.0, rel=0.01)
 
 

@@ -1,13 +1,28 @@
 """tools/src_lines.py counts physical lines as ``wc -l`` does, and code lines
-without comments, blank lines or bare string statements."""
+without comments, blank lines or bare string statements. tools/outputs_digest.py
+prints one stable line per output array."""
 
 import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
+from apamix.harness import preset_paper_scenario
+
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
-src_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(src_lines)
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+src_lines = _tool("src_lines")
+outputs_digest = _tool("outputs_digest")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -38,3 +53,26 @@ def test_totals_add_up_per_module(tmp_path, capsys):
     assert src_lines.main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[1:] == [["a.py", "15", "8"], ["b.py", "2", "1"], ["total", "17", "9"]]
+
+
+def test_digest_runs_print_equal_lines(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert outputs_digest.main(["desk-zaapa"]) == 0
+    first = capsys.readouterr().out
+    assert outputs_digest.main(["desk-zaapa"]) == 0
+    assert capsys.readouterr().out == first
+    # two seeds of: 6 curves, 3 segments of 11 fields, 4 trial records
+    assert len(first.splitlines()) == 2 * (6 + 3 * 11 + 4)
+
+
+def test_flipping_one_element_changes_only_its_line():
+    cfg = preset_paper_scenario("desk", "ar1", "zapapa", runs=4)
+    segments = tuple(replace(s, duration=50) for s in cfg.scenario.segments)
+    arrays = outputs_digest.outputs(replace(cfg, scenario=replace(cfg.scenario, segments=segments)))
+    before = outputs_digest.lines("w 0", arrays)
+    flipped = arrays["segments[1].msd2"].copy()
+    flipped[5] = np.nextafter(flipped[5], np.inf)
+    after = outputs_digest.lines("w 0", {**arrays, "segments[1].msd2": flipped})
+    changed = [line.split()[2] for old, line in zip(before, after) if old != line]
+    assert changed == ["segments[1].msd2"]
