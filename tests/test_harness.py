@@ -1159,11 +1159,12 @@ class TestEnginePathsMatchReference:
     @example(dict(L=12, M=7, segments=(SegmentDef(53, 12), SegmentDef(61, 3)), pole=0.95,
                   proportionate=ProportionateConfig()))
     def test_single_trial_matches_reference(self, params):
-        # A draw with mu > 1 and gains can amplify rounding: there the
-        # reference itself, perturbed by half an ulp in each solve, moves a
-        # sample near a zero crossing by more than 1e-9 of its own value. So
-        # a difference below 1e-9 of the record's largest magnitude passes.
-        assert_engine_matches_reference(tiny_config(**params), floor=1e-9)
+        # mu > 1 with gains amplifies rounding: there the reference itself,
+        # perturbed by half an ulp in each solve, moves a sample near a zero
+        # crossing by more than 1e-9 of its own value. Only in that regime
+        # does a difference below 1e-9 of the record's largest magnitude pass.
+        amplified = params.get("mu", 0.5) > 1 and params.get("proportionate") is not None
+        assert_engine_matches_reference(tiny_config(**params), floor=1e-9 if amplified else 0.0)
 
     def test_long_horizon_gram_does_not_drift(self):
         # the reference rebuilds every Gram from scratch; the engine takes

@@ -55,15 +55,15 @@ def test_totals_add_up_per_module(tmp_path, capsys):
     assert rows[1:] == [["a.py", "15", "8"], ["b.py", "2", "1"], ["total", "17", "9"]]
 
 
-def test_digest_runs_print_equal_lines(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    monkeypatch.setattr(sys, "path", list(sys.path))
+def test_digest_runs_print_equal_lines(capsys):
+    write_bytecode, path = sys.dont_write_bytecode, list(sys.path)
     assert outputs_digest.main(["desk-zaapa"]) == 0
     first = capsys.readouterr().out
     assert outputs_digest.main(["desk-zaapa"]) == 0
     assert capsys.readouterr().out == first
     # two seeds of: 6 curves, 3 segments of 11 fields, 4 trial records
     assert len(first.splitlines()) == 2 * (6 + 3 * 11 + 4)
+    assert (sys.dont_write_bytecode, sys.path) == (write_bytecode, path)
 
 
 def test_flipping_one_element_changes_only_its_line():

@@ -33,10 +33,14 @@ TRIAL = 3  # the reference trial whose records are digested
 
 
 def _workloads():
-    sys.dont_write_bytecode = True
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
     return module
 
 
@@ -67,7 +71,6 @@ def lines(label: str, arrays: dict[str, np.ndarray]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    sys.path.insert(0, str(ROOT / "src"))
     wl = _workloads()
     for name in argv or list(wl.WORKLOADS):
         for seed in SEEDS:
@@ -77,4 +80,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main(sys.argv[1:]))
