@@ -12,11 +12,13 @@ A chunk walks the horizon in nested loops: over the segments, each of
 which fixes the true system and the steady-state window; over each
 segment's blocks, of one width for the whole horizon (that of the widest
 block of an equal cut of each segment into blocks of at most 256
-samples); and over the block's samples. At the start of a block it
+samples); and over the block's samples. The scenario is the config's
+:class:`apamix.signals.ScenarioDef`, materialized, and only the noiseless
+response reads its segments' systems. At the start of a block the chunk
 draws every trial's input and noise for that block alone
-(:class:`apamix.signals.TrialStream`), and stores the input
-time-reversed behind the L+M-1 samples before the block (zeros before
-t=0), so a sample's regressor is one slice of that buffer.
+(:class:`apamix.signals.TrialStream`, which reads no system), and stores
+the input time-reversed behind the L+M-1 samples before the block (zeros
+before t=0), so a sample's regressor is one slice of that buffer.
 The projection window is a fixed array of M slots that rotates: each sample
 overwrites the slot of its oldest regressor, and nothing is shifted. The
 affine-projection solution does not depend on the order of the window's
@@ -95,7 +97,6 @@ from .signals import (
     ScenarioDef,
     SegmentDef,
     SignalModel,
-    SystemScenario,
     TrialStream,
     scenario_stream,
 )
@@ -322,7 +323,7 @@ def _gram_rows(M: int, sub: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _simulate_chunk(
     config: ExperimentConfig,
-    scenario: SystemScenario,
+    scenario: ScenarioDef,
     trial_indices: Sequence[int],
 ) -> dict[str, np.ndarray]:
     """Simulate one chunk of trials of ``config`` on the materialized ``scenario``.

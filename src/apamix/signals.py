@@ -1,17 +1,17 @@
 """Input signals, sparse test systems, and time-varying scenarios.
 
 A scenario is a piecewise-constant true system: an ordered list of segments,
-each holding its own weight vector. Observations are produced by sliding an
-L-sample window over the input stream (zero-padded before t=0) and adding
-white Gaussian observation noise.
+each of which holds its own weight vector once the scenario is materialized.
+Observations are produced by sliding an L-sample window over the input
+stream (zero-padded before t=0) and adding white Gaussian observation noise.
 
 Trial streams are driven by the counter-based Philox generator so that
 Monte-Carlo trials get independent, reproducible streams from
 ``seed XOR trial_index`` alone. The scenario's seed is the experiment's
 only one: it also keys segment j's system (``seed XOR (j+1)``). An input
-model holds no seed of its own; the materialized scenario carries the
-model and the seed, and :class:`TrialStream` alone lays out a trial's
-draws: its input is the first n draws of the trial's generator, and its
+model holds no seed of its own; the scenario carries the model and the
+seed, and :class:`TrialStream` alone lays out a trial's draws, which read
+no system: its input is the first n draws of the trial's generator, and its
 noise comes from a second generator on the same key, moved past those n
 draws. It serves them a piece at a time, so that a simulation need not
 hold a trial's streams for the whole horizon; :func:`trial_signals` is
@@ -20,7 +20,7 @@ the whole horizon in one piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Iterator, Optional
 
@@ -28,9 +28,8 @@ import numpy as np
 
 __all__ = [
     "SignalModel",
-    "Segment",
-    "SystemScenario",
     "SegmentDef",
+    "Segment",
     "ScenarioDef",
     "Observation",
     "make_rng",
@@ -111,39 +110,6 @@ def _fill_input(
 
 
 @dataclass(frozen=True)
-class Segment:
-    """One piece of a piecewise-constant system."""
-
-    duration: int
-    w_opt: np.ndarray
-
-
-@dataclass(frozen=True)
-class SystemScenario:
-    """Piecewise-constant true system plus the observation-noise level.
-
-    :meth:`ScenarioDef.materialize` builds it from a checked definition, so
-    it checks nothing itself. ``input`` is the model of the input process,
-    and ``seed`` keys the trials' streams (:class:`TrialStream`).
-    """
-
-    L: int
-    segments: tuple[Segment, ...]
-    noise_variance: float
-    input: SignalModel
-    seed: int
-
-    @property
-    def n_samples(self) -> int:
-        return sum(seg.duration for seg in self.segments)
-
-    @property
-    def boundaries(self) -> tuple[int, ...]:
-        """Cumulative segment start offsets, length ``len(segments)+1``."""
-        return tuple(accumulate((s.duration for s in self.segments), initial=0))
-
-
-@dataclass(frozen=True)
 class SegmentDef:
     """One segment of a :class:`ScenarioDef`: its length and active-tap count."""
 
@@ -161,9 +127,18 @@ class SegmentDef:
 
 
 @dataclass(frozen=True)
-class ScenarioDef:
-    """JSON-facing scenario description; systems are drawn on materialize().
+class Segment(SegmentDef):
+    """A segment with its drawn system, as :meth:`ScenarioDef.materialize` makes it."""
 
+    w_opt: np.ndarray = field(kw_only=True)
+
+
+@dataclass(frozen=True)
+class ScenarioDef:
+    """Piecewise-constant true system plus the observation-noise level.
+
+    As loaded from JSON its segments are :class:`SegmentDef`;
+    :meth:`materialize` returns it with each segment's system drawn.
     ``seed`` is the experiment's only seed. Segment systems are drawn
     deterministically from it: segment j uses the stream ``seed XOR (j+1)``,
     so a definition always materializes to the same scenario. Trial t's
@@ -189,8 +164,17 @@ class ScenarioDef:
             if sd.K > self.L:
                 raise ValueError(f"segment {j}: active tap count {sd.K} exceeds L={self.L}")
 
-    def materialize(self) -> SystemScenario:
-        """Draw each segment's system: exactly K nonzero taps.
+    @property
+    def n_samples(self) -> int:
+        return sum(seg.duration for seg in self.segments)
+
+    @property
+    def boundaries(self) -> tuple[int, ...]:
+        """Cumulative segment start offsets, length ``len(segments)+1``."""
+        return tuple(accumulate((s.duration for s in self.segments), initial=0))
+
+    def materialize(self) -> ScenarioDef:
+        """This definition with each segment's system drawn: exactly K nonzero taps.
 
         Positions are uniform without replacement; nonzero values are N(0,1)
         (``random``) or random signs (``unit``).
@@ -207,8 +191,8 @@ class ScenarioDef:
                 vals = rng.integers(0, 2, size=sd.K) * 2.0 - 1.0
             w = np.zeros(self.L)
             w[active] = vals
-            segs.append(Segment(sd.duration, w))
-        return SystemScenario(self.L, tuple(segs), self.noise_variance, self.input, self.seed)
+            segs.append(Segment(sd.duration, sd.K, sd.magnitude_rule, w_opt=w))
+        return replace(self, segments=tuple(segs))
 
 
 @dataclass(frozen=True)
@@ -229,7 +213,7 @@ class TrialStream:
     call. Pieces of any lengths concatenate to the same arrays bit for bit.
     """
 
-    def __init__(self, scenario: SystemScenario, trial: int):
+    def __init__(self, scenario: ScenarioDef, trial: int):
         self._model = scenario.input
         self._rng = make_rng(scenario.seed, trial)
         self._last = None  # the AR(1) sample before the next piece
@@ -248,17 +232,18 @@ class TrialStream:
         noise *= self._noise_sd
 
 
-def trial_signals(scenario: SystemScenario, trial: int) -> tuple[np.ndarray, np.ndarray]:
+def trial_signals(scenario: ScenarioDef, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """Trial ``trial``'s whole input and noise arrays: one :class:`TrialStream` piece."""
     x, noise = np.empty(scenario.n_samples), np.empty(scenario.n_samples)
     TrialStream(scenario, trial).draw(x, noise)
     return x, noise
 
 
-def scenario_stream(scenario: SystemScenario, trial: int) -> Iterator[tuple[Observation, np.ndarray]]:
+def scenario_stream(scenario: ScenarioDef, trial: int) -> Iterator[tuple[Observation, np.ndarray]]:
     """Yield trial ``trial``'s observations, each with the system it observes.
 
-    The regressor at time i is the window ``[x(i), x(i-1), ..., x(i-L+1)]``
+    ``scenario`` must be materialized: each observation reads its
+    segment's ``w_opt``. The regressor at time i is the window ``[x(i), x(i-1), ..., x(i-L+1)]``
     with zeros before t=0; the desired response uses the segment-active
     system at i plus independent observation noise.
     """

@@ -235,13 +235,18 @@ def lambda_infinity(
         raise ValueError("EMSEs must be >= 0")
     if not 0.5 < lam_plus < 1:
         raise ValueError("lam_plus must lie in (0.5, 1)")
-    dj1 = J1 - J12
-    dj2 = J2 - J12
-    if dj1 <= 0 and dj2 <= 0:
+    # Cauchy-Schwarz bounds J12 by sqrt(J1*J2) <= max(J1, J2), and a tie is
+    # no violation: at rho = 0 both branches are one filter, and the closed
+    # forms differ by rounding (J12 lies 1.6e-16 relative above both at the
+    # desk preset's K = 4). 1e-12 relative is far above the rounding of
+    # their few dozen operations. A tie falls to ``non_sparse``.
+    if J12 - max(J1, J2) > 1e-12 * max(J1, J2):
         raise AnalysisViolation(
-            "cross-EMSE at least as large as both component EMSEs; "
+            "cross-EMSE larger than both component EMSEs; "
             "contradicts the Cauchy-Schwarz bound on the cross term"
         )
+    dj1 = J1 - J12
+    dj2 = J2 - J12
     if dj1 <= 0:
         return lam_plus, "non_sparse"
     if dj2 <= 0:

@@ -200,6 +200,27 @@ class TestSolvesPerSample:
         assert calls == {"solve": n, "kernel": sub_blocks}
 
 
+@pytest.mark.parametrize("M", range(1, 17))
+def test_gram_rows_gather_each_entry_of_the_slot_order_gram(M):
+    # the engine gathers with np.take(..., mode="clip"), which would turn an
+    # index out of range into a wrong entry that is still finite
+    rng = np.random.default_rng(M)
+    for sub in range(1, 21):
+        lower, at = harness._gram_rows(M, sub)
+        assert at.shape == (M, len(lower), sub)
+        assert at.min() >= 0 and at.max() < M * (sub + M)
+        for r in range(M):
+            i0 = 2 * M + r  # the sub-block's first sample, i0 % M == r
+            u = rng.standard_normal((i0 + sub, M + 2))  # u[i]: sample i's regressor
+            # the lag history: H[k, c] = u(j) . u(j-k) for the sub-block's sample j = c - M
+            j = i0 - M + np.arange(sub + M)
+            H = np.einsum("kcl,cl->kc", u[j - np.arange(M)[:, None]], u[j])
+            i = i0 + np.arange(sub)
+            ages = (lower.T[:, :, None] + i) % M  # slot p holds the sample of age (p + i) % M
+            want = np.einsum("etl,etl->et", u[i - ages[0]], u[i - ages[1]])
+            np.testing.assert_allclose(H.reshape(-1)[at[r]], want, rtol=1e-12)
+
+
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
         cfg = replace(tiny_config(runs=6), chunk_size=2)
@@ -862,6 +883,18 @@ class TestCli:
         assert cli_main(["predict", "--config", str(cfg_path)]) == 0
         out, err = capsys.readouterr()
         assert "regime" in out and err == ""
+
+    def test_predict_at_rho_zero_labels_the_tie_non_sparse(self, tmp_path, capsys):
+        # both branches are one filter: J1 = J2 = J12 up to rounding
+        cfg_path = tmp_path / "cfg.json"
+        cfg = preset_paper_scenario("desk")
+        write_config(replace(cfg, filter2=replace(cfg.filter2, rho=0.0)), cfg_path)
+        assert cli_main(["predict", "--config", str(cfg_path)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            J1, Jc, regime = row[2], row[5], row[10]
+            assert Jc == J1 and regime == "non_sparse"
 
     def test_predict_rejects_colored_input(self, capsys):
         rc = cli_main(["predict", "--preset", "paper-desk", "--input", "ar1"])

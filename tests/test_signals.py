@@ -7,7 +7,6 @@ from apamix.signals import (
     Segment,
     SegmentDef,
     SignalModel,
-    SystemScenario,
     TrialStream,
     gen_input,
     make_rng,
@@ -98,9 +97,9 @@ class TestMaterialize:
 def _single_segment_scenario(L, w_opt, duration, noise_variance, seed,
                              model=SignalModel()):
     w_opt = np.asarray(w_opt, float)
-    seg = Segment(duration=duration, w_opt=w_opt)
-    return SystemScenario(L=L, segments=(seg,), noise_variance=noise_variance, input=model,
-                          seed=seed)
+    seg = Segment(duration, np.count_nonzero(w_opt), w_opt=w_opt)
+    return ScenarioDef(L=L, segments=(seg,), noise_variance=noise_variance, input=model,
+                       seed=seed)
 
 
 class TestScenarioStream:
@@ -128,9 +127,9 @@ class TestScenarioStream:
 
     def test_segment_switch_boundary(self):
         L = 2
-        seg_a = Segment(duration=10, w_opt=np.array([1.0, 0.0]))
-        seg_b = Segment(duration=10, w_opt=np.array([3.0, 0.0]))
-        scen = SystemScenario(
+        seg_a = Segment(10, 1, w_opt=np.array([1.0, 0.0]))
+        seg_b = Segment(10, 1, w_opt=np.array([3.0, 0.0]))
+        scen = ScenarioDef(
             L=L, segments=(seg_a, seg_b), noise_variance=0.0, input=SignalModel(), seed=4
         )
         x, _ = trial_signals(scen, 0)
@@ -188,14 +187,15 @@ DURATIONS = (300, 257)
 
 def _two_segment_scenario(model):
     segments = tuple(SegmentDef(d, 2) for d in DURATIONS)
-    return ScenarioDef(8, segments, 1e-2, model, seed=3).materialize()
+    return ScenarioDef(8, segments, 1e-2, model, seed=3)
 
 
+@pytest.mark.parametrize("drawn", [False, True])  # the streams read no system
 @pytest.mark.parametrize("model", MODELS)
-def test_trial_signals_follow_the_reference_layout(model):
+def test_trial_signals_follow_the_reference_layout(model, drawn):
     scen = _two_segment_scenario(model)
     want_x, want_noise = reference_signals(scen, 7)
-    x, noise = trial_signals(scen, 7)
+    x, noise = trial_signals(scen.materialize() if drawn else scen, 7)
     assert np.array_equal(x, want_x)
     assert np.array_equal(noise, want_noise)
 
@@ -241,8 +241,11 @@ class TestScenarioDef:
         )
         s1, s2 = d.materialize(), d.materialize()
         assert s1.input is d.input and s1.seed == d.seed
-        for a, b in zip(s1.segments, s2.segments):
+        assert (s1.L, s1.noise_variance) == (32, 1e-3)
+        assert (s1.n_samples, s1.boundaries) == (200, (0, 100, 200))
+        for a, b, sd in zip(s1.segments, s2.segments, d.segments, strict=True):
             assert np.array_equal(a.w_opt, b.w_opt)
+            assert (a.duration, a.K, a.magnitude_rule) == (sd.duration, sd.K, sd.magnitude_rule)
         assert np.count_nonzero(s1.segments[1].w_opt) == 4
 
     def test_invariants(self):

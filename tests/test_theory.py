@@ -271,6 +271,14 @@ class TestLambdaInfinity:
     def test_analysis_violation(self):
         with pytest.raises(AnalysisViolation):
             lambda_infinity(1.0, 1.0, 2.0, 0.982)
+        with pytest.raises(AnalysisViolation):
+            lambda_infinity(1.0, 2.0, 1.1 * 2.0, 0.982)
+
+    @pytest.mark.parametrize("J", [0.0, 3.44e-4])
+    def test_tie_is_no_violation(self, J):
+        assert lambda_infinity(J, J, J, 0.982) == (0.982, "non_sparse")
+        # rounding-level excess, as the closed forms give at rho = 0
+        assert lambda_infinity(J, J, J * (1 + 4e-16), 0.982) == (0.982, "non_sparse")
 
 
 class TestCombinedEmse:

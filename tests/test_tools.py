@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from apamix.harness import preset_paper_scenario
 
@@ -61,18 +62,21 @@ def test_digest_runs_print_equal_lines(capsys):
     first = capsys.readouterr().out
     assert outputs_digest.main(["desk-zaapa"]) == 0
     assert capsys.readouterr().out == first
-    # two seeds of: 6 curves, 3 segments of 11 fields, 4 trial records
-    assert len(first.splitlines()) == 2 * (6 + 3 * 11 + 4)
+    # two seeds of: 3 drawn systems, 6 curves, 3 segments of 11 fields, 4 trial records
+    assert len(first.splitlines()) == 2 * (3 + 6 + 3 * 11 + 4)
+    names = [line.split()[2] for line in first.splitlines()]
+    assert names[:3] == ["w_opt[0]", "w_opt[1]", "w_opt[2]"]
     assert (sys.dont_write_bytecode, sys.path) == (write_bytecode, path)
 
 
-def test_flipping_one_element_changes_only_its_line():
+@pytest.mark.parametrize("name", ["segments[1].msd2", "w_opt[2]"])
+def test_flipping_one_element_changes_only_its_line(name):
     cfg = preset_paper_scenario("desk", "ar1", "zapapa", runs=4)
     segments = tuple(replace(s, duration=50) for s in cfg.scenario.segments)
     arrays = outputs_digest.outputs(replace(cfg, scenario=replace(cfg.scenario, segments=segments)))
     before = outputs_digest.lines("w 0", arrays)
-    flipped = arrays["segments[1].msd2"].copy()
+    flipped = arrays[name].copy()
     flipped[5] = np.nextafter(flipped[5], np.inf)
-    after = outputs_digest.lines("w 0", {**arrays, "segments[1].msd2": flipped})
+    after = outputs_digest.lines("w 0", {**arrays, name: flipped})
     changed = [line.split()[2] for old, line in zip(before, after) if old != line]
-    assert changed == ["segments[1].msd2"]
+    assert changed == [name]

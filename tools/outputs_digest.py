@@ -4,9 +4,10 @@
 
 For each workload of ``perfbench/workloads.py`` (default: all of them) at
 benchmark seeds 0 and 5, it prints one line per output array,
-``workload seed name sha256``. The arrays are every ``LearningCurves``
-array, every ``SegmentStats`` field of each segment and the four records
-of ``run_trial(cfg, 3)``. The digest covers each array's dtype, shape and
+``workload seed name sha256``. The arrays are each segment's drawn system
+(``materialize().segments[k].w_opt``), every ``LearningCurves`` array,
+every ``SegmentStats`` field of each segment and the four records of
+``run_trial(cfg, 3)``. The digest covers each array's dtype, shape and
 bytes, so two trees whose outputs agree bit for bit print the same lines:
 
     python3 tools/outputs_digest.py > before.txt   # in one checkout
@@ -48,9 +49,10 @@ def outputs(cfg) -> dict[str, np.ndarray]:
     """Every output array of one experiment on ``cfg``, by name."""
     from apamix import harness
 
+    arrays = {f"w_opt[{k}]": seg.w_opt for k, seg in enumerate(cfg.scenario.materialize().segments)}
     curves = harness.run_experiment(cfg)
-    arrays = {f.name: getattr(curves, f.name) for f in fields(curves)
-              if isinstance(getattr(curves, f.name), np.ndarray)}
+    arrays.update((f.name, getattr(curves, f.name)) for f in fields(curves)
+                  if isinstance(getattr(curves, f.name), np.ndarray))
     for k, seg in enumerate(curves.segments):
         for f in fields(seg):
             arrays[f"segments[{k}].{f.name}"] = np.asarray(getattr(seg, f.name))
