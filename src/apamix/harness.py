@@ -15,8 +15,8 @@ block of an equal cut of each segment into blocks of at most 256
 samples); and over the block's samples. The scenario is the config's
 :class:`apamix.signals.ScenarioDef`, materialized, and only the noiseless
 response reads its segments' systems. At the start of a block the chunk
-draws every trial's input and noise for that block alone
-(:class:`apamix.signals.TrialStream`, which reads no system), and stores
+draws every trial's input and noise for that block alone, in one call of
+its :class:`apamix.signals.TrialStream` (which reads no system), and stores
 the input time-reversed behind the L+M-1 samples before the block (zeros
 before t=0), so a sample's regressor is one slice of that buffer.
 The projection window is a fixed array of M slots that rotates: each sample
@@ -359,7 +359,7 @@ def _simulate_chunk(
     carry = L + M - 1
     Q = np.zeros((R, blk + carry))
     NOISE = np.empty((R, blk))
-    streams = [TrialStream(scenario, t) for t in trial_indices]
+    stream = TrialStream(scenario, trial_indices)
 
     # Sample i overwrites slot s = -i % M, so slot (s + k) % M holds sample
     # i-k. Only one row of U changes per sample.
@@ -401,8 +401,7 @@ def _simulate_chunk(
         win = _steady_window_start(start, stop, config.steady_window_fraction)
         for lo in range(start, stop, blk):
             m = min(blk, stop - lo)
-            for r, stream in enumerate(streams):  # draw the block's input and noise
-                stream.draw(Q[r, blk - m : blk][::-1], NOISE[r, :m])
+            stream.draw(Q[:, blk - m : blk][:, ::-1], NOISE[:, :m])  # the block's draws
             for c in range(m):  # c: the sample's column in the block's records and noise
                 i = lo + c
                 j = blk - 1 - c
@@ -510,10 +509,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> LearningCurves
     if workers < 1:
         raise ValueError("workers must be >= 1")
     scenario = config.scenario.materialize()
-    chunks = [
-        list(range(lo, min(lo + config.chunk_size, config.runs)))
-        for lo in range(0, config.runs, config.chunk_size)
-    ]
+    size = config.chunk_size
+    chunks = [range(lo, min(lo + size, config.runs)) for lo in range(0, config.runs, size)]
     pool, run = nullcontext(), map
     if workers > 1 and len(chunks) > 1:
         # imported here: only a multi-worker run needs the pool, and its

@@ -13,8 +13,10 @@ model holds no seed of its own; the scenario carries the model and the
 seed, and :class:`TrialStream` alone lays out a trial's draws, which read
 no system: its input is the first n draws of the trial's generator, and its
 noise comes from a second generator on the same key, moved past those n
-draws. It serves them a piece at a time, so that a simulation need not
-hold a trial's streams for the whole horizon; :func:`trial_signals` is
+draws. One stream serves a whole chunk of trials a piece at a time, so
+that a simulation need not hold the streams for the whole horizon, and it
+draws every input with one AR(1) recursion over the trial axis, of which
+white input is pole 0. :func:`trial_signals` is the one-trial stream over
 the whole horizon in one piece.
 """
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "ScenarioDef",
     "Observation",
     "make_rng",
-    "gen_input",
     "trial_signals",
     "TrialStream",
     "scenario_stream",
@@ -64,49 +65,6 @@ class SignalModel:
             raise ValueError("input variance must be positive and finite")
         if not -1.0 < self.pole < 1.0:  # also rejects NaN
             raise ValueError(f"input pole {self.pole} must lie in (-1, 1)")
-
-
-def gen_input(model: SignalModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Generate ``n`` samples of the input process.
-
-    Pole 0 (white): i.i.d. N(0, variance). Any other pole: stationary start
-    x(0) ~ N(0, variance), then x(t) = pole*x(t-1) + sqrt(1-pole^2)*sigma*g(t).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = np.empty(n)
-    _fill_input(model, rng, x, None)
-    return x
-
-
-def _fill_input(
-    model: SignalModel, rng: np.random.Generator, x: np.ndarray, y: Optional[float]
-) -> Optional[float]:
-    """Fill ``x`` with the input's next ``len(x)`` samples, from ``len(x)`` draws.
-
-    ``y`` is the AR(1) sample before them, None at t=0. Returns the last
-    sample written, so that the next call continues the process.
-    """
-    sigma = np.sqrt(model.variance)
-    g = rng.standard_normal(len(x))
-    if model.pole == 0:
-        np.multiply(sigma, g, out=x)
-        return None
-    a = model.pole
-    if y is None:  # stationary start
-        y = x[0] = float(sigma * g[0])
-        g, x = g[1:], x[1:]
-    drive = np.sqrt(1.0 - a * a) * sigma * g
-    # The one-pole recursion as a plain loop, exactly as lfilter([1], [1, -a],
-    # drive, zi=[a*x(0)]) computes it: that filter pads b to [1, 0], so each
-    # step of its first-order transposed direct form II is exactly v + a*y,
-    # and the two agree bit for bit (tests/test_signals.py checks it).
-    out = []
-    for v in drive.tolist():
-        y = v + a * y
-        out.append(y)
-    x[:] = out
-    return y
 
 
 @dataclass(frozen=True)
@@ -205,38 +163,57 @@ class Observation:
 
 
 class TrialStream:
-    """Trial ``trial``'s input and noise on ``scenario``, drawn a piece at a time.
+    """The input and noise of trials ``trials`` on ``scenario``, drawn a piece at a time.
 
-    The one layout of a trial's draws: the input comes from the first n
-    draws of ``make_rng(scenario.seed, trial)``, and the noise from a second
+    The one layout of a trial's draws: trial t's input comes from the first n
+    draws of ``make_rng(scenario.seed, t)``, and its noise from a second
     generator on the same key, moved past them by one ``standard_normal(n)``
-    call. Pieces of any lengths concatenate to the same arrays bit for bit.
+    call. Row r of a piece belongs to trial ``trials[r]``, and pieces of any
+    lengths concatenate to the same arrays bit for bit.
+
+    Every pole takes one recursion over the trial axis: the stationary start
+    x(0) = sigma*g(0), then x(t) = sqrt(1-pole^2)*sigma*g(t) + pole*x(t-1).
+    At pole 0 that is sigma*g(t) bit for bit, the white input. Each step is
+    exactly that of scipy's ``lfilter([1], [1, -pole])``, against which
+    tests/test_signals.py checks the stream bit for bit.
     """
 
-    def __init__(self, scenario: ScenarioDef, trial: int):
-        self._model = scenario.input
-        self._rng = make_rng(scenario.seed, trial)
-        self._last = None  # the AR(1) sample before the next piece
-        self._noise_rng = make_rng(scenario.seed, trial)
-        self._noise_rng.standard_normal(scenario.n_samples)
+    def __init__(self, scenario: ScenarioDef, trials: Sequence[int]):
+        model = scenario.input
+        self._rngs = [make_rng(scenario.seed, t) for t in trials]
+        self._noise_rngs = [make_rng(scenario.seed, t) for t in trials]
+        for rng in self._noise_rngs:
+            rng.standard_normal(scenario.n_samples)
+        self._pole = model.pole
+        self._sigma = np.sqrt(model.variance)
+        self._drive_sd = np.sqrt(1.0 - model.pole * model.pole) * self._sigma
         self._noise_sd = np.sqrt(scenario.noise_variance)
+        self._last = None  # each trial's sample before the next piece, None at t=0
 
     def draw(self, x: np.ndarray, noise: np.ndarray) -> None:
-        """Fill ``x`` and ``noise``, of one length, with the next samples in time order.
+        """Fill ``x`` and ``noise``, both ``(len(trials), m)``, with the next m samples.
 
-        ``x`` may be any view, such as a reversed one; ``noise`` must be
-        contiguous.
+        Each row is in time order. ``x`` may be any view, such as one
+        reversed in time; the rows of ``noise`` must be contiguous.
         """
-        self._last = _fill_input(self._model, self._rng, x, self._last)
-        self._noise_rng.standard_normal(out=noise)
+        g = np.empty(x.shape)
+        for rng, row, noise_rng, noise_row in zip(self._rngs, g, self._noise_rngs, noise):
+            rng.standard_normal(out=row)
+            noise_rng.standard_normal(out=noise_row)
         noise *= self._noise_sd
+        x0 = self._sigma * g[:, 0]  # the stationary start, if this piece is the first
+        g *= self._drive_sd  # the driving noise
+        y = self._last
+        for t, drive in enumerate(g.T):
+            y = x[:, t] = x0 if y is None else drive + self._pole * y
+        self._last = y
 
 
 def trial_signals(scenario: ScenarioDef, trial: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trial ``trial``'s whole input and noise arrays: one :class:`TrialStream` piece."""
-    x, noise = np.empty(scenario.n_samples), np.empty(scenario.n_samples)
-    TrialStream(scenario, trial).draw(x, noise)
-    return x, noise
+    """Trial ``trial``'s whole input and noise: the one-trial :class:`TrialStream`, one piece."""
+    x, noise = np.empty((1, scenario.n_samples)), np.empty((1, scenario.n_samples))
+    TrialStream(scenario, [trial]).draw(x, noise)
+    return x[0], noise[0]
 
 
 def scenario_stream(scenario: ScenarioDef, trial: int) -> Iterator[tuple[Observation, np.ndarray]]:

@@ -1,11 +1,12 @@
 """Closed-form steady-state predictors for the filter pair and their mix.
 
-All closed forms are specialized to white input, the input model's pole 0
-(every input-covariance eigenvalue equals the input variance, so each
-eigendirection is selected with probability 1/L). They model the
-projection update as independent draws from an orthogonal direction set;
-see the README for where that idealization is and is not an accurate
-absolute-level predictor of the sliding-window simulation.
+All closed forms are specialized to white input, pole 0 of the package's
+AR(1) input model, and read its variance alone (every input-covariance
+eigenvalue equals it, so each eigendirection is selected with probability
+1/L). They model the projection update as independent draws from an
+orthogonal direction set; see the README for where that idealization is
+and is not an accurate absolute-level predictor of the sliding-window
+simulation.
 
 Colored-input prediction is intentionally not offered; simulation covers
 the nonzero poles.
@@ -20,14 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import AnalysisViolation
-from .signals import SignalModel, gen_input, make_rng
 
 __all__ = [
     "TheoryInputs",
     "SteadyStatePrediction",
     "beta_of",
     "inv_r2_expectation",
-    "inv_r2_monte_carlo",
     "apa_msd_per_tap",
     "zaapa_msd_active",
     "zaapa_msd_inactive",
@@ -66,18 +65,6 @@ def inv_r2_expectation(L: int, input_variance: float = 1.0) -> float:
     if not 0 < input_variance < math.inf:
         raise ValueError("input variance must be positive and finite")
     return 1.0 / (input_variance * (L - 2))
-
-
-def inv_r2_monte_carlo(
-    model: SignalModel, L: int, draws: int = 100_000, seed: int = 0
-) -> float:
-    """Monte-Carlo E[1/||u||^2] over sliding-window regressors of any input."""
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    x = gen_input(model, draws + L - 1, make_rng(seed))
-    sq = np.concatenate([[0.0], np.cumsum(x * x)])
-    norms2 = sq[L:] - sq[:-L]
-    return float(np.mean(1.0 / norms2))
 
 
 @dataclass(frozen=True)

@@ -223,14 +223,17 @@ def test_gram_rows_gather_each_entry_of_the_slot_order_gram(M):
 
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
-        cfg = replace(tiny_config(runs=6), chunk_size=2)
-        c1 = run_experiment(cfg, workers=1)
-        c3 = run_experiment(cfg, workers=3)
-        for field in ("j1", "j2", "j12", "j", "lam", "j12_se"):
-            assert np.array_equal(getattr(c1, field), getattr(c3, field))
-        for s1, s3 in zip(c1.segments, c3.segments):
-            assert np.array_equal(s1.msd2, s3.msd2)
-            assert np.array_equal(s1.mean_dev2, s3.mean_dev2)
+        # three chunks on three workers, and five on two: more chunks than
+        # workers, so the pool's results come back over several rounds
+        for runs, workers in ((6, 3), (10, 2)):
+            cfg = replace(tiny_config(runs=runs), chunk_size=2)
+            c1 = run_experiment(cfg, workers=1)
+            cw = run_experiment(cfg, workers=workers)
+            for field in ("j1", "j2", "j12", "j", "lam", "j12_se"):
+                assert np.array_equal(getattr(c1, field), getattr(cw, field))
+            for s1, sw in zip(c1.segments, cw.segments):
+                assert np.array_equal(s1.msd2, sw.msd2)
+                assert np.array_equal(s1.mean_dev2, sw.mean_dev2)
 
     def test_rerun_is_bit_identical(self):
         cfg = tiny_config(runs=4)
@@ -331,26 +334,28 @@ class TestSteadyStateStats:
 
 
 def nan_input(monkeypatch, deaths):
-    """Make the engine's k-th trial stream built turn its input NaN at sample
-    ``deaths[k]``.
+    """Make the engine's stream turn trial t's input NaN at sample ``deaths[t]``.
 
-    Returns the counter of streams built, ``{"count": streams - 1}``.
+    Returns the counter of trial streams built, ``{"count": streams - 1}``:
+    a chunk's stream counts once per trial.
     """
     real = harness.TrialStream
     seen = {"count": -1}
 
     class Fake(real):
-        def __init__(self, *args):
-            super().__init__(*args)
-            seen["count"] += 1
-            self.death = deaths.get(seen["count"])
+        def __init__(self, scenario, trials):
+            super().__init__(scenario, trials)
+            seen["count"] += len(trials)
+            self.deaths = [(r, deaths[t]) for r, t in enumerate(trials) if t in deaths]
             self.drawn = 0  # samples drawn before the next block
 
         def draw(self, x, noise):
             super().draw(x, noise)
-            if self.death is not None and self.drawn <= self.death < self.drawn + len(x):
-                x[self.death - self.drawn] = np.nan
-            self.drawn += len(x)
+            m = x.shape[1]
+            for r, death in self.deaths:
+                if self.drawn <= death < self.drawn + m:
+                    x[r, death - self.drawn] = np.nan
+            self.drawn += m
 
     monkeypatch.setattr(harness, "TrialStream", Fake)
     return seen
@@ -401,7 +406,7 @@ def failing_gram(monkeypatch, kind, sample):
 class TestDivergenceHandling:
     def test_engine_reports_trial_and_sample(self, monkeypatch):
         cfg = tiny_config(runs=4, n=60, segments=(SegmentDef(60, 16),))
-        nan_input(monkeypatch, {2: 30})  # third stream built in the chunk
+        nan_input(monkeypatch, {2: 30})  # the third trial of the chunk
         with pytest.raises(DivergenceError) as exc_info:
             run_experiment(replace(cfg, chunk_size=4))
         assert exc_info.value.trial_index == 2
@@ -450,7 +455,7 @@ class TestFirstDivergenceIsRaised:
         deaths = params.get("deaths", {1: 40})  # trial -> the sample its input turns NaN
         config_params = {k: v for k, v in params.items() if k != "deaths"}
         cfg = replace(tiny_config(runs=4, n=100, **config_params), chunk_size=4)
-        seen = nan_input(monkeypatch, deaths)  # the four streams are trials 0-3
+        seen = nan_input(monkeypatch, deaths)  # the chunk's four trials are 0-3
         with pytest.raises(DivergenceError) as exc_info:
             run_experiment(cfg)
         assert (exc_info.value.trial_index, exc_info.value.sample_index) == first

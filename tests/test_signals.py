@@ -8,32 +8,45 @@ from apamix.signals import (
     SegmentDef,
     SignalModel,
     TrialStream,
-    gen_input,
     make_rng,
     scenario_stream,
     trial_signals,
 )
 
 
-class TestGenInput:
+def input_of(model, n, seed, trial=0):
+    """Trial ``trial``'s input on a one-segment scenario of ``n`` samples."""
+    scenario = ScenarioDef(1, (SegmentDef(n, 1),), 0.0, model, seed)
+    return trial_signals(scenario, trial)[0]
+
+
+class TestInputStatistics:
     def test_white_variance(self):
-        x = gen_input(SignalModel(variance=1.0), 200_000, make_rng(3))
+        x = input_of(SignalModel(variance=1.0), 200_000, seed=3)
         assert np.var(x) == pytest.approx(1.0, rel=0.02)
 
     def test_ar1_stationary_moments(self):
-        x = gen_input(SignalModel(variance=1.0, pole=0.8), 200_000, make_rng(4))
+        x = input_of(SignalModel(variance=1.0, pole=0.8), 200_000, seed=4)
         assert np.var(x) == pytest.approx(1.0, rel=0.02)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1 - 0.8) < 0.02
 
     def test_ar1_zero_pole_is_whitelike(self):
-        x = gen_input(SignalModel(variance=1.0, pole=0.0), 100_000, make_rng(5))
+        x = input_of(SignalModel(variance=1.0, pole=0.0), 100_000, seed=5)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1) < 0.02
 
     def test_variance_scaling(self):
-        x = gen_input(SignalModel(variance=4.0), 100_000, make_rng(6))
+        x = input_of(SignalModel(variance=4.0), 100_000, seed=6)
         assert np.var(x) == pytest.approx(4.0, rel=0.03)
+
+    @pytest.mark.parametrize("variance, seed, trial", [(1.0, 0, 0), (2.5, 9, 4), (0.3, 3, 7)])
+    def test_pole_zero_is_the_scaled_white_draw(self, variance, seed, trial):
+        """Pole 0 of the recursion is the white input's own definition, bit for bit."""
+        n = 1000
+        x = input_of(SignalModel(variance=variance), n, seed, trial)
+        want = np.sqrt(variance) * make_rng(seed, trial).standard_normal(n)
+        assert np.array_equal(x, want)
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="pole"):
@@ -45,7 +58,7 @@ class TestGenInput:
 
 
 def ar1_by_lfilter(model, n, rng):
-    """The AR(1) stream of gen_input from the same draws, filtered by scipy's lfilter."""
+    """The stationary AR(1) stream of ``n`` draws of ``rng``, filtered by scipy's lfilter."""
     a = model.pole
     sigma = np.sqrt(model.variance)
     g = rng.standard_normal(n)
@@ -62,7 +75,7 @@ class TestAr1MatchesLfilter:
     @pytest.mark.parametrize("pole", [0.8, -0.8, 0.0, 0.999, -0.999])
     def test_bit_identical(self, pole, n):
         model = SignalModel(variance=2.5, pole=pole)
-        x = gen_input(model, n, make_rng(9, 4))
+        x = input_of(model, n, seed=9, trial=4)
         assert x.shape == (n,)
         assert np.array_equal(x, ar1_by_lfilter(model, n, make_rng(9, 4)))
 
@@ -156,7 +169,7 @@ class TestScenarioStream:
     def test_ar1_regressor_covariance(self):
         # entrywise check of R_ij = variance * pole^|i-j| at small L
         L, n, pole = 8, 100_000, 0.8
-        x = gen_input(SignalModel(variance=1.0, pole=pole), n, make_rng(8))
+        x = input_of(SignalModel(variance=1.0, pole=pole), n, seed=8)
         windows = np.lib.stride_tricks.sliding_window_view(x, L)
         R_hat = windows.T @ windows / windows.shape[0]
         i, j = np.indices((L, L))
@@ -166,10 +179,11 @@ class TestScenarioStream:
 
 def reference_signals(scenario, trial):
     """A trial's input, then its noise, from one generator on its key: the
-    layout of a trial's draws, written out without TrialStream."""
+    layout of a trial's draws, written out with scipy's recursion and
+    without TrialStream."""
     rng = make_rng(scenario.seed, trial)
     n = scenario.n_samples
-    x = gen_input(scenario.input, n, rng)
+    x = ar1_by_lfilter(scenario.input, n, rng)
     return x, rng.standard_normal(n) * np.sqrt(scenario.noise_variance)
 
 
@@ -219,15 +233,33 @@ class TestTrialStream:
         n = scen.n_samples
         assert sum(pieces) == n
         want_x, want_noise = reference_signals(scen, 7)
-        stream = TrialStream(scen, 7)
-        x_rev = np.empty(n)  # time-reversed, as the engine stores its input
-        noise = np.empty(n)
+        stream = TrialStream(scen, [7])
+        x_rev = np.empty((1, n))  # time-reversed, as the engine stores its input
+        noise = np.empty((1, n))
         lo = 0
         for m in pieces:
-            stream.draw(x_rev[n - lo - m : n - lo][::-1], noise[lo : lo + m])
+            stream.draw(x_rev[:, n - lo - m : n - lo][:, ::-1], noise[:, lo : lo + m])
             lo += m
-        assert np.array_equal(x_rev[::-1], want_x)
-        assert np.array_equal(noise, want_noise)
+        assert np.array_equal(x_rev[0, ::-1], want_x)
+        assert np.array_equal(noise[0], want_noise)
+
+    @pytest.mark.parametrize("pole", [0.0, 0.8])
+    def test_each_row_is_its_trials_stream(self, pole):
+        """A chunk's stream draws its trials together: row r equals trial
+        ``trials[r]`` drawn alone, whatever the order of the trials."""
+        scen = _two_segment_scenario(SignalModel(2.5, pole))
+        n = scen.n_samples
+        trials = [3, 1, 7]
+        stream = TrialStream(scen, trials)
+        x_rev, noise = np.empty((3, n)), np.empty((3, n))
+        lo = 0
+        for m in [1, 7, 256, n - 264]:
+            stream.draw(x_rev[:, n - lo - m : n - lo][:, ::-1], noise[:, lo : lo + m])
+            lo += m
+        for r, t in enumerate(trials):
+            want_x, want_noise = trial_signals(scen, t)
+            assert np.array_equal(x_rev[r, ::-1], want_x)
+            assert np.array_equal(noise[r], want_noise)
 
 
 class TestScenarioDef:

@@ -14,7 +14,6 @@ from apamix.theory import (
     cross_msd_inactive,
     emse_from_msd,
     inv_r2_expectation,
-    inv_r2_monte_carlo,
     lambda_infinity,
     mean_weight_deviation,
     predict_steady_state,
@@ -23,7 +22,6 @@ from apamix.theory import (
     zaapa_msd_active,
     zaapa_msd_inactive,
 )
-from apamix.signals import SignalModel
 
 # canonical operating points: the benchmark scenario and its desk-scale analog
 FULL = dict(L=256, M=8, mu=0.5, noise_variance=1e-3)
@@ -76,8 +74,11 @@ class TestInvR2:
             inv_r2_expectation(2, 1.0)
 
     def test_monte_carlo_cross_check(self):
-        # chi-square reciprocal mean, estimated from 1e6 sliding windows
-        est = inv_r2_monte_carlo(SignalModel(variance=1.0), L=256, draws=1_000_000)
+        # chi-square reciprocal mean, estimated from 1e6 sliding windows of white input
+        L, draws = 256, 1_000_000
+        x = np.random.Generator(np.random.Philox(0)).standard_normal(draws + L - 1)
+        sq = np.concatenate([[0.0], np.cumsum(x * x)])
+        est = np.mean(1.0 / (sq[L:] - sq[:-L]))
         assert est == pytest.approx(1.0 / 254.0, rel=0.01)
 
 
@@ -326,6 +327,32 @@ class TestPredictSteadyState:
         # interior mixing: the attractor is strong enough that the cross
         # term drops below the zero-attracting branch
         assert p.regime == "sparse_caseII"
+
+
+class TestNearTie:
+    """Near rho = 0 the closed forms split at first order in rho, not by
+    rounding: (J1 - J12)/J1 and (J12 - J2)/J1 grow as c*rho, with c = 6.83e3
+    at the desk shape's K = 4 and 5.01e3 at K = 20. So rho = 1e-15 labels
+    K = 4 ``sparse_caseI`` by 6.8e-12, above a 1e-12 relative tie tolerance,
+    while rho = 0 is the real tie, labelled ``non_sparse``."""
+
+    lam_plus = 1 / (1 + math.exp(-4.0))
+
+    @pytest.mark.parametrize("K, slope", [(4, 6.8305e3), (20, 5.0091e3)])
+    def test_split_is_linear_in_rho(self, K, slope):
+        for rho in (1e-15, 1e-12, 1e-9):
+            p = predict_steady_state(ti_desk(rho=rho, K=K), self.lam_plus)
+            assert (p.J1 - p.J12) / p.J1 == pytest.approx(slope * rho, rel=1e-3)
+            assert (p.J2 - p.J12) / p.J1 == pytest.approx(-slope * rho, rel=1e-3)
+
+    @pytest.mark.parametrize("K", [4, 20])
+    def test_labels_at_zero_and_at_the_smallest_rho(self, K):
+        tie = predict_steady_state(ti_desk(rho=0.0, K=K), self.lam_plus)
+        assert abs(tie.J1 - tie.J12) < 1e-15 * tie.J1
+        assert (tie.regime, tie.lam_inf) == ("non_sparse", self.lam_plus)
+        split = predict_steady_state(ti_desk(rho=1e-15, K=K), self.lam_plus)
+        assert (split.J1 - split.J12) / split.J1 > 1e-12
+        assert (split.regime, split.lam_inf) == ("sparse_caseI", 1 - self.lam_plus)
 
 
 class TestPriceTheoremBlock:

@@ -62,8 +62,9 @@ def test_digest_runs_print_equal_lines(capsys):
     first = capsys.readouterr().out
     assert outputs_digest.main(["desk-zaapa"]) == 0
     assert capsys.readouterr().out == first
-    # two seeds of: 3 drawn systems, 6 curves, 3 segments of 11 fields, 4 trial records
-    assert len(first.splitlines()) == 2 * (3 + 6 + 3 * 11 + 4)
+    # two seeds of: 3 drawn systems, 6 curves, 3 segments of 11 fields, 4 trial records,
+    # then the curves and segments again at chunk_size=7
+    assert len(first.splitlines()) == 2 * (3 + 6 + 3 * 11 + 4 + 6 + 3 * 11)
     names = [line.split()[2] for line in first.splitlines()]
     assert names[:3] == ["w_opt[0]", "w_opt[1]", "w_opt[2]"]
     assert (sys.dont_write_bytecode, sys.path) == (write_bytecode, path)

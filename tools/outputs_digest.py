@@ -6,9 +6,12 @@ For each workload of ``perfbench/workloads.py`` (default: all of them) at
 benchmark seeds 0 and 5, it prints one line per output array,
 ``workload seed name sha256``. The arrays are each segment's drawn system
 (``materialize().segments[k].w_opt``), every ``LearningCurves`` array,
-every ``SegmentStats`` field of each segment and the four records of
-``run_trial(cfg, 3)``. The digest covers each array's dtype, shape and
-bytes, so two trees whose outputs agree bit for bit print the same lines:
+every ``SegmentStats`` field of each segment, the four records of
+``run_trial(cfg, 3)``, and the curves and segment fields again at
+``chunk_size=7`` (``chunk7.`` names), where a workload's 100 trials run as
+15 chunks, the last one of 2 trials. The digest covers each array's dtype,
+shape and bytes, so two trees whose outputs agree bit for bit print the
+same lines:
 
     python3 tools/outputs_digest.py > before.txt   # in one checkout
     python3 tools/outputs_digest.py > after.txt    # in the other
@@ -23,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 5)
 TRIAL = 3  # the reference trial whose records are digested
+CHUNK = 7  # the second chunk size whose curves are digested
 
 
 def _workloads():
@@ -45,20 +49,26 @@ def _workloads():
     return module
 
 
+def _curves(curves, prefix: str = "") -> dict[str, np.ndarray]:
+    """Every ``LearningCurves`` array and ``SegmentStats`` field, by name."""
+    arrays = {prefix + f.name: getattr(curves, f.name) for f in fields(curves)
+              if isinstance(getattr(curves, f.name), np.ndarray)}
+    for k, seg in enumerate(curves.segments):
+        for f in fields(seg):
+            arrays[f"{prefix}segments[{k}].{f.name}"] = np.asarray(getattr(seg, f.name))
+    return arrays
+
+
 def outputs(cfg) -> dict[str, np.ndarray]:
     """Every output array of one experiment on ``cfg``, by name."""
     from apamix import harness
 
     arrays = {f"w_opt[{k}]": seg.w_opt for k, seg in enumerate(cfg.scenario.materialize().segments)}
-    curves = harness.run_experiment(cfg)
-    arrays.update((f.name, getattr(curves, f.name)) for f in fields(curves)
-                  if isinstance(getattr(curves, f.name), np.ndarray))
-    for k, seg in enumerate(curves.segments):
-        for f in fields(seg):
-            arrays[f"segments[{k}].{f.name}"] = np.asarray(getattr(seg, f.name))
+    arrays.update(_curves(harness.run_experiment(cfg)))
     record = harness.run_trial(cfg, TRIAL)
     for f in fields(record):
         arrays[f"trial{TRIAL}.{f.name}"] = getattr(record, f.name)
+    arrays.update(_curves(harness.run_experiment(replace(cfg, chunk_size=CHUNK)), f"chunk{CHUNK}."))
     return arrays
 
 
