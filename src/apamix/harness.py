@@ -304,21 +304,21 @@ def _steady_window_start(start: int, end: int, fraction: float) -> int:
     return max(start, end - width)
 
 
-def _gram_rows(M: int, sub: int) -> tuple[np.ndarray, np.ndarray]:
+def _gram_rows(M: int, sub: int) -> np.ndarray:
     """Where the Gram entries of a sub-block of ``sub`` samples lie in the lag history.
 
     Slot p holds the sample of age (p + i) % M at sample i, so entry (p, q)
     of sample i's Gram, u(i-a) . u(i-b) for the ages a and b of slots p and
     q, is lag |a-b| of sample i-min(a,b), where lags_i[k] = u(i) . u(i-k).
-    ``lower`` lists the entries (p, q), q <= p. With the lag history H of
-    shape (M, sub + M, R), entry ``lower[e]`` of the sub-block's sample t
-    lies in row ``at[r, e, t]`` of ``H.reshape(-1, R)``, for a sub-block
-    starting at a sample i0 with i0 % M == r.
+    With the lag history H of shape (M, sub + M, R), entry (p, q) of the
+    sub-block's sample t lies in row ``at[r, p, q, t]`` of
+    ``H.reshape(-1, R)``, for a sub-block starting at a sample i0 with
+    i0 % M == r.
     """
-    lower = np.array([(p, q) for p in range(M) for q in range(p + 1)])
-    ages = (np.arange(M)[:, None, None] + lower.T[:, None, :, None] + np.arange(sub)) % M
-    young, older = ages.min(axis=0), ages.max(axis=0)
-    return lower, (older - young) * (sub + M) + M + np.arange(sub) - young
+    ages = (np.add.outer(np.arange(M), np.arange(M))[..., None] + np.arange(sub)) % M  # (r, p, t)
+    a, b = ages[:, :, None], ages[:, None]
+    young, older = np.minimum(a, b), np.maximum(a, b)
+    return (older - young) * (sub + M) + M + np.arange(sub) - young
 
 
 def _simulate_chunk(
@@ -373,7 +373,7 @@ def _simulate_chunk(
     sub = min(_SUB, blk)
     H = np.zeros((M, sub + M, R))
     H_rows = H.reshape(-1, R)
-    lower, at = _gram_rows(M, sub)
+    at = _gram_rows(M, sub)
     Ginv = np.empty((M, M, sub, R))
     X = np.lib.stride_tricks.sliding_window_view(Q, M, axis=1)  # X[:, j, k] = Q[:, j+k]
     S = np.empty((R, M, 2))  # both branches' projections
@@ -417,9 +417,8 @@ def _simulate_chunk(
                     np.multiply(X[:, cur][:, ::-1].T, Q[:, cur][:, ::-1].T, out=lag[:, 1:])
                     lag[:, 1:] -= X[:, old][:, ::-1].T * Q[:, old][:, ::-1].T
                     np.cumsum(lag, axis=1, out=lag)
-                    # its Grams into the lower triangle of Ginv, and their inverses
-                    for (u, v), rows in zip(lower, at[i % M, :, :ms]):
-                        np.take(H_rows, rows, axis=0, out=Ginv[u, v, :ms], mode="clip")
+                    # its Grams into Ginv, and their inverses
+                    np.take(H_rows, at[i % M, ..., :ms], axis=0, out=Ginv[:, :, :ms], mode="clip")
                     pivots = invert_spd_batch(Ginv[:, :, :ms], f2.eps).any(axis=1)
                     # a Gram that is not positive definite fails when the loop gets there
                     fail = i + int(np.argmax(pivots)) if pivots.any() else -1

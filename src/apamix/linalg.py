@@ -7,10 +7,11 @@ substitutes with the factor; no sparse or blocked-code machinery.
 :func:`invert_spd_batch` inverts many small loaded Grams at once, the
 chunk engine's whole sub-block of samples in one call. numpy's batched
 routines call LAPACK once per matrix, about a microsecond for a 4-by-4
-system, so instead the factorization runs over the batch: every step of
-Cholesky, triangular inversion and ``T^T T`` is one elementwise numpy
-operation on all matrices of the batch. Each matrix's result is thus the
-same, bit for bit, whatever else is in the batch.
+system, so instead one Gauss-Jordan sweep without pivoting (Goodnight's
+SWEEP operator; positive definiteness keeps every pivot positive) runs
+over the batch, each step one elementwise numpy operation on all its
+matrices. Each matrix's result is thus the same, bit for bit, whatever
+else is in the batch.
 """
 
 from __future__ import annotations
@@ -52,15 +53,15 @@ def solve_spd(A: np.ndarray, b: np.ndarray, eps: float = 0.0) -> np.ndarray:
     Raises
     ------
     ValueError
-        On dimension mismatch, non-finite entries, or a grossly
-        asymmetric ``A``.
+        On an empty ``A``, dimension mismatch, non-finite entries, or a
+        grossly asymmetric ``A``.
     NumericalError
         If the factorization fails (matrix not PD even after loading).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
     if b.shape != (A.shape[0],):
         raise ValueError(f"rhs shape {b.shape} does not match matrix {A.shape}")
     if eps < 0:
@@ -87,54 +88,47 @@ def invert_spd_batch(out: np.ndarray, eps: float) -> np.ndarray:
     out : ndarray, shape (M, M, *batch)
         On entry, ``out[a, b]`` for ``b <= a`` holds entry (a, b) of every
         matrix of the batch, the lower triangle of A; the upper triangle is
-        not read. On return, ``out[a, b]`` is entry (a, b) of the inverses.
-        It is also the work space, besides one scratch array of M rows: the
-        Cholesky factor C of ``A + eps*I`` overwrites its lower triangle,
-        then ``T = C^-1``, column by column, and then ``T^T T``.
+        not read. On return, ``out[a, b]`` is entry (a, b) of the inverses,
+        exactly symmetric. It is also the work space, besides one scratch
+        array of M rows: the lower triangle is copied into the upper one,
+        one Gauss-Jordan sweep without pivoting turns ``A + eps*I`` into
+        its inverse in place, pivot by pivot, and each pair of mirrored
+        entries of the result is replaced by their mean.
     eps : float
         Diagonal loading added to every matrix.
 
     Returns
     -------
     ndarray of bool, the batch shape
-        True where a Cholesky pivot was not positive: that matrix is not
-        positive definite, and its result is not finite. A NaN pivot, from
-        a matrix with NaN entries, is not flagged. A matrix never affects
-        the result of another.
+        True where a pivot was not positive: that matrix is not positive
+        definite, and its result is NaN. A NaN pivot, from a matrix with
+        NaN entries, is not flagged. A matrix never affects the result of
+        another.
     """
     M = out.shape[0]
     for a in range(M):
+        out[a, a + 1 :] = out[a + 1 :, a]
         out[a, a] += eps
-    tmp = np.empty(out.shape[1:])  # a product of up to M rows of the batch
+    tmp = np.empty(out.shape[1:])  # a multiple of one row of the batch
     bad = np.zeros(out.shape[2:], dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore"):  # flagged in ``bad`` instead
-        # Cholesky, left-looking: column j of C from A's and C's earlier
-        # columns; the diagonal keeps 1/C[j, j], which T needs too
-        for j in range(M):
-            col = out[j:, j]
-            for k in range(j):
-                col -= np.multiply(out[j:, k], out[j, k], out=tmp[j:])
-            bad |= col[0] <= 0
-            np.sqrt(col[0], out=col[0])
-            np.divide(1.0, col[0], out=col[0])
-            col[1:] *= col[0]
-        # T = C^-1, column by column: T[i, j] = -T[i, i] * sum_k C[i, k] T[k, j],
-        # k from j to i-1, accumulated as z = -sum into the column's own slots
-        for j in range(M - 1):
-            z = out[j + 1 :, j]
-            z *= -out[j, j]  # not np.negative(z, out=z): numpy 2.4 garbles a strided z
-            for k in range(j + 1, M):
-                z[k - j - 1] *= out[k, k]  # now T[k, j]
-                z[k - j :] -= np.multiply(out[k + 1 :, k], z[k - j - 1], out=tmp[k + 1 :])
-        # X = T^T T, row a from T's columns a..M-1: X[a, b] = sum_k T[k, a] T[k, b]
-        # over k >= b, into the upper triangle; T's column a is then free for
-        # X's lower triangle
-        for a in range(M):
-            row = out[a, a:]
-            row[0] *= row[0]
-            for k in range(a + 1, M):
-                np.multiply(out[k, a], out[k, k], out=row[k - a])
-                row[: k - a] += np.multiply(out[k, a], out[k, a:k], out=tmp[: k - a])
-            out[a + 1 :, a] = row[1:]
+    # Gauss-Jordan, in place: pivot k divides row k by the pivot and removes
+    # column k from every other row; column k, no longer needed, then holds
+    # the inverse's entries
+    for k in range(M):
+        low = out[k, k] <= 0
+        bad |= low
+        piv = np.where(low, np.nan, out[k, k])  # a NaN pivot turns the whole matrix NaN
+        out[k, k] = 1.0
+        out[k] /= piv
+        for i in range(M):
+            if i != k:
+                np.multiply(out[i, k], out[k], out=tmp)
+                out[i, k] = 0.0
+                out[i] -= tmp
+    # Mirrored entries differ by rounding. If the result inverts A + D for a
+    # small D that is not symmetric, their mean inverts A + (D + D^T)/2 to
+    # first order, where a copied triangle need not invert a nearby matrix:
+    # on ill-conditioned windows the engine then strays from the reference
+    for a in range(M):
+        out[a, a + 1 :] = out[a + 1 :, a] = (out[a, a + 1 :] + out[a + 1 :, a]) / 2
     return bad
-

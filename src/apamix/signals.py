@@ -222,8 +222,11 @@ def scenario_stream(scenario: ScenarioDef, trial: int) -> Iterator[tuple[Observa
     ``scenario`` must be materialized: each observation reads its
     segment's ``w_opt``. The regressor at time i is the window ``[x(i), x(i-1), ..., x(i-L+1)]``
     with zeros before t=0; the desired response uses the segment-active
-    system at i plus independent observation noise.
+    system at i plus independent observation noise. An undrawn segment
+    raises ValueError when the first observation is asked for.
     """
+    if not all(isinstance(seg, Segment) for seg in scenario.segments):
+        raise ValueError("scenario segments have no drawn system: call materialize() first")
     x, noise = trial_signals(scenario, trial)
     L = scenario.L
     padded = np.concatenate([np.zeros(L - 1), x])

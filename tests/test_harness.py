@@ -206,8 +206,8 @@ def test_gram_rows_gather_each_entry_of_the_slot_order_gram(M):
     # index out of range into a wrong entry that is still finite
     rng = np.random.default_rng(M)
     for sub in range(1, 21):
-        lower, at = harness._gram_rows(M, sub)
-        assert at.shape == (M, len(lower), sub)
+        at = harness._gram_rows(M, sub)
+        assert at.shape == (M, M, M, sub)
         assert at.min() >= 0 and at.max() < M * (sub + M)
         for r in range(M):
             i0 = 2 * M + r  # the sub-block's first sample, i0 % M == r
@@ -216,8 +216,9 @@ def test_gram_rows_gather_each_entry_of_the_slot_order_gram(M):
             j = i0 - M + np.arange(sub + M)
             H = np.einsum("kcl,cl->kc", u[j - np.arange(M)[:, None]], u[j])
             i = i0 + np.arange(sub)
-            ages = (lower.T[:, :, None] + i) % M  # slot p holds the sample of age (p + i) % M
-            want = np.einsum("etl,etl->et", u[i - ages[0]], u[i - ages[1]])
+            ages = (np.arange(M)[:, None] + i) % M  # slot p holds the sample of age (p + i) % M
+            V = u[i - ages]  # V[p, t]: the regressor in slot p at the sub-block's sample t
+            want = np.einsum("ptl,qtl->pqt", V, V)  # both triangles
             np.testing.assert_allclose(H.reshape(-1)[at[r]], want, rtol=1e-12)
 
 
@@ -1215,6 +1216,19 @@ class TestEnginePathsMatchReference:
         # one trial of the desk preset (L=64, M=4, 3 x 4,000 samples; AR(1)
         # pole 0.8): the lag recursion runs 12,000 samples without a refresh
         assert_engine_matches_reference(preset_paper_scenario("desk", input_kind))
+
+
+@pytest.mark.parametrize("params", [
+    dict(L=3, M=3, eps=1e-3, pole=0.95, mu=1.5, rho=0.0, seed=20434,
+         segments=(SegmentDef(39, 3), SegmentDef(41, 1))),
+    dict(L=4, M=4, eps=1e-3, pole=0.95, mu=1.0, rho=1e-3, seed=42143,
+         segments=(SegmentDef(55, 4), SegmentDef(45, 1))),
+])
+def test_ill_conditioned_window_matches_reference(params):
+    # L == M at pole 0.95 makes the shared Gram ill-conditioned, and mu >= 1
+    # carries each inverse's rounding into the next errors; Gram inverses
+    # made symmetric by copying one triangle over the other fail both cases
+    assert_engine_matches_reference(tiny_config(**params))
 
 
 class TestConfigRejection:

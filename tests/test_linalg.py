@@ -102,6 +102,8 @@ class TestSolveSpd:
             solve_spd(np.array([[1.0, 5.0], [0.0, 1.0]]), np.ones(2))
         with pytest.raises(ValueError):
             solve_spd(np.eye(2), np.ones(2), eps=-1.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            solve_spd(np.zeros((0, 0)), np.zeros(0))
 
 
 def spd_batch(rng, n, M, cond):
@@ -129,8 +131,9 @@ class TestInvertSpdBatch:
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 8, 16])
     @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
     def test_matches_numpy_inverse(self, M, cond):
-        # an inverse through Cholesky has relative error of order M * cond * u
-        # (u the unit roundoff); so has np.linalg.inv, hence the factor 20
+        # an inverse through a Gauss-Jordan sweep of an SPD matrix has relative
+        # error of order M * cond * u (u the unit roundoff); so has
+        # np.linalg.inv, hence the factor 20
         A, eps = spd_batch(np.random.default_rng(M), 200, M, cond)
         loaded = A + eps * np.eye(M)
         kappa = np.linalg.cond(loaded)
@@ -152,6 +155,16 @@ class TestInvertSpdBatch:
         # a batch of two axes, as the chunk engine passes (samples, trials)
         grid, _ = invert(A.reshape(20, 100, M, M), eps)
         assert np.array_equal(grid.reshape(full.shape), full)
+
+    @pytest.mark.parametrize("M", [1, 4, 8])
+    def test_strided_view_matches_a_contiguous_batch(self, M):
+        # the engine's short last sub-block: the first 7 of 20 samples' Grams
+        A, eps = spd_batch(np.random.default_rng(6), 2000, M, 1e4)
+        buf = np.moveaxis(A.reshape(20, 100, M, M), (-2, -1), (0, 1)).copy()
+        head = buf[:, :, :7].copy()
+        bad = invert_spd_batch(buf[:, :, :7], eps)
+        assert not bad.any() and not invert_spd_batch(head, eps).any()
+        assert np.array_equal(buf[:, :, :7], head)
 
     def test_nan_matrix_leaves_its_neighbours_unchanged(self):
         A, eps = spd_batch(np.random.default_rng(4), 7, 4, 1e3)

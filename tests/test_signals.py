@@ -151,6 +151,13 @@ class TestScenarioStream:
         assert obs[10].d == pytest.approx(3.0 * x[10], abs=1e-15)
         assert w_opts[9] is seg_a.w_opt and w_opts[10] is seg_b.w_opt
 
+    def test_undrawn_scenario_asks_for_materialize(self):
+        scen = ScenarioDef(4, (SegmentDef(20, 2),), 1e-3, SignalModel(), 7)
+        with pytest.raises(ValueError, match=r"materialize\(\) first"):
+            next(scenario_stream(scen, 0))
+        drawn = scen.materialize()
+        assert len(list(scenario_stream(drawn, 0))) == 20
+
     def test_reproducible_streams(self):
         scen = _single_segment_scenario(4, [1.0, 0, 0, 0], 200, 1e-3, 6, SignalModel(pole=0.5))
         a = [(o.u.copy(), o.d, o.epsilon) for o, _ in scenario_stream(scen, 0)]

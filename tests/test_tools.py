@@ -1,6 +1,7 @@
 """tools/src_lines.py counts physical lines as ``wc -l`` does, and code lines
 without comments, blank lines or bare string statements. tools/outputs_digest.py
-prints one stable line per output array."""
+prints one stable line per output array. tools/oracle_seeds.py lists the
+(workload, seed) pairs whose benchmark oracle fails."""
 
 import importlib.util
 import sys
@@ -24,6 +25,7 @@ def _tool(name):
 
 src_lines = _tool("src_lines")
 outputs_digest = _tool("outputs_digest")
+oracle_seeds = _tool("oracle_seeds")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -81,3 +83,17 @@ def test_flipping_one_element_changes_only_its_line(name):
     after = outputs_digest.lines("w 0", {**arrays, name: flipped})
     changed = [line.split()[2] for old, line in zip(before, after) if old != line]
     assert changed == [name]
+
+
+def test_oracle_sweep_of_one_seed_passes(capsys):
+    assert oracle_seeds.main(["1", "1", "desk-zaapa"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "0 of 1 pairs failed" in captured.err
+
+
+def test_oracle_sweep_lists_a_failing_pair(capsys):
+    # a workload that perfbench/child.py refuses: the child exits 2
+    assert oracle_seeds.main(["1", "2", "no-such-workload"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:4] for row in rows] == [["no-such-workload", str(s), "child", "exited"]
+                                                for s in (1, 2)]
