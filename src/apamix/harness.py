@@ -12,7 +12,8 @@ A chunk walks the horizon in nested loops: over the segments, each of
 which fixes the true system and the steady-state window; over each
 segment's blocks, of one width for the whole horizon (that of the widest
 block of an equal cut of each segment into blocks of at most 256
-samples); and over the block's samples. The scenario is the config's
+samples); over each block's sub-blocks of at most 20 samples; and over
+the sub-block's samples. The scenario is the config's
 :class:`apamix.signals.ScenarioDef`, materialized, and only the noiseless
 response reads its segments' systems. At the start of a block the chunk
 draws every trial's input and noise for that block alone, in one call of
@@ -26,8 +27,8 @@ rows, so the Gram matrix, the error vectors and the update all work in
 slot order. The two branches share one projection (M, mu, eps), so they
 share one window and one loaded Gram matrix, and that Gram depends on the
 input alone, never on the weights (the observation behind fast affine
-projection). So every 20th sample of a block starts a sub-block, whose
-Grams the engine forms at once and inverts in one call of
+projection). So at the top of each sub-block the engine forms all its
+Grams at once and inverts them in one call of
 :func:`apamix.linalg.invert_spd_batch`. Each entry of a Gram is a lag
 ``u(i).u(i-k)`` (k < M) of one of the window's samples; the sub-block's
 lags come from one running sum per lag, continued from the previous
@@ -53,13 +54,16 @@ trial-by-trial sums by name, and :func:`run_experiment` adds them into a
 running total in chunk order.
 
 A chunk keeps the per-trial records (a-priori errors and mixing weight)
-of the current block only, by sample and then trial, and reduces them
-over the trials where the block loop ends: each sample's records are
-summed on their own, so no cut of the horizon into blocks changes a bit
-of the curves. It keeps the steady-window weight sums of the current
-segment, and reduces them where the segment loop ends. Apart from the
-sums it returns, a chunk's memory thus grows with neither the horizon
-nor a segment's length.
+of the current sub-block only, by sample and then trial, and reduces them
+over the trials at the sub-block's bottom: each sample's records are
+summed on their own, so no cut of the horizon into blocks or sub-blocks
+changes a bit of the curves. At each steady-window sample it sums both
+branches' weight deviations dev = w_opt - w, their squares and their
+product over the trials into rows of L taps. Only dev2 also keeps one
+per-trial row, its window sum, from which the spread of the trials'
+window means is taken where the segment loop ends. Apart from the sums it
+returns, a chunk's memory thus grows with neither the horizon nor a
+segment's length, and with the block width by the block's draws alone.
 
 :func:`run_trial` is the scalar reference path built directly on the step
 functions in :mod:`apamix.filters`; it rebuilds every Gram from scratch,
@@ -288,8 +292,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
 
 
 _MIN_STEADY_WINDOW = 10  # samples; a narrower steady-state window averages too little
-_BLOCK = 256  # samples; the most the engine draws and records per trial at a time
-_SUB = 20  # samples; the most whose shared-Gram inverses the engine forms at once
+_BLOCK = 256  # samples; the most the engine draws per trial at a time
+_SUB = 20  # samples; the most whose Gram inverses and records the engine holds at once
 
 
 def _steady_window_start(start: int, end: int, fraction: float) -> int:
@@ -331,7 +335,9 @@ def _simulate_chunk(
     Returns the chunk's trial-by-trial sums by name, to be added up in
     chunk order. Curve sums have shape ``(n,)``, or ``(2, n)`` for the two
     branches' squared errors; steady-window weight-deviation sums have
-    shape ``(S, 5, L)`` or ``(S, L)``, one entry per segment. The first
+    shape ``(S, 5, L)`` or ``(S, L)``, one entry per segment. Records are
+    reduced over the trials per sub-block, window statistics per sample;
+    only dev2 keeps a per-trial window row, for ``meansq2``. The first
     trial whose weights turn non-finite raises a DivergenceError naming it
     and the sample. A shared Gram that is not positive definite, found
     when its sub-block is formed, raises a NumericalError only when the
@@ -386,115 +392,112 @@ def _simulate_chunk(
     attractor = np.empty((R, L))  # also scratch for products of deviations
     a = np.full(R, mixing.a0)
 
-    # The current block's records by sample and trial (ea1, ea2, lam, and a
-    # scratch row for their products), reduced into ``sums`` when the block
-    # ends; and the current segment's steady-window sums of dev = w_opt - w
-    # (both branches), of dev^2 (both branches) and of dev1*dev2, reduced
-    # when it ends.
-    rec = np.empty((4, blk, R))
-    devs = np.zeros((5, R, L))
+    # The current sub-block's records by sample and trial (ea1, ea2, lam, and
+    # a scratch row for their products), reduced into ``sums`` when it ends;
+    # and the per-trial steady-window sum of dev2 (dev = w_opt - w).
+    rec = np.empty((4, sub, R))
+    dev2 = np.zeros((R, L))
     sums = {key: np.empty(n) for key in ("lam", "prod", "prodsq", "esq")}
-    sums.update(esq12=np.empty((2, n)), devs=np.empty((n_seg, 5, L)), meansq2=np.empty((n_seg, L)))
+    sums.update(esq12=np.empty((2, n)), devs=np.zeros((n_seg, 5, L)), meansq2=np.empty((n_seg, L)))
 
     for seg, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         wopt = scenario.segments[seg].w_opt
         win = _steady_window_start(start, stop, config.steady_window_fraction)
+        devs = sums["devs"][seg]  # rows dev1, dev2, dev1^2, dev2^2, dev1*dev2
         for lo in range(start, stop, blk):
             m = min(blk, stop - lo)
             stream.draw(Q[:, blk - m : blk][:, ::-1], NOISE[:, :m])  # the block's draws
-            for c in range(m):  # c: the sample's column in the block's records and noise
-                i = lo + c
-                j = blk - 1 - c
-                s = -i % M
-                col = c % sub  # the sample's column in the sub-block's Gram inverses
-                if col == 0:
-                    # the lags of the sub-block's samples (columns j down to
-                    # j-ms+1), each the previous one's plus x(i)x(i-k) - x(i-L)x(i-L-k)
-                    ms = min(sub, m - c)
-                    cur = slice(j - ms + 1, j + 1)
-                    old = slice(cur.start + L, cur.stop + L)
-                    lag = H[:, M - 1 : M + ms]
-                    np.multiply(X[:, cur][:, ::-1].T, Q[:, cur][:, ::-1].T, out=lag[:, 1:])
-                    lag[:, 1:] -= X[:, old][:, ::-1].T * Q[:, old][:, ::-1].T
-                    np.cumsum(lag, axis=1, out=lag)
-                    # its Grams into Ginv, and their inverses
-                    np.take(H_rows, at[i % M, ..., :ms], axis=0, out=Ginv[:, :, :ms], mode="clip")
-                    pivots = invert_spd_batch(Ginv[:, :, :ms], f2.eps).any(axis=1)
-                    # a Gram that is not positive definite fails when the loop gets there
-                    fail = i + int(np.argmax(pivots)) if pivots.any() else -1
-                    H[:, :M] = H[:, ms : ms + M]
+            for c0 in range(0, m, sub):
+                # the lags of the sub-block's samples (columns j0 down to
+                # j0-ms+1), each the previous one's plus x(i)x(i-k) - x(i-L)x(i-L-k)
+                i0, j0, ms = lo + c0, blk - 1 - c0, min(sub, m - c0)
+                new = slice(j0 - ms + 1, j0 + 1)
+                old = slice(new.start + L, new.stop + L)
+                lag = H[:, M - 1 : M + ms]
+                np.multiply(X[:, new][:, ::-1].T, Q[:, new][:, ::-1].T, out=lag[:, 1:])
+                lag[:, 1:] -= X[:, old][:, ::-1].T * Q[:, old][:, ::-1].T
+                np.cumsum(lag, axis=1, out=lag)
+                # its Grams into Ginv, and their inverses
+                np.take(H_rows, at[i0 % M, ..., :ms], axis=0, out=Ginv[:, :, :ms], mode="clip")
+                pivots = invert_spd_batch(Ginv[:, :, :ms], f2.eps).any(axis=1)
+                # a Gram that is not positive definite fails when the loop gets there
+                fail = i0 + int(np.argmax(pivots)) if pivots.any() else -1
+                H[:, :M] = H[:, ms : ms + M]
 
-                U[:, s] = Q[:, j : j + L]
-                dc = U[:, s] @ wopt  # noiseless response
-                Dw[:, s] = d = dc + NOISE[:, c]
-                Y = U @ W.transpose(1, 2, 0)  # (R, M, 2): both branches' outputs over the window
-                y1, y2 = Y[:, s, 0], Y[:, s, 1]
+                for col in range(ms):  # col: the sample's column in the sub-block
+                    i, j = i0 + col, j0 - col
+                    s = -i % M
+                    U[:, s] = Q[:, j : j + L]
+                    dc = U[:, s] @ wopt  # noiseless response
+                    Dw[:, s] = d = dc + NOISE[:, c0 + col]
+                    Y = U @ W.transpose(1, 2, 0)  # (R, M, 2): both branches' window outputs
+                    y1, y2 = Y[:, s, 0], Y[:, s, 1]
 
-                lam = lambda_of(a)
-                np.subtract(dc, Y[:, s].T, out=rec[:2, c])
-                rec[2, c] = lam
+                    lam = lambda_of(a)
+                    np.subtract(dc, Y[:, s].T, out=rec[:2, col])
+                    rec[2, col] = lam
 
-                if i >= win:
-                    dev = np.subtract(wopt, W, out=step)
-                    devs[:2] += dev
-                    devs[4] += np.multiply(dev[0], dev[1], out=attractor)
-                    dev *= dev
-                    devs[2:4] += dev
+                    if i >= win:
+                        dev = np.subtract(wopt, W, out=step)
+                        dev2 += dev[1]
+                        devs[0] += dev[0].sum(axis=0)
+                        devs[4] += np.multiply(dev[0], dev[1], out=attractor).sum(axis=0)
+                        devs[2:4] += np.square(dev, out=dev).sum(axis=1)
 
-                e_comb = d - (lam * y1 + (1.0 - lam) * y2)
-                a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
+                    e_comb = d - (lam * y1 + (1.0 - lam) * y2)
+                    a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
 
-                E = Dw[..., None] - Y  # (R, M, 2) error vectors by slot
-                np.sign(W[1], out=attractor)
-                attractor *= f2.rho
-                if i == fail:
-                    raise NumericalError(f"projection Gram not positive definite at sample {i}")
-                # both branches' projections on the shared Gram
-                np.matmul(Ginv[:, :, col].transpose(2, 0, 1), E, out=S)
-                if prop is not None:  # the other branch on its gain-weighted Gram
-                    g = gain_matrix(W[1], prop.rho_p, prop.delta)
-                    np.add(np.multiply(g[:, None, :], U, out=GU) @ U.mT, load, out=GG)
-                    try:
-                        S[..., 1:] = np.linalg.solve(GG, E[..., 1:])
-                    except np.linalg.LinAlgError as exc:
+                    E = Dw[..., None] - Y  # (R, M, 2) error vectors by slot
+                    np.sign(W[1], out=attractor)
+                    attractor *= f2.rho
+                    if i == fail:
                         raise NumericalError(
-                            f"projection solve failed at sample {i}: {exc}"
-                        ) from exc
-                S *= f2.mu
-                np.matmul(S.mT, U, out=step.swapaxes(0, 1))
-                if prop is not None:  # (g*U)^T s = g * (U^T s)
-                    step[1] *= g
-                W += step
-                W[1] -= attractor
+                            f"projection Gram not positive definite at sample {i}")
+                    # both branches' projections on the shared Gram
+                    np.matmul(Ginv[:, :, col].transpose(2, 0, 1), E, out=S)
+                    if prop is not None:  # the other branch on its gain-weighted Gram
+                        g = gain_matrix(W[1], prop.rho_p, prop.delta)
+                        np.add(np.multiply(g[:, None, :], U, out=GU) @ U.mT, load, out=GG)
+                        try:
+                            S[..., 1:] = np.linalg.solve(GG, E[..., 1:])
+                        except np.linalg.LinAlgError as exc:
+                            raise NumericalError(
+                                f"projection solve failed at sample {i}: {exc}"
+                            ) from exc
+                    S *= f2.mu
+                    np.matmul(S.mT, U, out=step.swapaxes(0, 1))
+                    if prop is not None:  # (g*U)^T s = g * (U^T s)
+                        step[1] *= g
+                    W += step
+                    W[1] -= attractor
 
-                if not np.isfinite(W.sum()):
-                    r = np.flatnonzero(~np.isfinite(W).all(axis=(0, 2)))[0]  # the first row
-                    t = trial_indices[int(r)]
-                    raise DivergenceError(
-                        f"trial {t} diverged at sample {i}", trial_index=t, sample_index=i
-                    )
+                    if not np.isfinite(W.sum()):
+                        r = np.flatnonzero(~np.isfinite(W).all(axis=(0, 2)))[0]  # the first row
+                        t = trial_indices[int(r)]
+                        raise DivergenceError(
+                            f"trial {t} diverged at sample {i}", trial_index=t, sample_index=i
+                        )
 
-            # add the block's records over the trials into ``sums``
-            cur = slice(lo, lo + m)
-            ea12, (lam, prod) = rec[:2, :m], rec[2:, :m]
-            lam.sum(axis=1, out=sums["lam"][cur])
-            np.multiply(*ea12, out=prod).sum(axis=1, out=sums["prod"][cur])
-            np.square(prod, out=prod).sum(axis=1, out=sums["prodsq"][cur])
-            ea = np.multiply(lam, ea12[0], out=prod)  # ea = lam*ea1 + (1-lam)*ea2
-            rest = np.subtract(1.0, lam, out=lam)
-            rest *= ea12[1]
-            ea += rest
-            np.square(ea, out=ea).sum(axis=1, out=sums["esq"][cur])
-            np.square(ea12, out=ea12).sum(axis=2, out=sums["esq12"][:, cur])
+                # add the sub-block's records over the trials into ``sums``
+                cur = slice(i0, i0 + ms)
+                ea12, (lam, prod) = rec[:2, :ms], rec[2:, :ms]
+                lam.sum(axis=1, out=sums["lam"][cur])
+                np.multiply(*ea12, out=prod).sum(axis=1, out=sums["prod"][cur])
+                np.square(prod, out=prod).sum(axis=1, out=sums["prodsq"][cur])
+                ea = np.multiply(lam, ea12[0], out=prod)  # ea = lam*ea1 + (1-lam)*ea2
+                rest = np.subtract(1.0, lam, out=lam)
+                rest *= ea12[1]
+                ea += rest
+                np.square(ea, out=ea).sum(axis=1, out=sums["esq"][cur])
+                np.square(ea12, out=ea12).sum(axis=2, out=sums["esq12"][:, cur])
             # the block's newest samples become the next block's older ones
             Q[:, blk:] = Q[:, blk - m : blk - m + carry]
 
-        # add the segment's window sums over the trials into ``sums``
-        devs.sum(axis=1, out=sums["devs"][seg])
-        # sum over trials of the squared per-trial window mean of dev2
-        mean2 = np.divide(devs[1], stop - win, out=attractor)
+        # dev2's window sum, and the sum over trials of its squared window mean
+        dev2.sum(axis=0, out=devs[1])
+        mean2 = np.divide(dev2, stop - win, out=attractor)
         np.square(mean2, out=mean2).sum(axis=0, out=sums["meansq2"][seg])
-        devs.fill(0.0)
+        dev2.fill(0.0)
     return sums
 
 
@@ -503,7 +506,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> LearningCurves
 
     Results are bit-identical for any ``workers`` value: trials are cut
     into fixed chunks of ``config.chunk_size``, and each chunk's sums are
-    added into a running total in chunk order, as the chunk comes.
+    added into a running total in chunk order, as the chunk comes. A
+    total that is not finite (a statistic overflowed) raises a
+    NumericalError naming its sums.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -525,6 +530,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> LearningCurves
             for key, part in sums.items():
                 np.add(total[key], part, out=total[key])
             del sums  # or it stays alive while the next chunk runs
+    # the weights stayed finite (or a chunk raised), so only overflow gets here
+    if bad := [key for key, part in total.items() if not np.isfinite(part).all()]:
+        raise NumericalError(f"non-finite sums over the trials (overflow): {', '.join(bad)}")
     runs = config.runs
 
     j12 = total["prod"] / runs

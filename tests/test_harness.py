@@ -567,12 +567,15 @@ class TestSingularGram:
 
 
 class TestChunkMemory:
-    """A chunk draws and records its trials a block at a time, so its memory
-    grows neither with the horizon nor with a segment's length."""
+    """A chunk draws its trials a block at a time and reduces their records
+    over the trials a sub-block at a time, and of its steady-window
+    statistics only dev2 keeps a row per trial. So its memory grows neither
+    with the horizon nor with a segment's length, and grows with the block
+    width and the tap count only by the arrays that must."""
 
     @staticmethod
-    def peak(segments, runs=50, chunk_size=50, workers=1):
-        cfg = replace(tiny_config(runs=runs, segments=segments), chunk_size=chunk_size)
+    def peak(segments, runs=50, chunk_size=50, workers=1, **config):
+        cfg = replace(tiny_config(runs=runs, segments=segments, **config), chunk_size=chunk_size)
         tracemalloc.start()
         try:
             run_experiment(cfg, workers=workers)
@@ -601,6 +604,31 @@ class TestChunkMemory:
         growth = self.peak((SegmentDef(300, 16),)) - self.peak((SegmentDef(150, 16),))
         block = (2 + 4) * 50 * 150 * 8  # input, noise and four record rows of one block
         assert growth < 0.1 * block
+
+    def test_peak_grows_with_the_block_width_by_the_draws_alone(self):
+        """One segment drawn in one block of 250 against one of 150. The
+        peak may grow by the block's input, noise and driving-noise columns,
+        three rows of 50 trials x 100 samples, but not by record rows: the
+        records are kept for one sub-block of at most 20 samples. The slack
+        is half a row (measured: 2.8 rows); four record rows more would
+        read about 6.8."""
+        self.peak((SegmentDef(150, 16),))
+        growth = self.peak((SegmentDef(250, 16),)) - self.peak((SegmentDef(150, 16),))
+        assert growth < 3.5 * 50 * 100 * 8
+
+    @pytest.mark.parametrize("M", [2, 8])
+    def test_peak_grows_with_the_taps_by_the_weight_arrays_alone(self, M):
+        """L=256 against L=128, 50 trials, one 250-sample segment. The arrays
+        that must scale with trials x taps are U's M rows, both branches'
+        weights and their update (two rows each), the attractor and dev2's
+        window row: M + 6 rows of 50 x 128. The slack is two rows: one for
+        the input carried across blocks (L+M-1 samples per trial), one for
+        everything else (measured: M + 7.3 rows). A window row per trial for
+        each of the five statistics would add four rows more."""
+        narrow, wide = (SegmentDef(250, 128),), (SegmentDef(250, 256),)  # K = L: every tap active
+        self.peak(narrow, L=128, M=M)
+        growth = self.peak(wide, L=256, M=M) - self.peak(narrow, L=128, M=M)
+        assert growth < (M + 6 + 2) * 50 * 128 * 8
 
     def test_peak_does_not_grow_with_the_chunk_count(self):
         """Six chunks of two trials against two, over one 200-sample segment:
@@ -859,6 +887,24 @@ class TestCli:
         rc = cli_main(["simulate", "--config", str(cfg_path)])
         assert rc == 3
         assert capsys.readouterr().err == f"numerical error: {message.format(0)}\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("noise, variance, eps", [
+        (1e300, 1.0, None),  # noise alone
+        (1e-3, 1e155, 1e143),  # input alone, with eps above L*variance*2**-52
+    ])
+    def test_overflowed_statistic_is_reported_with_exit_3(self, noise, variance, eps, tmp_path,
+                                                          capsys):
+        """The weights stay finite, so no trial diverges, but the squared
+        product of the two branches' errors overflows; its sum is named."""
+        cfg = tiny_config(runs=2, eps=eps)
+        scenario = replace(cfg.scenario, noise_variance=noise,
+                           input=SignalModel(variance=variance))
+        cfg_path = tmp_path / "cfg.json"
+        write_config(replace(cfg, scenario=scenario), cfg_path)
+        assert cli_main(["simulate", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: non-finite sums over the trials (overflow): prodsq\n")
 
     def test_diverged_trial_is_reported_with_exit_3(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

@@ -1,10 +1,12 @@
 """tools/src_lines.py counts physical lines as ``wc -l`` does, and code lines
 without comments, blank lines or bare string statements. tools/outputs_digest.py
 prints one stable line per output array. tools/oracle_seeds.py lists the
-(workload, seed) pairs whose benchmark oracle fails."""
+(workload, seed) pairs whose benchmark oracle fails. tools/chunk_peak.py prints
+one traced memory peak per workload."""
 
 import importlib.util
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +28,7 @@ def _tool(name):
 src_lines = _tool("src_lines")
 outputs_digest = _tool("outputs_digest")
 oracle_seeds = _tool("oracle_seeds")
+chunk_peak = _tool("chunk_peak")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -97,3 +100,19 @@ def test_oracle_sweep_lists_a_failing_pair(capsys):
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[:4] for row in rows] == [["no-such-workload", str(s), "child", "exited"]
                                                 for s in (1, 2)]
+
+
+def test_chunk_peak_of_one_workload(capsys):
+    write_bytecode = sys.dont_write_bytecode
+    assert chunk_peak.main(["desk-zaapa"]) == 0
+    (row,) = capsys.readouterr().out.splitlines()
+    name, mib, unit = row.split()
+    # the desk shape's U, weights, Gram inverses and draws alone take about 1 MiB
+    assert (name, unit) == ("desk-zaapa", "MiB") and 1 < float(mib) < 4
+    assert not tracemalloc.is_tracing() and sys.dont_write_bytecode == write_bytecode
+
+
+def test_chunk_peak_refuses_an_unknown_workload(capsys):
+    assert chunk_peak.main(["desk-zaapa", "no-such-workload"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no-such-workload" in captured.err
