@@ -17,9 +17,9 @@ the sub-block's samples. The scenario is the config's
 :class:`apamix.signals.ScenarioDef`, materialized, and only the noiseless
 response reads its segments' systems. At the start of a block the chunk
 draws every trial's input and noise for that block alone, in one call of
-its :class:`apamix.signals.TrialStream` (which reads no system), and stores
-the input time-reversed behind the L+M-1 samples before the block (zeros
-before t=0), so a sample's regressor is one slice of that buffer.
+its :class:`apamix.signals.TrialStream` (which reads no system), in place
+and in time order after the L+M-1 samples before the block (zeros before
+t=0), so a sample's regressor is one reversed window of that buffer.
 The projection window is a fixed array of M slots that rotates: each sample
 overwrites the slot of its oldest regressor, and nothing is shifted. The
 affine-projection solution does not depend on the order of the window's
@@ -339,10 +339,11 @@ def _simulate_chunk(
     reduced over the trials per sub-block, window statistics per sample;
     only dev2 keeps a per-trial window row, for ``meansq2``. The first
     trial whose weights turn non-finite raises a DivergenceError naming it
-    and the sample. A shared Gram that is not positive definite, found
-    when its sub-block is formed, raises a NumericalError only when the
-    loop reaches its sample, so a divergence before it is still reported
-    first.
+    and the sample. A shared Gram that is not positive definite is flagged
+    when its sub-block is inverted, and its NaN inverse turns its trial's
+    weights non-finite at its sample: the same check then raises a
+    NumericalError naming the sample, so a divergence before it is still
+    reported first.
     """
     n = scenario.n_samples
     L = scenario.L
@@ -358,12 +359,14 @@ def _simulate_chunk(
     # most _BLOCK samples; each segment is then cut into blocks of this width
     blk = max(-(-d // -(-d // _BLOCK)) for d in np.diff(bounds).tolist())
 
-    # Each block's input is stored time-reversed behind the L+M-1 samples
-    # before it: column blk-1-c holds the block's sample c, column blk+k the
-    # sample k+1 before the block (zeros before t=0), so sample c's
-    # regressor, newest first, is Q[:, j:j+L] with j = blk-1-c.
+    # Each block's input is stored in time order after the L+M-1 samples
+    # before it: column carry+c holds the block's sample c (zeros before
+    # t=0), so sample c's regressor, newest first, is V[:, M+c], and
+    # X[:, L+c] holds its M newest samples.
     carry = L + M - 1
-    Q = np.zeros((R, blk + carry))
+    Q = np.zeros((R, carry + blk))
+    V = np.lib.stride_tricks.sliding_window_view(Q, L, axis=1)[..., ::-1]
+    X = np.lib.stride_tricks.sliding_window_view(Q, M, axis=1)[..., ::-1]
     NOISE = np.empty((R, blk))
     stream = TrialStream(scenario, trial_indices)
 
@@ -381,7 +384,6 @@ def _simulate_chunk(
     H_rows = H.reshape(-1, R)
     at = _gram_rows(M, sub)
     Ginv = np.empty((M, M, sub, R))
-    X = np.lib.stride_tricks.sliding_window_view(Q, M, axis=1)  # X[:, j, k] = Q[:, j+k]
     S = np.empty((R, M, 2))  # both branches' projections
     if prop is not None:  # the other branch's gain-weighted Gram, solved per sample
         load = f2.eps * np.eye(M)
@@ -406,28 +408,27 @@ def _simulate_chunk(
         devs = sums["devs"][seg]  # rows dev1, dev2, dev1^2, dev2^2, dev1*dev2
         for lo in range(start, stop, blk):
             m = min(blk, stop - lo)
-            stream.draw(Q[:, blk - m : blk][:, ::-1], NOISE[:, :m])  # the block's draws
+            stream.draw(Q[:, carry : carry + m], NOISE[:, :m])  # the block's draws
             for c0 in range(0, m, sub):
-                # the lags of the sub-block's samples (columns j0 down to
-                # j0-ms+1), each the previous one's plus x(i)x(i-k) - x(i-L)x(i-L-k)
-                i0, j0, ms = lo + c0, blk - 1 - c0, min(sub, m - c0)
-                new = slice(j0 - ms + 1, j0 + 1)
-                old = slice(new.start + L, new.stop + L)
+                # the lags of the sub-block's samples, each the previous
+                # one's plus x(i)x(i-k) - x(i-L)x(i-L-k)
+                i0, ms = lo + c0, min(sub, m - c0)
+                old = slice(c0, c0 + ms)
+                new = slice(old.start + L, old.stop + L)
                 lag = H[:, M - 1 : M + ms]
-                np.multiply(X[:, new][:, ::-1].T, Q[:, new][:, ::-1].T, out=lag[:, 1:])
-                lag[:, 1:] -= X[:, old][:, ::-1].T * Q[:, old][:, ::-1].T
+                np.multiply(X[:, new].T, X[:, new, 0].T, out=lag[:, 1:])
+                lag[:, 1:] -= X[:, old].T * X[:, old, 0].T
                 np.cumsum(lag, axis=1, out=lag)
-                # its Grams into Ginv, and their inverses
+                # its Grams into Ginv, and their inverses; a Gram that is not
+                # positive definite is flagged, and its inverse is NaN
                 np.take(H_rows, at[i0 % M, ..., :ms], axis=0, out=Ginv[:, :, :ms], mode="clip")
-                pivots = invert_spd_batch(Ginv[:, :, :ms], f2.eps).any(axis=1)
-                # a Gram that is not positive definite fails when the loop gets there
-                fail = i0 + int(np.argmax(pivots)) if pivots.any() else -1
+                bad = invert_spd_batch(Ginv[:, :, :ms], f2.eps)
                 H[:, :M] = H[:, ms : ms + M]
 
                 for col in range(ms):  # col: the sample's column in the sub-block
-                    i, j = i0 + col, j0 - col
+                    i = i0 + col
                     s = -i % M
-                    U[:, s] = Q[:, j : j + L]
+                    U[:, s] = V[:, M + c0 + col]
                     dc = U[:, s] @ wopt  # noiseless response
                     Dw[:, s] = d = dc + NOISE[:, c0 + col]
                     Y = U @ W.transpose(1, 2, 0)  # (R, M, 2): both branches' window outputs
@@ -450,9 +451,6 @@ def _simulate_chunk(
                     E = Dw[..., None] - Y  # (R, M, 2) error vectors by slot
                     np.sign(W[1], out=attractor)
                     attractor *= f2.rho
-                    if i == fail:
-                        raise NumericalError(
-                            f"projection Gram not positive definite at sample {i}")
                     # both branches' projections on the shared Gram
                     np.matmul(Ginv[:, :, col].transpose(2, 0, 1), E, out=S)
                     if prop is not None:  # the other branch on its gain-weighted Gram
@@ -472,6 +470,9 @@ def _simulate_chunk(
                     W[1] -= attractor
 
                     if not np.isfinite(W.sum()):
+                        if bad[col].any():
+                            raise NumericalError(
+                                f"projection Gram not positive definite at sample {i}")
                         r = np.flatnonzero(~np.isfinite(W).all(axis=(0, 2)))[0]  # the first row
                         t = trial_indices[int(r)]
                         raise DivergenceError(
@@ -491,7 +492,7 @@ def _simulate_chunk(
                 np.square(ea, out=ea).sum(axis=1, out=sums["esq"][cur])
                 np.square(ea12, out=ea12).sum(axis=2, out=sums["esq12"][:, cur])
             # the block's newest samples become the next block's older ones
-            Q[:, blk:] = Q[:, blk - m : blk - m + carry]
+            Q[:, :carry] = Q[:, m : m + carry]
 
         # dev2's window sum, and the sum over trials of its squared window mean
         dev2.sum(axis=0, out=devs[1])

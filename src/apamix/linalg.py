@@ -86,14 +86,13 @@ def invert_spd_batch(out: np.ndarray, eps: float) -> np.ndarray:
     Parameters
     ----------
     out : ndarray, shape (M, M, *batch)
-        On entry, ``out[a, b]`` for ``b <= a`` holds entry (a, b) of every
-        matrix of the batch, the lower triangle of A; the upper triangle is
-        not read. On return, ``out[a, b]`` is entry (a, b) of the inverses,
+        On entry, ``out[a, b]`` holds entry (a, b) of every matrix A of the
+        batch, which must be exactly symmetric: both triangles are read as
+        they are. On return, ``out[a, b]`` is entry (a, b) of the inverses,
         exactly symmetric. It is also the work space, besides one scratch
-        array of M rows: the lower triangle is copied into the upper one,
-        one Gauss-Jordan sweep without pivoting turns ``A + eps*I`` into
-        its inverse in place, pivot by pivot, and each pair of mirrored
-        entries of the result is replaced by their mean.
+        array of M rows: one Gauss-Jordan sweep without pivoting turns
+        ``A + eps*I`` into its inverse in place, pivot by pivot, and each
+        pair of mirrored entries of the result is replaced by their mean.
     eps : float
         Diagonal loading added to every matrix.
 
@@ -107,7 +106,6 @@ def invert_spd_batch(out: np.ndarray, eps: float) -> np.ndarray:
     """
     M = out.shape[0]
     for a in range(M):
-        out[a, a + 1 :] = out[a + 1 :, a]
         out[a, a] += eps
     tmp = np.empty(out.shape[1:])  # a multiple of one row of the batch
     bad = np.zeros(out.shape[2:], dtype=bool)

@@ -193,18 +193,17 @@ class TrialStream:
     def draw(self, x: np.ndarray, noise: np.ndarray) -> None:
         """Fill ``x`` and ``noise``, both ``(len(trials), m)``, with the next m samples.
 
-        Each row is in time order. ``x`` may be any view, such as one
-        reversed in time; the rows of ``noise`` must be contiguous.
+        Each row is in time order and contiguous: a trial's normals are drawn
+        straight into its row of ``x``, and the recursion runs there.
         """
-        g = np.empty(x.shape)
-        for rng, row, noise_rng, noise_row in zip(self._rngs, g, self._noise_rngs, noise):
+        for rng, row, noise_rng, noise_row in zip(self._rngs, x, self._noise_rngs, noise):
             rng.standard_normal(out=row)
             noise_rng.standard_normal(out=noise_row)
         noise *= self._noise_sd
-        x0 = self._sigma * g[:, 0]  # the stationary start, if this piece is the first
-        g *= self._drive_sd  # the driving noise
+        x0 = self._sigma * x[:, 0]  # the stationary start, if this piece is the first
+        x *= self._drive_sd  # the driving noise
         y = self._last
-        for t, drive in enumerate(g.T):
+        for t, drive in enumerate(x.T):
             y = x[:, t] = x0 if y is None else drive + self._pole * y
         self._last = y
 

@@ -241,13 +241,12 @@ class TestTrialStream:
         assert sum(pieces) == n
         want_x, want_noise = reference_signals(scen, 7)
         stream = TrialStream(scen, [7])
-        x_rev = np.empty((1, n))  # time-reversed, as the engine stores its input
-        noise = np.empty((1, n))
+        x, noise = np.empty((1, n)), np.empty((1, n))
         lo = 0
-        for m in pieces:
-            stream.draw(x_rev[:, n - lo - m : n - lo][:, ::-1], noise[:, lo : lo + m])
+        for m in pieces:  # each piece's rows contiguous, in time order, as the engine's
+            stream.draw(x[:, lo : lo + m], noise[:, lo : lo + m])
             lo += m
-        assert np.array_equal(x_rev[0, ::-1], want_x)
+        assert np.array_equal(x[0], want_x)
         assert np.array_equal(noise[0], want_noise)
 
     @pytest.mark.parametrize("pole", [0.0, 0.8])
@@ -258,14 +257,14 @@ class TestTrialStream:
         n = scen.n_samples
         trials = [3, 1, 7]
         stream = TrialStream(scen, trials)
-        x_rev, noise = np.empty((3, n)), np.empty((3, n))
+        x, noise = np.empty((3, n)), np.empty((3, n))
         lo = 0
         for m in [1, 7, 256, n - 264]:
-            stream.draw(x_rev[:, n - lo - m : n - lo][:, ::-1], noise[:, lo : lo + m])
+            stream.draw(x[:, lo : lo + m], noise[:, lo : lo + m])
             lo += m
         for r, t in enumerate(trials):
             want_x, want_noise = trial_signals(scen, t)
-            assert np.array_equal(x_rev[r, ::-1], want_x)
+            assert np.array_equal(x[r], want_x)
             assert np.array_equal(noise[r], want_noise)
 
 

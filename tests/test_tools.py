@@ -68,10 +68,13 @@ def test_digest_runs_print_equal_lines(capsys):
     assert outputs_digest.main(["desk-zaapa"]) == 0
     assert capsys.readouterr().out == first
     # two seeds of: 3 drawn systems, 6 curves, 3 segments of 11 fields, 4 trial records,
-    # then the curves and segments again at chunk_size=7
-    assert len(first.splitlines()) == 2 * (3 + 6 + 3 * 11 + 4 + 6 + 3 * 11)
+    # then the curves and segments again at chunk_size=7; all of it again with
+    # the other second branch
+    per_branch = 3 + 6 + 3 * 11 + 4 + 6 + 3 * 11
+    assert len(first.splitlines()) == 2 * 2 * per_branch
     names = [line.split()[2] for line in first.splitlines()]
     assert names[:3] == ["w_opt[0]", "w_opt[1]", "w_opt[2]"]
+    assert names[per_branch : 2 * per_branch] == ["other." + n for n in names[:per_branch]]
     assert (sys.dont_write_bytecode, sys.path) == (write_bytecode, path)
 
 

@@ -9,9 +9,12 @@ benchmark seeds 0 and 5, it prints one line per output array,
 every ``SegmentStats`` field of each segment, the four records of
 ``run_trial(cfg, 3)``, and the curves and segment fields again at
 ``chunk_size=7`` (``chunk7.`` names), where a workload's 100 trials run as
-15 chunks, the last one of 2 trials. The digest covers each array's dtype,
-shape and bytes, so two trees whose outputs agree bit for bit print the
-same lines:
+15 chunks, the last one of 2 trials. All of them are digested again with
+the other second branch (``other.`` names): zaapa for a zapapa workload
+and zapapa for a zaapa one, as the benchmark's oracle toggles it, so white
+input runs with gains and AR(1) input without. The digest covers each
+array's dtype, shape and bytes, so two trees whose outputs agree bit for
+bit print the same lines:
 
     python3 tools/outputs_digest.py > before.txt   # in one checkout
     python3 tools/outputs_digest.py > after.txt    # in the other
@@ -87,7 +90,9 @@ def main(argv: list[str]) -> int:
     for name in argv or list(wl.WORKLOADS):
         for seed in SEEDS:
             cfg = wl.build(name, wl.config_seed(seed))
-            print("\n".join(lines(f"{name} {seed}", outputs(cfg))), flush=True)
+            arrays = outputs(cfg)
+            arrays.update((f"other.{key}", a) for key, a in outputs(wl._other_branch(cfg)).items())
+            print("\n".join(lines(f"{name} {seed}", arrays)), flush=True)
     return 0
 
 
