@@ -301,24 +301,3 @@ class TestNlmsOcf:
         cfg = FilterConfig(M=2, mu=0.5)
         with pytest.raises(ValueError):
             nlms_ocf_step(FilterState.zeros(cfg, 4), [])
-
-
-class TestConfigValidation:
-    def test_mu_range(self):
-        with pytest.raises(ValueError):
-            FilterConfig(M=2, mu=2.0)
-        with pytest.raises(ValueError):
-            FilterConfig(M=2, mu=-0.1)
-
-    def test_order_range(self):
-        # M > L is the experiment's check: the filter length is the scenario's
-        with pytest.raises(ValueError):
-            FilterConfig(M=0, mu=0.5)
-
-    def test_negative_rho(self):
-        with pytest.raises(ValueError):
-            FilterConfig(M=2, mu=0.5, rho=-1e-6)
-
-    def test_proportionate_params(self):
-        with pytest.raises(ValueError):
-            ProportionateConfig(rho_p=0.05, delta=0.0)

@@ -3,7 +3,7 @@ import math
 import re
 import shlex
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,27 @@ def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
     )
 
 
+def config_file(tmp_path, cfg=None):
+    """Write ``cfg``, a config or its JSON form, to ``tmp_path / "cfg.json"``
+    and return that path. The default is a two-run ``tiny_config``."""
+    path = tmp_path / "cfg.json"
+    if isinstance(cfg, dict):
+        path.write_text(json.dumps(cfg))
+    else:
+        write_config(tiny_config(runs=2, n=120) if cfg is None else cfg, path)
+    return str(path)
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if the CLI starts an experiment."""
+
+    def run(*args, **kwargs):
+        raise AssertionError("the experiment ran before its inputs were checked")
+
+    monkeypatch.setattr(harness, "run_experiment", run)
+
+
 def assert_engine_matches_reference(cfg, floor=0.0):
     """run_experiment on one trial reproduces run_trial's records to 1e-9 relative.
 
@@ -115,8 +136,9 @@ def reference_segment_stats(cfg):
     n_seg = len(scenario.segments)
     sums = {key: np.zeros((n_seg, cfg.scenario.L))
             for key in ("dev1", "dev2", "sq1", "sq2", "cross", "meansq2")}
-    widths = [max(10, math.ceil(cfg.steady_window_fraction * (bounds[k + 1] - bounds[k])))
+    starts = [harness._steady_window_start(bounds[k], bounds[k + 1], cfg.steady_window_fraction)
               for k in range(n_seg)]
+    widths = np.array(bounds[1:]) - starts
     for t in range(cfg.runs):
         s1 = FilterState.zeros(cfg.filter1, cfg.scenario.L)
         s2 = FilterState.zeros(cfg.filter2, cfg.scenario.L)
@@ -124,7 +146,7 @@ def reference_segment_stats(cfg):
         trial_dev2 = np.zeros((n_seg, cfg.scenario.L))
         for i, (obs, _) in enumerate(scenario_stream(scenario, t)):
             k = int(np.searchsorted(bounds, i, side="right") - 1)
-            if i >= bounds[k + 1] - widths[k]:
+            if i >= starts[k]:
                 w_opt = scenario.segments[k].w_opt
                 dev1, dev2 = w_opt - s1.w, w_opt - s2.w
                 sums["dev1"][k] += dev1
@@ -135,7 +157,7 @@ def reference_segment_stats(cfg):
                 trial_dev2[k] += dev2
             buf = push(buf, obs)
             s1, s2 = apa_step(s1, buf), step2(s2, buf)
-        sums["meansq2"] += (trial_dev2 / np.array(widths)[:, None]) ** 2
+        sums["meansq2"] += (trial_dev2 / widths[:, None]) ** 2
     out = []
     for k in range(n_seg):
         samples = widths[k] * cfg.runs
@@ -225,25 +247,26 @@ def test_gram_rows_gather_each_entry_of_the_slot_order_gram(M):
             np.testing.assert_allclose(H.reshape(-1)[at[r]], want, rtol=1e-12)
 
 
+def assert_same_curves(got, want):
+    """Every field of two LearningCurves, and of each of their SegmentStats, bit for bit."""
+    assert len(got.segments) == len(want.segments)
+    for a, b in [(got, want), *zip(got.segments, want.segments)]:
+        for f in fields(a):
+            if f.name != "segments":
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
         # three chunks on three workers, and five on two: more chunks than
         # workers, so the pool's results come back over several rounds
         for runs, workers in ((6, 3), (10, 2)):
             cfg = replace(tiny_config(runs=runs), chunk_size=2)
-            c1 = run_experiment(cfg, workers=1)
-            cw = run_experiment(cfg, workers=workers)
-            for field in ("j1", "j2", "j12", "j", "lam", "j12_se"):
-                assert np.array_equal(getattr(c1, field), getattr(cw, field))
-            for s1, sw in zip(c1.segments, cw.segments):
-                assert np.array_equal(s1.msd2, sw.msd2)
-                assert np.array_equal(s1.mean_dev2, sw.mean_dev2)
+            assert_same_curves(run_experiment(cfg, workers=workers), run_experiment(cfg))
 
     def test_rerun_is_bit_identical(self):
         cfg = tiny_config(runs=4)
-        a = run_experiment(cfg)
-        b = run_experiment(cfg)
-        assert np.array_equal(a.j1, b.j1) and np.array_equal(a.lam, b.lam)
+        assert_same_curves(run_experiment(cfg), run_experiment(cfg))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
@@ -516,10 +539,11 @@ class TestSingularGram:
     def test_loading_below_the_rounding_error_fails(self, tmp_path, capsys):
         """With input variance 1e6 and eps=1e-12, the loaded Gram of sample 7,
         the first full window, has eigenvalues from about 1e-12 to 1.5e7, so
-        rounding outweighs the loading and the engine's Cholesky can meet a
-        pivot that is not positive. The eps floor L*variance*2**-52, 1.4e-8
-        at L=64, rejects such a config when it loads, by the API and the CLI
-        alike; an eps just above it loads."""
+        rounding outweighs the loading and the Gauss-Jordan sweep of
+        ``linalg.invert_spd_batch`` can meet a pivot that is not positive.
+        The eps floor L*variance*2**-52, 1.4e-8 at L=64, rejects such a
+        config when it loads, by the API and the CLI alike; an eps just
+        above it loads."""
         scenario = ScenarioDef(
             L=64,
             segments=(SegmentDef(20, 64),),
@@ -540,9 +564,7 @@ class TestSingularGram:
                                runs=1)  # just above the floor: loads
         doc = config_to_dict(cfg)
         doc["filter2"]["eps"] = 1e-12
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        assert cli_main(["simulate", "--config", str(cfg_path)]) == 2
+        assert cli_main(["simulate", "--config", config_file(tmp_path, doc)]) == 2
         assert f"config error: invalid config: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, prop, _message", GRAM_FAILURES)
@@ -690,23 +712,15 @@ class TestBlockLength:
         monkeypatch.setattr(harness, "_SUB", sub)
         return run_experiment(self.cfg)
 
-    @staticmethod
-    def assert_same(got, want):
-        for name in ("j1", "j2", "j12", "j", "lam", "j12_se"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        for seg_got, seg_want in zip(got.segments, want.segments):
-            for name in ("mean_dev1", "mean_dev2", "mean_dev2_se", "msd1", "msd2", "cross12"):
-                assert np.array_equal(getattr(seg_got, name), getattr(seg_want, name)), name
-
     @pytest.mark.parametrize("block", [1, 2, 3, 7, None])  # None: the engine's own, 256
     def test_curves_do_not_depend_on_the_block_length(self, block, monkeypatch):
         got = self.run(monkeypatch, block=block or harness._BLOCK)
-        self.assert_same(got, self.run(monkeypatch, block=10**6))
+        assert_same_curves(got, self.run(monkeypatch, block=10**6))
 
     @pytest.mark.parametrize("sub", [1, 3, None])  # None: the engine's own, _SUB
     def test_curves_do_not_depend_on_the_sub_block_length(self, sub, monkeypatch):
         got = self.run(monkeypatch, sub=sub or harness._SUB)
-        self.assert_same(got, self.run(monkeypatch, sub=10**6))
+        assert_same_curves(got, self.run(monkeypatch, sub=10**6))
 
 
 class TestPresets:
@@ -740,6 +754,15 @@ class TestPresets:
     def test_zapapa_preset(self):
         cfg = preset_paper_scenario("desk", "white", filter2_kind="zapapa")
         assert cfg.filter2.proportionate is not None
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(scale="huge"), "unknown scale 'huge'"),
+        (dict(input_kind="pink"), "unknown input kind 'pink'"),
+        (dict(filter2_kind="nlms"), "unknown filter2 kind 'nlms'"),
+    ])
+    def test_unknown_name_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            preset_paper_scenario(**kwargs)
 
 
 @st.composite
@@ -778,9 +801,7 @@ def experiment_configs(draw):
 class TestPersistence:
     def test_config_round_trip(self, tmp_path):
         cfg = preset_paper_scenario("desk", "ar1", filter2_kind="zapapa")
-        path = tmp_path / "cfg.json"
-        write_config(cfg, path)
-        assert read_config(path) == cfg
+        assert read_config(config_file(tmp_path, cfg)) == cfg
 
     def test_config_error_diagnostics(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -835,9 +856,8 @@ class TestPersistence:
             "steady_window_fraction": None,
             "chunk_size": None,
         }
-        path = tmp_path / "cfg.json"
-        write_config(preset_paper_scenario("desk", "white", filter2_kind="zapapa"), path)
-        assert json.dumps(tree(json.loads(path.read_text()))) == json.dumps(expected)
+        path = config_file(tmp_path, preset_paper_scenario("desk", "white", filter2_kind="zapapa"))
+        assert json.dumps(tree(json.loads(Path(path).read_text()))) == json.dumps(expected)
 
     def test_curves_csv_shape(self, tmp_path):
         cfg = tiny_config(runs=2, n=40)
@@ -886,11 +906,8 @@ class TestSweepRho:
 
 class TestCli:
     def test_simulate_with_config_and_csv(self, tmp_path, capsys):
-        cfg = tiny_config(runs=2, n=120)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(cfg, cfg_path)
         out_path = tmp_path / "out.csv"
-        rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(out_path)])
+        rc = cli_main(["simulate", "--config", config_file(tmp_path), "--out", str(out_path)])
         assert rc == 0
         assert out_path.exists()
         assert "seg" in capsys.readouterr().out
@@ -899,10 +916,10 @@ class TestCli:
     def test_numerical_error_is_reported_with_exit_3(self, kind, prop, message, tmp_path,
                                                      capsys, monkeypatch):
         cfg = TestSingularGram.cfg
-        cfg_path = tmp_path / "cfg.json"
-        write_config(replace(cfg, filter2=replace(cfg.filter2, proportionate=prop)), cfg_path)
+        cfg = replace(cfg, filter2=replace(cfg.filter2, proportionate=prop))
+        cfg_path = config_file(tmp_path, cfg)
         failing_gram(monkeypatch, kind, 0)
-        rc = cli_main(["simulate", "--config", str(cfg_path)])
+        rc = cli_main(["simulate", "--config", cfg_path])
         assert rc == 3
         assert capsys.readouterr().err == f"numerical error: {message.format(0)}\n"
 
@@ -918,17 +935,15 @@ class TestCli:
         cfg = tiny_config(runs=2, eps=eps)
         scenario = replace(cfg.scenario, noise_variance=noise,
                            input=SignalModel(variance=variance))
-        cfg_path = tmp_path / "cfg.json"
-        write_config(replace(cfg, scenario=scenario), cfg_path)
-        assert cli_main(["simulate", "--config", str(cfg_path)]) == 3
+        cfg_path = config_file(tmp_path, replace(cfg, scenario=scenario))
+        assert cli_main(["simulate", "--config", cfg_path]) == 3
         assert capsys.readouterr().err == (
             "numerical error: non-finite sums over the trials (overflow): prodsq\n")
 
     def test_diverged_trial_is_reported_with_exit_3(self, tmp_path, capsys, monkeypatch):
-        cfg_path = tmp_path / "cfg.json"
-        write_config(replace(tiny_config(runs=4, n=60), chunk_size=4), cfg_path)
+        cfg_path = config_file(tmp_path, replace(tiny_config(runs=4, n=60), chunk_size=4))
         nan_input(monkeypatch, {1: 30})
-        rc = cli_main(["simulate", "--config", str(cfg_path)])
+        rc = cli_main(["simulate", "--config", cfg_path])
         assert rc == 3
         assert capsys.readouterr().err == "divergence: trial 1 diverged at sample 30\n"
 
@@ -948,18 +963,15 @@ class TestCli:
                        "they do not model the sliding window's reuse of each regressor\n")
 
     def test_predict_notes_nothing_inside_the_validated_domain(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(M=1), cfg_path)
-        assert cli_main(["predict", "--config", str(cfg_path)]) == 0
+        assert cli_main(["predict", "--config", config_file(tmp_path, tiny_config(M=1))]) == 0
         out, err = capsys.readouterr()
         assert "regime" in out and err == ""
 
     def test_predict_at_rho_zero_labels_the_tie_non_sparse(self, tmp_path, capsys):
         # both branches are one filter: J1 = J2 = J12 up to rounding
-        cfg_path = tmp_path / "cfg.json"
         cfg = preset_paper_scenario("desk")
-        write_config(replace(cfg, filter2=replace(cfg.filter2, rho=0.0)), cfg_path)
-        assert cli_main(["predict", "--config", str(cfg_path)]) == 0
+        cfg_path = config_file(tmp_path, replace(cfg, filter2=replace(cfg.filter2, rho=0.0)))
+        assert cli_main(["predict", "--config", cfg_path]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
         assert len(rows) == 3
         for row in rows:
@@ -973,9 +985,8 @@ class TestCli:
 
     @pytest.mark.parametrize("pole, rc", [(0.0, 0), (-0.0, 0), (0.8, 2)])
     def test_predict_takes_white_input_as_pole_zero(self, pole, rc, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(M=1, pole=pole), cfg_path)
-        assert cli_main(["predict", "--config", str(cfg_path)]) == rc
+        cfg_path = config_file(tmp_path, tiny_config(M=1, pole=pole))
+        assert cli_main(["predict", "--config", cfg_path]) == rc
         out, err = capsys.readouterr()
         if rc == 0:
             assert "regime" in out and err == ""
@@ -984,14 +995,9 @@ class TestCli:
                            "for white input (pole 0) only\n")
 
     def test_sweep_rho_cli(self, tmp_path, capsys):
-        cfg = tiny_config(runs=2, n=120)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(cfg, cfg_path)
         out_path = tmp_path / "sweep.csv"
-        rc = cli_main(
-            ["sweep-rho", "--config", str(cfg_path), "--grid", "1e-4:1e-3:2",
-             "--out", str(out_path)]
-        )
+        rc = cli_main(["sweep-rho", "--config", config_file(tmp_path), "--grid", "1e-4:1e-3:2",
+                       "--out", str(out_path)])
         assert rc == 0
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "rho,j1,j2,j12,j,lambda"
@@ -1015,9 +1021,7 @@ class TestCli:
 
     def test_predict_outside_closed_form_domain_is_config_error(self, tmp_path, capsys):
         # FilterConfig accepts mu = 0; the closed forms need mu in (0, 2)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(mu=0.0), cfg_path)
-        rc = cli_main(["predict", "--config", str(cfg_path)])
+        rc = cli_main(["predict", "--config", config_file(tmp_path, tiny_config(mu=0.0))])
         assert rc == 2
         assert "config error: segment 0: step size mu" in capsys.readouterr().err
 
@@ -1032,15 +1036,10 @@ class TestCli:
         [(["simulate"], "0"), (["simulate"], "-3"), (["sweep-rho", "--grid", "1e-4:1e-3:2"], "-1")],
     )
     def test_workers_below_one_is_config_error_before_any_trial(
-        self, command, workers, tmp_path, capsys, monkeypatch
+        self, command, workers, tmp_path, capsys, no_run
     ):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the experiment ran before --workers was checked")
-
-        monkeypatch.setattr(harness, "run_experiment", no_run)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(runs=2, n=120), cfg_path)
-        rc = cli_main([command[0], "--config", str(cfg_path), "--workers", workers, *command[1:]])
+        cfg_path = config_file(tmp_path)
+        rc = cli_main([command[0], "--config", cfg_path, "--workers", workers, *command[1:]])
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"config error: --workers {workers}: workers must be >= 1\n"
@@ -1070,27 +1069,13 @@ class TestCli:
         # samples, widened to 10
         cfg = preset_paper_scenario(scale="desk", runs=2)
         segs = tuple(replace(seg, duration=50) for seg in cfg.scenario.segments)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(replace(cfg, scenario=replace(cfg.scenario, segments=segs)), cfg_path)
-        rc = cli_main([extra[0], "--config", str(cfg_path), *extra[1:]])
+        cfg = replace(cfg, scenario=replace(cfg.scenario, segments=segs))
+        rc = cli_main([extra[0], "--config", config_file(tmp_path, cfg), *extra[1:]])
         assert rc == 0
         header, *table = capsys.readouterr().out.strip().splitlines()
         assert header.split()[0] == {"simulate": "seg", "sweep-rho": "rho"}[extra[0]]
         assert len(table) == rows
         assert all(np.isfinite([float(v) for v in line.split()]).all() for line in table)
-
-    def test_nonfinite_rho_is_config_error_before_any_trial(self, tmp_path, capsys, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the experiment ran before the config was checked")
-
-        monkeypatch.setattr(harness, "run_experiment", no_run)
-        doc = config_to_dict(tiny_config(runs=2, n=120))
-        doc["filter2"]["rho"] = float("nan")  # json writes NaN, and reads it back
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
-        rc = cli_main(["simulate", "--config", str(cfg_path)])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra",
@@ -1103,65 +1088,42 @@ class TestCli:
         ],
     )
     def test_out_in_missing_directory_is_config_error_before_any_trial(
-        self, extra, tmp_path, capsys, monkeypatch
+        self, extra, tmp_path, capsys, monkeypatch, no_run
     ):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the experiment ran before the output path was checked")
-
-        monkeypatch.setattr(harness, "run_experiment", no_run)
         monkeypatch.chdir(tmp_path)  # the --out paths are relative to it
-        write_config(tiny_config(runs=2, n=120), "cfg.json")
-        rc = cli_main([extra[0], "--config", "cfg.json", *extra[1:]])
+        rc = cli_main([extra[0], "--config", config_file(tmp_path), *extra[1:]])
         assert rc == 2
         assert "config error: --out" in capsys.readouterr().err
 
     def test_config_and_preset_together_are_rejected_before_any_trial(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, no_run
     ):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the experiment ran with both --config and --preset")
-
-        monkeypatch.setattr(harness, "run_experiment", no_run)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(runs=2, n=120), cfg_path)
         with pytest.raises(SystemExit) as exc:
-            cli_main(["simulate", "--preset", "paper-desk", "--config", str(cfg_path)])
+            cli_main(["simulate", "--preset", "paper-desk", "--config", config_file(tmp_path)])
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["simulate"], ["predict"], ["sweep-rho", "--grid", "1e-4:1e-3:2"]])
     @pytest.mark.parametrize("flag", [["--input", "ar1"], ["--filter2", "zapapa"], ["--input", "white"]])
     def test_preset_flags_with_config_are_rejected_before_any_trial(
-        self, command, flag, tmp_path, capsys, monkeypatch
+        self, command, flag, tmp_path, capsys, no_run
     ):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the experiment ran with a preset flag next to --config")
-
-        monkeypatch.setattr(harness, "run_experiment", no_run)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(runs=2, n=120), cfg_path)
-        rc = cli_main([command[0], "--config", str(cfg_path), *flag, *command[1:]])
+        rc = cli_main([command[0], "--config", config_file(tmp_path), *flag, *command[1:]])
         assert rc == 2
         assert f"config error: {flag[0]} applies to --preset only" in capsys.readouterr().err
 
     @pytest.mark.parametrize("durations", [(50, 120), (120, 50)])
     def test_sweep_rho_with_a_short_segment(self, durations, tmp_path, capsys):
         segs = (SegmentDef(durations[0], 16), SegmentDef(durations[1], 2))
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(runs=2, segments=segs), cfg_path)
-        rc = cli_main(["sweep-rho", "--config", str(cfg_path), "--grid", "1e-4:1e-4:1"])
+        cfg_path = config_file(tmp_path, tiny_config(runs=2, segments=segs))
+        rc = cli_main(["sweep-rho", "--config", cfg_path, "--grid", "1e-4:1e-4:1"])
         assert rc == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2  # header, one point
 
-    def test_bad_grid_is_config_error(self, tmp_path, capsys, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the experiment ran before the grid was checked")
-
-        monkeypatch.setattr(harness, "run_experiment", no_run)
-        cfg_path = tmp_path / "cfg.json"
-        write_config(tiny_config(runs=2, n=120), cfg_path)
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, no_run):
+        cfg_path = config_file(tmp_path)
         for grid in ("nope", "1e-5:inf:2", "nan:1e-3:2"):
-            rc = cli_main(["sweep-rho", "--config", str(cfg_path), "--grid", grid])
+            rc = cli_main(["sweep-rho", "--config", cfg_path, "--grid", grid])
             assert rc == 2, grid
             assert "config error:" in capsys.readouterr().err
 
@@ -1299,174 +1261,162 @@ def test_ill_conditioned_window_matches_reference(params):
     assert_engine_matches_reference(tiny_config(**params))
 
 
-class TestConfigRejection:
-    def test_mixing_step_must_be_positive(self):
-        with pytest.raises(ValueError, match="mu_a"):
-            MixingConfig(mu_a=-1.0)
-
-    def test_mixing_clip_must_be_positive(self):
-        with pytest.raises(ValueError, match="a_plus"):
-            MixingConfig(a_plus=-4.0)
-
-    def test_mixing_clip_must_keep_lambda_below_one(self):
-        MixingConfig(a_plus=36.0)
-        with pytest.raises(ValueError, match="a_plus=40.0 rounds lambda to exactly 1"):
-            MixingConfig(a_plus=40.0)
-
-    def test_mixing_clip_must_keep_lambda_above_one_half(self):
-        MixingConfig(a_plus=1e-9)
-        with pytest.raises(ValueError, match=r"a_plus=1e-17 rounds lambda to exactly 0\.5$"):
-            MixingConfig(a_plus=1e-17)
-
-    def test_mixing_start_must_lie_inside_clip(self):
-        with pytest.raises(ValueError, match="a0 outside"):
-            MixingConfig(a_plus=2.0, a0=3.0)
-
-    @pytest.mark.parametrize("M", [1, 2])
-    def test_unloaded_projection_rejected_at_every_order(self, M):
-        with pytest.raises(ValueError, match=r"^filter2: eps must be > 0$"):
-            tiny_config(M=M, eps=0.0)
-        # FilterConfig itself still accepts eps=0, for the reference step functions
-        FilterConfig(M=M, mu=0.5, eps=0.0)
-
-    @pytest.mark.parametrize("value", [float("nan"), -1e-3])
-    def test_bad_noise_variance_is_config_error(self, value):
-        doc = config_to_dict(tiny_config())
-        doc["scenario"]["noise_variance"] = value
-        with pytest.raises(ConfigError, match="noise variance"):
-            config_from_dict(doc)
-
-    @pytest.mark.parametrize(
-        "branch, field, value",
-        [
-            ("filter2", "rho", float("nan")),
-            ("filter2", "rho", float("inf")),
-            ("filter2", "eps", float("inf")),
-        ],
-    )
-    def test_nonfinite_filter_constant_is_config_error(self, branch, field, value):
-        doc = config_to_dict(tiny_config())
-        doc[branch][field] = value
-        with pytest.raises(ConfigError, match="finite"):
-            config_from_dict(doc)
-
-    @pytest.mark.parametrize("field", ["rho_p", "delta"])
-    def test_infinite_gain_constant_is_config_error(self, field):
-        doc = config_to_dict(tiny_config(proportionate=ProportionateConfig()))
-        doc["filter2"]["proportionate"][field] = float("inf")
-        with pytest.raises(ConfigError, match="finite"):
-            config_from_dict(doc)
+INF, NAN = float("inf"), float("nan")
 
 
-INF = float("inf")
+def edited(path, value):
+    """The JSON form of ``tiny_config()`` (L = 16, M = 2, two segments) with
+    the key at the dotted ``path`` set to ``value``."""
+    doc = config_to_dict(tiny_config())
+    *keys, last = (int(key) if key.isdigit() else key for key in path.split("."))
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+FINITE_FILTER = "rho and eps must be finite and >= 0"
+FINITE_GAINS = "rho_p and delta must be positive and finite"
+NOISE = "noise variance must be finite and >= 0"
+WINDOW = "steady_window_fraction must lie in (0, 1]"
 
 
 class TestBadConfigRejectedAtLoad:
-    """Each case edits one key of a valid config's JSON form."""
+    """Every load-time rule of the config types, one row per rejected value.
 
-    @pytest.mark.parametrize(
-        "path, value, match",
-        [
-            pytest.param(("steady_window_fration",), 0.5, "'steady_window_fration' in config",
-                         id="unknown-key"),
-            pytest.param(("scenario", "segments", 0, "k"), 2, "'k' in config.scenario.segments[0]",
-                         id="unknown-nested-key"),
-            pytest.param(("filter2", "L"), 16, "unknown key 'L' in config.filter2",
-                         id="implied-filter-L"),
-            pytest.param(("filter1",), {"M": 2, "mu": 0.5, "eps": 2e-4},
-                         "unknown key 'filter1' in config",
-                         id="old-format-filter1"),
-            pytest.param(("seed",), 5, "unknown key 'seed' in config", id="old-format-seed"),
-            pytest.param(("filter2", "M"), 17, "filter2.M=17 exceeds scenario L=16",
-                         id="M-above-L"),
-            pytest.param(("filter2", "eps"), 0.0, "filter2: eps must be > 0",
-                         id="unloaded-projection"),
-            pytest.param(("filter2", "eps"), 1e-15,
-                         "filter2: eps=1e-15 is below L*variance*2**-52=3.55e-15",
-                         id="loading-below-rounding-error"),
-            pytest.param(("scenario", "input", "seed"), 5, "'seed' in config.scenario.input",
-                         id="implied-input-seed"),
-            pytest.param(("filter2",), 3, "config.filter2 must be a JSON object",
-                         id="filter-not-object"),
-            pytest.param(("filter2", "proportionate"), 3,
-                         "config.filter2.proportionate must be a JSON object",
-                         id="gains-not-object"),
-            pytest.param(("scenario", "segments"), {}, "config.scenario.segments must be a JSON array",
-                         id="segments-not-array"),
-            pytest.param(("mixing", "mu_a"), INF, "mu_a must be positive and finite", id="mu_a-inf"),
-            pytest.param(("mixing", "a_plus"), INF, "a_plus must be positive and finite",
-                         id="a_plus-inf"),
-            pytest.param(("mixing", "a_plus"), 40.0, "a_plus", id="a_plus-lambda-one"),
-            pytest.param(("mixing", "a_plus"), 1e-17, "a_plus", id="a_plus-lambda-one-half"),
-            pytest.param(("scenario", "input", "variance"), INF, "input variance",
-                         id="input-variance-inf"),
-            pytest.param(("scenario", "noise_variance"), INF, "noise variance",
-                         id="noise-variance-inf"),
-            pytest.param(("scenario", "segments"), [], "at least one segment", id="no-segments"),
-            pytest.param(("scenario", "segments", 0, "K"), 17, "exceeds L", id="K-above-L"),
-            pytest.param(("scenario", "segments", 0, "K"), -1, "negative", id="K-negative"),
-            pytest.param(("scenario", "segments", 1, "duration"), 0, "duration must be >= 1",
-                         id="empty-segment"),
-            pytest.param(("scenario", "segments", 0, "magnitude_rule"), "huge", "magnitude rule",
-                         id="unknown-magnitude-rule"),
-            pytest.param(("scenario", "seed"), -1, "scenario seed", id="negative-scenario-seed"),
-            pytest.param(("scenario", "seed"), 2**130, "scenario seed must lie in [0, 2**128)",
-                         id="scenario-seed-above-key-range"),
-            pytest.param(("runs",), INF, "config.runs must be a JSON integer, not inf",
-                         id="runs-inf"),
-            pytest.param(("runs",), 2.5, "config.runs must be a JSON integer, not 2.5",
-                         id="runs-float"),
-            pytest.param(("runs",), "200", "config.runs must be a JSON integer, not '200'",
-                         id="runs-string"),
-            pytest.param(("runs",), True, "config.runs must be a JSON integer, not True",
-                         id="runs-bool"),
-            pytest.param(("scenario", "L"), 16.9, "config.scenario.L must be a JSON integer",
-                         id="L-float"),
-            pytest.param(("filter2", "M"), 2.7, "config.filter2.M must be a JSON integer",
-                         id="M-float"),
-            pytest.param(("scenario", "segments", 0, "duration"), 250.5,
-                         "config.scenario.segments[0].duration must be a JSON integer",
-                         id="duration-float"),
-            pytest.param(("filter2", "mu"), "0.5", "config.filter2.mu must be a JSON number",
-                         id="mu-string"),
-            pytest.param(("filter2", "mu"), True, "config.filter2.mu must be a JSON number",
-                         id="mu-bool"),
-            pytest.param(("scenario", "segments", 0, "magnitude_rule"), 3,
-                         "magnitude_rule must be a JSON string", id="magnitude-rule-number"),
-            pytest.param(("scenario", "input", "kind"), "white",
-                         "unknown key 'kind' in config.scenario.input", id="old-format-kind"),
-            pytest.param(("scenario", "input", "pole"), 1.0, "input pole 1.0 must lie in (-1, 1)",
-                         id="pole-one"),
-            pytest.param(("scenario", "input", "pole"), -1.0,
-                         "input pole -1.0 must lie in (-1, 1)", id="pole-minus-one"),
-            pytest.param(("scenario", "input", "pole"), float("nan"), "input pole nan",
-                         id="pole-nan"),
-            pytest.param(("scenario", "input", "pole"), INF, "input pole inf", id="pole-inf"),
-            pytest.param(("scenario", "input", "pole"), None,
-                         "config.scenario.input.pole must be a JSON number, not None",
-                         id="pole-null"),
-            pytest.param(("scenario", "L"), 0, "filter length L=0 must be >= 1", id="L-zero"),
-            pytest.param(("scenario", "L"), -5, "filter length L=-5 must be >= 1",
-                         id="L-negative"),
-        ],
-    )
-    def test_config_error_before_any_trial(self, path, value, match, tmp_path, capsys, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the experiment ran before the config was checked")
+    Each row makes one edit to a valid config's JSON form and gives the
+    tail of the message that rejects it: ``config_from_dict`` raises it as
+    a ConfigError, and ``simulate`` and ``predict`` print it and exit with
+    2 before any trial runs.
+    """
 
-        monkeypatch.setattr(harness, "run_experiment", no_run)
-        doc = config_to_dict(tiny_config())  # L = 16, two segments
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        with pytest.raises(ConfigError, match=re.escape(match)):
+    @pytest.mark.parametrize("path, value, message", [
+        # the JSON form: keys, nesting and types
+        pytest.param("steady_window_fration", 0.5, "unknown key 'steady_window_fration' in config",
+                     id="unknown-key"),
+        pytest.param("scenario.segments.0.k", 2, "unknown key 'k' in config.scenario.segments[0]",
+                     id="unknown-nested-key"),
+        pytest.param("filter2.L", 16, "unknown key 'L' in config.filter2", id="implied-filter-L"),
+        pytest.param("filter1", {"M": 2, "mu": 0.5, "eps": 2e-4}, "unknown key 'filter1' in config",
+                     id="old-format-filter1"),
+        pytest.param("seed", 5, "unknown key 'seed' in config", id="old-format-seed"),
+        pytest.param("scenario.input.seed", 5, "unknown key 'seed' in config.scenario.input",
+                     id="implied-input-seed"),
+        pytest.param("scenario.input.kind", "white", "unknown key 'kind' in config.scenario.input",
+                     id="old-format-kind"),
+        pytest.param("filter2", 3, "config.filter2 must be a JSON object", id="filter-not-object"),
+        pytest.param("filter2.proportionate", 3,
+                     "config.filter2.proportionate must be a JSON object", id="gains-not-object"),
+        pytest.param("scenario.segments", {}, "config.scenario.segments must be a JSON array",
+                     id="segments-not-array"),
+        pytest.param("runs", INF, "config.runs must be a JSON integer, not inf", id="runs-inf"),
+        pytest.param("runs", 2.5, "config.runs must be a JSON integer, not 2.5", id="runs-float"),
+        pytest.param("runs", "200", "config.runs must be a JSON integer, not '200'",
+                     id="runs-string"),
+        pytest.param("runs", True, "config.runs must be a JSON integer, not True", id="runs-bool"),
+        pytest.param("scenario.L", 16.9, "config.scenario.L must be a JSON integer, not 16.9",
+                     id="L-float"),
+        pytest.param("filter2.M", 2.7, "config.filter2.M must be a JSON integer, not 2.7",
+                     id="M-float"),
+        pytest.param("scenario.segments.0.duration", 250.5,
+                     "config.scenario.segments[0].duration must be a JSON integer, not 250.5",
+                     id="duration-float"),
+        pytest.param("filter2.mu", "0.5", "config.filter2.mu must be a JSON number, not '0.5'",
+                     id="mu-string"),
+        pytest.param("filter2.mu", True, "config.filter2.mu must be a JSON number, not True",
+                     id="mu-bool"),
+        pytest.param("scenario.segments.0.magnitude_rule", 3,
+                     "config.scenario.segments[0].magnitude_rule must be a JSON string, not 3",
+                     id="magnitude-rule-number"),
+        pytest.param("scenario.input.pole", None,
+                     "config.scenario.input.pole must be a JSON number, not None", id="pole-null"),
+        # ExperimentConfig
+        pytest.param("runs", 0, "runs must be >= 1", id="runs-zero"),
+        pytest.param("steady_window_fraction", 0.0, WINDOW, id="window-zero"),
+        pytest.param("steady_window_fraction", 1.5, WINDOW, id="window-above-one"),
+        pytest.param("chunk_size", 0, "chunk_size must be >= 1", id="chunk-size-zero"),
+        pytest.param("filter2.M", 17, "filter2.M=17 exceeds scenario L=16", id="M-above-L"),
+        pytest.param("filter2.eps", 0.0, "filter2: eps must be > 0", id="unloaded-projection"),
+        # at M = 1 too: a single regressor's Gram may still be zero
+        pytest.param("filter2", {"M": 1, "mu": 0.5, "rho": 1e-3, "eps": 0.0, "proportionate": None},
+                     "filter2: eps must be > 0", id="unloaded-projection-M1"),
+        pytest.param("filter2.eps", 1e-15, "filter2: eps=1e-15 is below L*variance*2**-52=3.55e-15",
+                     id="loading-below-rounding-error"),
+        # FilterConfig and ProportionateConfig
+        pytest.param("filter2.mu", 2.0, "step size mu must lie in [0, 2)", id="mu-two"),
+        pytest.param("filter2.mu", -0.1, "step size mu must lie in [0, 2)", id="mu-negative"),
+        pytest.param("filter2.M", 0, "projection order M must be >= 1", id="M-zero"),
+        pytest.param("filter2.rho", -1e-6, FINITE_FILTER, id="rho-negative"),
+        # json writes NaN, and reads it back
+        pytest.param("filter2.rho", NAN, FINITE_FILTER, id="rho-nan"),
+        pytest.param("filter2.rho", INF, FINITE_FILTER, id="rho-inf"),
+        pytest.param("filter2.eps", INF, FINITE_FILTER, id="eps-inf"),
+        pytest.param("filter2.proportionate", {"rho_p": INF, "delta": 0.01}, FINITE_GAINS,
+                     id="rho_p-inf"),
+        pytest.param("filter2.proportionate", {"rho_p": 0.05, "delta": INF}, FINITE_GAINS,
+                     id="delta-inf"),
+        pytest.param("filter2.proportionate", {"rho_p": 0.05, "delta": 0.0}, FINITE_GAINS,
+                     id="delta-zero"),
+        # MixingConfig
+        pytest.param("mixing.mu_a", -1.0, "mu_a must be positive and finite", id="mu_a-negative"),
+        pytest.param("mixing.mu_a", INF, "mu_a must be positive and finite", id="mu_a-inf"),
+        pytest.param("mixing.a_plus", -4.0, "a_plus must be positive and finite",
+                     id="a_plus-negative"),
+        pytest.param("mixing.a_plus", INF, "a_plus must be positive and finite", id="a_plus-inf"),
+        pytest.param("mixing.a_plus", 40.0, "a_plus=40.0 rounds lambda to exactly 1",
+                     id="a_plus-lambda-one"),
+        pytest.param("mixing.a_plus", 1e-17, "a_plus=1e-17 rounds lambda to exactly 0.5",
+                     id="a_plus-lambda-one-half"),
+        pytest.param("mixing.a0", 5.0, "a0 outside [-a_plus, a_plus]", id="a0-outside-clip"),
+        # ScenarioDef, SegmentDef and SignalModel
+        pytest.param("scenario.L", 0, "filter length L=0 must be >= 1", id="L-zero"),
+        pytest.param("scenario.L", -5, "filter length L=-5 must be >= 1", id="L-negative"),
+        pytest.param("scenario.segments", [], "scenario needs at least one segment",
+                     id="no-segments"),
+        pytest.param("scenario.noise_variance", INF, NOISE, id="noise-variance-inf"),
+        pytest.param("scenario.noise_variance", NAN, NOISE, id="noise-variance-nan"),
+        pytest.param("scenario.noise_variance", -1e-3, NOISE, id="noise-variance-negative"),
+        pytest.param("scenario.seed", -1, "scenario seed must lie in [0, 2**128)",
+                     id="negative-scenario-seed"),
+        pytest.param("scenario.seed", 2**130, "scenario seed must lie in [0, 2**128)",
+                     id="scenario-seed-above-key-range"),
+        pytest.param("scenario.segments.0.K", 17, "segment 0: active tap count 17 exceeds L=16",
+                     id="K-above-L"),
+        pytest.param("scenario.segments.0.K", -1, "active tap count -1 is negative",
+                     id="K-negative"),
+        pytest.param("scenario.segments.1.duration", 0, "segment duration must be >= 1",
+                     id="empty-segment"),
+        pytest.param("scenario.segments.0.magnitude_rule", "huge", "unknown magnitude rule 'huge'",
+                     id="unknown-magnitude-rule"),
+        pytest.param("scenario.input.variance", 0.0, "input variance must be positive and finite",
+                     id="input-variance-zero"),
+        pytest.param("scenario.input.variance", INF, "input variance must be positive and finite",
+                     id="input-variance-inf"),
+        pytest.param("scenario.input.pole", 1.0, "input pole 1.0 must lie in (-1, 1)",
+                     id="pole-one"),
+        pytest.param("scenario.input.pole", -1.0, "input pole -1.0 must lie in (-1, 1)",
+                     id="pole-minus-one"),
+        pytest.param("scenario.input.pole", NAN, "input pole nan must lie in (-1, 1)",
+                     id="pole-nan"),
+        pytest.param("scenario.input.pole", INF, "input pole inf must lie in (-1, 1)",
+                     id="pole-inf"),
+    ])
+    def test_config_error_before_any_trial(self, path, value, message, tmp_path, capsys, no_run):
+        doc = edited(path, value)
+        with pytest.raises(ConfigError, match=re.escape(message) + "$") as exc_info:
             config_from_dict(doc)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
+        cfg_path = config_file(tmp_path, doc)
         for command in ("simulate", "predict"):
-            assert cli_main([command, "--config", str(cfg_path)]) == 2
-            assert "config error:" in capsys.readouterr().err
+            assert cli_main([command, "--config", cfg_path]) == 2
+            assert capsys.readouterr().err == f"config error: {exc_info.value}\n"
+
+    def test_values_at_the_edge_of_a_rule_load(self):
+        # lambda_of(a_plus) rounds to 1 above about 36.74, and to 0.5 below about 1e-16
+        for a_plus in (36.0, 1e-9):
+            config_from_dict(edited("mixing.a_plus", a_plus))
+        for M in (1, 2):  # the reference step functions take an unloaded projection
+            FilterConfig(M=M, mu=0.5, eps=0.0)
 
     def test_largest_seeds_run(self):
         cfg = tiny_config(runs=1, n=20, seed=2**128 - 1)

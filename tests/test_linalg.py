@@ -117,7 +117,8 @@ def spd_batch(rng, n, M, cond):
     lam = M * np.logspace(0, -np.log10(cond), M)
     eps = lam[0] / cond
     lam[-1] = 0.0 if M > 1 else lam[0]
-    return (Qm * lam) @ Qm.mT, eps
+    A = (Qm * lam) @ Qm.mT
+    return (A + A.mT) / 2, eps  # exactly symmetric, as invert_spd_batch requires
 
 
 def invert(A, eps):

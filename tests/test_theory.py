@@ -275,6 +275,16 @@ class TestLambdaInfinity:
         with pytest.raises(AnalysisViolation):
             lambda_infinity(1.0, 2.0, 1.1 * 2.0, 0.982)
 
+    @pytest.mark.parametrize("J1, J2, lam_plus, match", [
+        (-1.0, 2.0, 0.982, "EMSEs must be >= 0"),
+        (2.0, -1.0, 0.982, "EMSEs must be >= 0"),
+        (2.0, 2.0, 0.5, r"lam_plus must lie in \(0.5, 1\)"),
+        (2.0, 2.0, 1.0, r"lam_plus must lie in \(0.5, 1\)"),
+    ])
+    def test_rejects_negative_emse_and_clip_outside_its_range(self, J1, J2, lam_plus, match):
+        with pytest.raises(ValueError, match=match):
+            lambda_infinity(J1, J2, 0.0, lam_plus)
+
     @pytest.mark.parametrize("J", [0.0, 3.44e-4])
     def test_tie_is_no_violation(self, J):
         assert lambda_infinity(J, J, J, 0.982) == (0.982, "non_sparse")
@@ -286,6 +296,11 @@ class TestCombinedEmse:
     def test_endpoints(self):
         assert combined_emse_prediction(1.0, 3.0, 9.0, 1.0) == 3.0
         assert combined_emse_prediction(0.0, 3.0, 9.0, 1.0) == 9.0
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.1])
+    def test_rejects_lambda_outside_unit_interval(self, lam):
+        with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+            combined_emse_prediction(lam, 3.0, 9.0, 1.0)
 
     def test_stationary_point_beats_both_components(self):
         rng = np.random.default_rng(5)
