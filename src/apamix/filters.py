@@ -114,36 +114,37 @@ def push(buffer: RegressorBuffer, obs: Observation) -> RegressorBuffer:
     return RegressorBuffer(U=U, d=d)
 
 
-def _projection_update(w, U, d, mu, eps, gains=None):
-    e_vec = d - U.T @ w
-    if gains is None:
-        A = gram_matrix(U)
-        step = mu * (U @ solve_spd(A, e_vec, eps))
-    else:
-        GU = gains[:, None] * U
-        A = U.T @ GU
-        step = mu * (GU @ solve_spd(A, e_vec, eps))
-    return w + step
-
-
 def _check_finite(w: np.ndarray) -> np.ndarray:
     if not np.isfinite(w).all():
         raise DivergenceError("update produced non-finite weights")
     return w
 
 
+def _update(state: FilterState, buffer: RegressorBuffer, gains=None, attract=False) -> FilterState:
+    """The body of the three projection steps: the update over the buffered
+    window, reshaped by per-tap ``gains`` when given, then, if ``attract``,
+    the zero attractor -rho*sign(w) (sign(0) = 0) on the pre-update weights."""
+    cfg, w, U = state.config, state.w, buffer.U
+    e_vec = buffer.d - U.T @ w
+    if gains is None:
+        step = U @ solve_spd(gram_matrix(U), e_vec, cfg.eps)
+    else:
+        GU = gains[:, None] * U
+        step = GU @ solve_spd(U.T @ GU, e_vec, cfg.eps)
+    updated = w + cfg.mu * step
+    if attract:
+        updated = updated - cfg.rho * np.sign(w)
+    return replace(state, w=_check_finite(updated))
+
+
 def apa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:
     """Affine projection update over the buffered window."""
-    cfg = state.config
-    w = _projection_update(state.w, buffer.U, buffer.d, cfg.mu, cfg.eps)
-    return replace(state, w=_check_finite(w))
+    return _update(state, buffer)
 
 
 def za_apa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:
     """APA update plus the zero attractor -rho*sign(w) (sign(0) = 0) on the pre-update weights."""
-    cfg = state.config
-    attracted = apa_step(state, buffer).w - cfg.rho * np.sign(state.w)
-    return replace(state, w=_check_finite(attracted))
+    return _update(state, buffer, attract=True)
 
 
 def gain_matrix(w: np.ndarray, rho_p: float, delta: float) -> np.ndarray:
@@ -168,9 +169,7 @@ def za_papa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:
     if cfg.proportionate is None:
         raise ValueError("za_papa_step requires a proportionate config")
     g = gain_matrix(state.w, cfg.proportionate.rho_p, cfg.proportionate.delta)
-    w = _projection_update(state.w, buffer.U, buffer.d, cfg.mu, cfg.eps, gains=g)
-    w = w - cfg.rho * np.sign(state.w)
-    return replace(state, w=_check_finite(w))
+    return _update(state, buffer, gains=g, attract=True)
 
 
 def nlms_ocf_step(

@@ -25,12 +25,9 @@ from .errors import AnalysisViolation
 __all__ = [
     "TheoryInputs",
     "SteadyStatePrediction",
-    "beta_of",
-    "inv_r2_expectation",
     "apa_msd_per_tap",
     "zaapa_msd_active",
     "zaapa_msd_inactive",
-    "cross_msd_active",
     "cross_msd_inactive",
     "emse_from_msd",
     "rho_bound_global",
@@ -44,35 +41,16 @@ __all__ = [
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 
-def beta_of(p: float, M: int) -> float:
-    """Probability that a direction drawn with probability p per trial
-    appears at least once in M trials: 1 - (1-p)^M."""
-    if not 0 < p <= 1:
-        raise ValueError("p must lie in (0, 1]")
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    return 1.0 - (1.0 - p) ** M
-
-
-def inv_r2_expectation(L: int, input_variance: float = 1.0) -> float:
-    """E[1/||u||^2] for a white Gaussian length-L regressor.
-
-    ||u||^2 / variance is chi-square with L degrees of freedom, whose
-    reciprocal has mean 1/(L-2); defined for L >= 3.
-    """
-    if L < 3:
-        raise ValueError("analytic E[1/r^2] needs L >= 3")
-    if not 0 < input_variance < math.inf:
-        raise ValueError("input variance must be positive and finite")
-    return 1.0 / (input_variance * (L - 2))
-
-
 @dataclass(frozen=True)
 class TheoryInputs:
     """Operating point for the closed forms.
 
-    ``p``, ``beta`` and ``inv_r2`` are derived, at their white-input values:
-    p = 1/L, beta = 1-(1-p)^M and E[1/r^2] = 1/(variance*(L-2)).
+    ``p``, ``beta`` and ``inv_r2`` are derived, at their white-input values.
+    p = 1/L is the probability that one update selects a given direction,
+    and beta = 1-(1-p)^M that M updates select it at least once.
+    inv_r2 = E[1/||u||^2] = 1/(variance*(L-2)) for a white Gaussian
+    regressor: ||u||^2/variance is chi-square with L degrees of freedom,
+    whose reciprocal has mean 1/(L-2) for L >= 3.
     """
 
     L: int
@@ -95,10 +73,15 @@ class TheoryInputs:
             raise ValueError("rho must be finite and >= 0")
         if not 0 <= self.noise_variance < math.inf:
             raise ValueError("noise variance must be finite and >= 0")
-        # inv_r2 first: it rejects L < 3, before 1/L is taken
-        object.__setattr__(self, "inv_r2", inv_r2_expectation(self.L, self.input_variance))
+        if self.L < 3:
+            raise ValueError("analytic E[1/r^2] needs L >= 3")
+        if not 0 < self.input_variance < math.inf:
+            raise ValueError("input variance must be positive and finite")
+        if self.M < 1:
+            raise ValueError("M must be >= 1")
+        object.__setattr__(self, "inv_r2", 1.0 / (self.input_variance * (self.L - 2)))
         object.__setattr__(self, "p", 1.0 / self.L)
-        object.__setattr__(self, "beta", beta_of(self.p, self.M))
+        object.__setattr__(self, "beta", 1.0 - (1.0 - self.p) ** self.M)
 
 
 def apa_msd_per_tap(ti: TheoryInputs) -> float:
@@ -132,15 +115,6 @@ def zaapa_msd_inactive(ti: TheoryInputs) -> float:
     """Inactive-tap steady-state MSD of the zero-attracting filter (exact
     solution of the sign-nonlinearity fixed point, no small-rho truncation)."""
     return _zaapa_rms_inactive(ti) ** 2
-
-
-def cross_msd_active(ti: TheoryInputs) -> float:
-    """Active-tap steady-state cross deviation of the two filters.
-
-    The plain filter's mean deviation vanishes on active taps, so the
-    attractor correction drops out and the plain-filter value remains.
-    """
-    return apa_msd_per_tap(ti)
 
 
 def cross_msd_inactive(ti: TheoryInputs) -> float:
@@ -257,7 +231,6 @@ class SteadyStatePrediction:
     msd_apa: float
     msd_active: float
     msd_inactive: float
-    cross_active: float
     cross_inactive: float
     J1: float
     J2: float
@@ -274,17 +247,17 @@ def predict_steady_state(ti: TheoryInputs, lam_plus: float) -> SteadyStatePredic
     lam1 = apa_msd_per_tap(ti)
     msd_a = zaapa_msd_active(ti)
     msd_z = zaapa_msd_inactive(ti)
-    cr_a = cross_msd_active(ti)
     cr_z = cross_msd_inactive(ti)
     J1 = emse_from_msd(lam1, lam1, ti.K, ti.L, ti.input_variance)
     J2 = emse_from_msd(msd_a, msd_z, ti.K, ti.L, ti.input_variance)
-    J12 = emse_from_msd(cr_a, cr_z, ti.K, ti.L, ti.input_variance)
+    # the plain filter's mean deviation vanishes on active taps, so the
+    # attractor term drops out of their cross deviation: it is lam1
+    J12 = emse_from_msd(lam1, cr_z, ti.K, ti.L, ti.input_variance)
     lam_inf, regime = lambda_infinity(J1, J2, J12, lam_plus)
     return SteadyStatePrediction(
         msd_apa=lam1,
         msd_active=msd_a,
         msd_inactive=msd_z,
-        cross_active=cr_a,
         cross_inactive=cr_z,
         J1=J1,
         J2=J2,

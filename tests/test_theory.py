@@ -8,12 +8,9 @@ from apamix.errors import AnalysisViolation
 from apamix.theory import (
     TheoryInputs,
     apa_msd_per_tap,
-    beta_of,
     combined_emse_prediction,
-    cross_msd_active,
     cross_msd_inactive,
     emse_from_msd,
-    inv_r2_expectation,
     lambda_infinity,
     mean_weight_deviation,
     predict_steady_state,
@@ -40,38 +37,29 @@ def ti_desk(rho=0.0, K=4, **kw):
     return TheoryInputs(K=K, rho=rho, **base)
 
 
-class TestBetaOf:
-    def test_single_trial(self):
-        assert beta_of(0.37, 1) == pytest.approx(0.37, abs=1e-15)
-
-    def test_certain_selection(self):
-        assert beta_of(1.0, 5) == 1.0
+class TestBeta:
+    @pytest.mark.parametrize("L", [3, 64, 100, 256])
+    def test_single_update_selects_with_probability_p(self, L):
+        t = TheoryInputs(L=L, K=0, M=1, mu=0.5, rho=0.0, noise_variance=1e-3)
+        assert t.p == 1.0 / L
+        assert t.beta == pytest.approx(1.0 / L, abs=1e-15)
 
     def test_benchmark_value_vs_exact_fraction(self):
         exact = 1 - Fraction(255, 256) ** 8
-        assert beta_of(1.0 / 256.0, 8) == pytest.approx(float(exact), rel=1e-12)
-        assert beta_of(1.0 / 256.0, 8) == pytest.approx(0.0308260755, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            beta_of(0.0, 4)
-        with pytest.raises(ValueError):
-            beta_of(0.5, 0)
+        assert ti().beta == pytest.approx(float(exact), rel=1e-12)
+        assert ti().beta == pytest.approx(0.0308260755, abs=1e-9)
 
 
 class TestInvR2:
     def test_smallest_length(self):
-        assert inv_r2_expectation(3, 1.0) == pytest.approx(1.0, abs=1e-15)
+        t = TheoryInputs(L=3, K=0, M=1, mu=0.5, rho=0.0, noise_variance=1e-3)
+        assert t.inv_r2 == pytest.approx(1.0, abs=1e-15)
 
     def test_benchmark_length(self):
-        assert inv_r2_expectation(256, 1.0) == pytest.approx(1.0 / 254.0, rel=1e-14)
+        assert ti().inv_r2 == pytest.approx(1.0 / 254.0, rel=1e-14)
 
     def test_variance_scaling(self):
-        assert inv_r2_expectation(64, 2.0) == pytest.approx(inv_r2_expectation(64, 1.0) / 2, rel=1e-14)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            inv_r2_expectation(2, 1.0)
+        assert ti_desk(input_variance=2.0).inv_r2 == pytest.approx(ti_desk().inv_r2 / 2, rel=1e-14)
 
     def test_monte_carlo_cross_check(self):
         # chi-square reciprocal mean, estimated from 1e6 sliding windows of white input
@@ -79,7 +67,7 @@ class TestInvR2:
         x = np.random.Generator(np.random.Philox(0)).standard_normal(draws + L - 1)
         sq = np.concatenate([[0.0], np.cumsum(x * x)])
         est = np.mean(1.0 / (sq[L:] - sq[:-L]))
-        assert est == pytest.approx(1.0 / 254.0, rel=0.01)
+        assert est == pytest.approx(ti().inv_r2, rel=0.01)
 
 
 class TestApaMsd:
@@ -138,13 +126,15 @@ class TestZaapaMsdInactive:
 
 
 class TestCrossMsd:
-    def test_active_equals_apa_and_ignores_rho(self):
-        assert cross_msd_active(ti(rho=0.0)) == cross_msd_active(ti(rho=1e-4))
-        assert cross_msd_active(ti(rho=8e-6)) == apa_msd_per_tap(ti())
-
-    def test_active_unit_step(self):
-        t = ti(mu=1.0, rho=8e-6)
-        assert cross_msd_active(t) == pytest.approx(1e-3 * t.inv_r2, rel=1e-14)
+    @pytest.mark.parametrize("mu", [0.5, 1.0])
+    @pytest.mark.parametrize("rho", [0.0, 8e-6, 1e-4])
+    def test_active_cross_term_is_the_plain_msd(self, rho, mu):
+        # at K = L every tap is active, so J12 is J1 whatever rho
+        t = ti(rho=rho, K=256, mu=mu)
+        p = predict_steady_state(t, 0.982)
+        assert p.J12 == p.J1
+        if mu == 1.0:
+            assert p.J12 == pytest.approx(256 * 1e-3 * t.inv_r2, rel=1e-14)
 
     def test_inactive_zero_attractor_collapses(self):
         t = ti(rho=0.0)
@@ -162,7 +152,8 @@ class TestCrossMsd:
         for rho in np.geomspace(1e-7, 3e-4, 30):
             t = ti_desk(rho=float(rho))
             lam1 = apa_msd_per_tap(t)
-            assert cross_msd_active(t) <= math.sqrt(lam1 * zaapa_msd_active(t)) * (1 + 1e-12)
+            # an active tap's cross deviation is the plain value lam1
+            assert lam1 <= math.sqrt(lam1 * zaapa_msd_active(t)) * (1 + 1e-12)
             assert cross_msd_inactive(t) <= math.sqrt(lam1 * zaapa_msd_inactive(t)) * (1 + 1e-12)
 
 
@@ -389,9 +380,10 @@ class TestTheoryInputsValidation:
         with pytest.raises(ValueError):
             TheoryInputs(L=64, K=65, M=4, mu=0.5, rho=0.0, noise_variance=1e-3)
 
-    def test_too_few_taps(self):
-        with pytest.raises(ValueError):
-            TheoryInputs(L=0, K=0, M=1, mu=0.5, rho=0.0, noise_variance=1e-3)
+    @pytest.mark.parametrize("L", [0, 2])
+    def test_too_few_taps(self, L):
+        with pytest.raises(ValueError, match="needs L >= 3"):
+            TheoryInputs(L=L, K=0, M=1, mu=0.5, rho=0.0, noise_variance=1e-3)
 
     @pytest.mark.parametrize(
         "field, value, match",
@@ -403,6 +395,8 @@ class TestTheoryInputsValidation:
             ("noise_variance", float("inf"), "noise variance must be finite and >= 0"),
             ("input_variance", float("inf"), "input variance must be positive and finite"),
             ("input_variance", float("nan"), "input variance must be positive and finite"),
+            ("input_variance", 0.0, "input variance must be positive and finite"),
+            ("M", 0, "M must be >= 1"),
         ],
     )
     def test_non_finite_or_negative_input_names_its_field(self, field, value, match):

@@ -7,13 +7,14 @@ one traced memory peak per workload."""
 import importlib.util
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from apamix.harness import preset_paper_scenario
+from apamix.theory import SteadyStatePrediction
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,12 +69,15 @@ def test_digest_runs_print_equal_lines(capsys):
     assert outputs_digest.main(["desk-zaapa"]) == 0
     assert capsys.readouterr().out == first
     # two seeds of: 3 drawn systems, 6 curves, 3 segments of 11 fields, 4 trial records,
-    # then the curves and segments again at chunk_size=7; all of it again with
-    # the other second branch
-    per_branch = 3 + 6 + 3 * 11 + 4 + 6 + 3 * 11
+    # the curves and segments again at chunk_size=7, and 3 segments of 3 derived
+    # inputs and 12 closed forms; all of it again with the other second branch
+    per_branch = 3 + 6 + 3 * 11 + 4 + 6 + 3 * 11 + 3 * 15
     assert len(first.splitlines()) == 2 * 2 * per_branch
     names = [line.split()[2] for line in first.splitlines()]
     assert names[:3] == ["w_opt[0]", "w_opt[1]", "w_opt[2]"]
+    # every field of the prediction is digested
+    forms = ["p", "beta", "inv_r2"] + [f.name for f in fields(SteadyStatePrediction)]
+    assert names[per_branch - 15 : per_branch] == [f"theory[2].{n}" for n in forms]
     assert names[per_branch : 2 * per_branch] == ["other." + n for n in names[:per_branch]]
     assert (sys.dont_write_bytecode, sys.path) == (write_bytecode, path)
 

@@ -7,14 +7,17 @@ benchmark seeds 0 and 5, it prints one line per output array,
 ``workload seed name sha256``. The arrays are each segment's drawn system
 (``materialize().segments[k].w_opt``), every ``LearningCurves`` array,
 every ``SegmentStats`` field of each segment, the four records of
-``run_trial(cfg, 3)``, and the curves and segment fields again at
+``run_trial(cfg, 3)``, the curves and segment fields again at
 ``chunk_size=7`` (``chunk7.`` names), where a workload's 100 trials run as
-15 chunks, the last one of 2 trials. All of them are digested again with
-the other second branch (``other.`` names): zaapa for a zapapa workload
-and zapapa for a zaapa one, as the benchmark's oracle toggles it, so white
-input runs with gains and AR(1) input without. The digest covers each
-array's dtype, shape and bytes, so two trees whose outputs agree bit for
-bit print the same lines:
+15 chunks, the last one of 2 trials, and each segment's closed forms
+(``theory[k].`` names): the derived ``TheoryInputs`` fields and every
+``predict_steady_state`` field, at the operating point ``apamix predict``
+builds for that segment, whatever the input's pole. All of them are
+digested again with the other second branch (``other.`` names): zaapa for
+a zapapa workload and zapapa for a zaapa one, as the benchmark's oracle
+toggles it, so white input runs with gains and AR(1) input without. The
+digest covers each array's dtype, shape and bytes, so two trees whose
+outputs agree bit for bit print the same lines:
 
     python3 tools/outputs_digest.py > before.txt   # in one checkout
     python3 tools/outputs_digest.py > after.txt    # in the other
@@ -72,6 +75,27 @@ def outputs(cfg) -> dict[str, np.ndarray]:
     for f in fields(record):
         arrays[f"trial{TRIAL}.{f.name}"] = getattr(record, f.name)
     arrays.update(_curves(harness.run_experiment(replace(cfg, chunk_size=CHUNK)), f"chunk{CHUNK}."))
+    arrays.update(closed_forms(cfg))
+    return arrays
+
+
+def closed_forms(cfg) -> dict[str, np.ndarray]:
+    """Each segment's derived ``TheoryInputs`` fields and ``predict_steady_state``
+    fields, by name. The names are listed rather than read from the dataclass,
+    so that a tree which adds or drops a field prints the same lines for the rest."""
+    from apamix import theory
+    from apamix.combination import lambda_of
+
+    names = ("msd_apa", "msd_active", "msd_inactive", "cross_inactive", "J1", "J2", "J12",
+             "lam_inf", "regime", "J_combined", "rho_bound", "rho_bound_sparse")
+    sc, f2, arrays = cfg.scenario, cfg.filter2, {}
+    for k, seg in enumerate(sc.segments):
+        ti = theory.TheoryInputs(L=sc.L, K=seg.K, M=f2.M, mu=f2.mu, rho=f2.rho,
+                                 noise_variance=sc.noise_variance, input_variance=sc.input.variance)
+        pred = theory.predict_steady_state(ti, lambda_of(cfg.mixing.a_plus))
+        values = [(name, getattr(ti, name)) for name in ("p", "beta", "inv_r2")]
+        for name, value in values + [(name, getattr(pred, name)) for name in names]:
+            arrays[f"theory[{k}].{name}"] = np.asarray(np.nan if value is None else value)
     return arrays
 
 
