@@ -78,8 +78,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
-    model = cfg.scenario.input
-    if model.pole != 0:
+    if cfg.scenario.input.pole != 0:
         raise ConfigError("closed-form prediction is available for white input (pole 0) only")
     f2 = cfg.filter2
     if f2.proportionate is not None:
@@ -96,18 +95,9 @@ def cmd_predict(args) -> int:
         )
     lam_plus = lambda_of(cfg.mixing.a_plus)
     preds = []
-    for k, seg in enumerate(cfg.scenario.segments):
+    for k in range(len(cfg.scenario.segments)):
         try:
-            ti = theory.TheoryInputs(
-                L=cfg.scenario.L,
-                K=seg.K,
-                M=f2.M,
-                mu=f2.mu,
-                rho=f2.rho,
-                noise_variance=cfg.scenario.noise_variance,
-                input_variance=model.variance,
-            )
-            preds.append(theory.predict_steady_state(ti, lam_plus))
+            preds.append(theory.predict_steady_state(harness.theory_inputs(cfg, k), lam_plus))
         except ValueError as exc:  # outside the closed forms' domain
             raise ConfigError(f"segment {k}: {exc}") from exc
     print(f"{'seg':>3} {'K':>4} {'J1':>10} {'J2':>10} {'J12':>10} {'Jc':>10} "

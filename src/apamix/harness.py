@@ -115,6 +115,7 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "steady_state_stats",
+    "theory_inputs",
     "preset_paper_scenario",
     "sweep_rho",
     "read_config",
@@ -600,6 +601,9 @@ def steady_state_stats(
 # presets
 # ---------------------------------------------------------------------------
 
+# the paper's two scales: L, M, segment length, the K of each segment
+# (non-sparse, semi-sparse, then highly sparse) and the default runs
+_SCALES = {"full": (256, 8, 6000, (256, 80, 16), 1000), "desk": (64, 4, 4000, (64, 20, 4), 200)}
 _FULL_RHO = {"white": 8e-6, "ar1": 3e-5}
 
 
@@ -608,15 +612,13 @@ def default_eps(M: int) -> float:
     return 1e-4 * M
 
 
-def _desk_rho_scale() -> float:
-    """Ratio of the admissible attractor ranges of the desk and full sparse systems."""
-    desk = theory.rho_bound_global(
-        theory.TheoryInputs(L=64, K=4, M=4, mu=0.5, rho=0.0, noise_variance=1e-3)
-    )
-    full = theory.rho_bound_global(
-        theory.TheoryInputs(L=256, K=16, M=8, mu=0.5, rho=0.0, noise_variance=1e-3)
-    )
-    return desk / full
+def theory_inputs(config: ExperimentConfig, k: int) -> theory.TheoryInputs:
+    """The closed forms' operating point at segment ``k`` of ``config``: the
+    scenario's L and noise and input variances, the segment's K, and
+    ``filter2``'s M, mu and rho. The input's pole is not read."""
+    sc, f2 = config.scenario, config.filter2
+    return theory.TheoryInputs(L=sc.L, K=sc.segments[k].K, M=f2.M, mu=f2.mu, rho=f2.rho,
+                               noise_variance=sc.noise_variance, input_variance=sc.input.variance)
 
 
 def preset_paper_scenario(
@@ -629,39 +631,37 @@ def preset_paper_scenario(
     """Benchmark scenarios: a non-sparse, semi-sparse, then highly-sparse
     system identified over three consecutive segments.
 
-    ``full`` is the heavyweight protocol (256 taps, 6000-sample segments,
-    1000 runs); ``desk`` is a reduced version for quick runs and CI
-    (64 taps, 4000-sample segments, 200 runs) whose attractor strength is
-    rescaled by the ratio of the two scales' admissible-range bounds.
-    Both use the step size mu = 0.5.
+    ``full`` is the heavyweight protocol; ``desk`` is a reduced version for
+    quick runs and CI whose attractor strength is the full one's, scaled
+    by the ratio of the two scales' admissible-range bounds
+    (:func:`apamix.theory.rho_bound_global` at the sparsest segment). Both
+    use the step size mu = 0.5; ``_SCALES`` holds their shapes.
     """
-    if scale not in ("full", "desk"):
+    if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r}")
-    if input_kind not in ("white", "ar1"):
+    if input_kind not in _FULL_RHO:
         raise ValueError(f"unknown input kind {input_kind!r}")
     if filter2_kind not in ("zaapa", "zapapa"):
         raise ValueError(f"unknown filter2 kind {filter2_kind!r}")
-
     model = SignalModel(pole=0.8 if input_kind == "ar1" else 0.0)
-    if scale == "full":
-        L, M = 256, 8
-        segments = (SegmentDef(6000, 256), SegmentDef(6000, 80), SegmentDef(6000, 16))
-        rho = _FULL_RHO[input_kind]
-        n_runs = 1000 if runs is None else runs
-    else:
-        L, M = 64, 4
-        segments = (SegmentDef(4000, 64), SegmentDef(4000, 20), SegmentDef(4000, 4))
-        rho = _FULL_RHO[input_kind] * _desk_rho_scale()
-        n_runs = 200 if runs is None else runs
-
-    eps = default_eps(M)
     prop = ProportionateConfig() if filter2_kind == "zapapa" else None
-    return ExperimentConfig(
-        scenario=ScenarioDef(L=L, segments=segments, noise_variance=1e-3, input=model, seed=seed),
-        filter2=FilterConfig(M=M, mu=0.5, rho=rho, eps=eps, proportionate=prop),
-        mixing=MixingConfig(),
-        runs=n_runs,
-    )
+
+    def build(scale: str, rho: float) -> ExperimentConfig:
+        L, M, duration, ks, default_runs = _SCALES[scale]
+        return ExperimentConfig(
+            scenario=ScenarioDef(L=L, segments=tuple(SegmentDef(duration, K) for K in ks),
+                                 noise_variance=1e-3, input=model, seed=seed),
+            filter2=FilterConfig(M=M, mu=0.5, rho=rho, eps=default_eps(M), proportionate=prop),
+            mixing=MixingConfig(),
+            runs=default_runs if runs is None else runs,
+        )
+
+    rho = _FULL_RHO[input_kind]
+    if scale == "desk":  # the bound does not read rho; the last segment is the sparsest
+        desk, full = (theory.rho_bound_global(theory_inputs(build(s, rho), -1))
+                      for s in ("desk", "full"))
+        rho *= desk / full
+    return build(scale, rho)
 
 
 def sweep_rho(

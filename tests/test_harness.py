@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import apamix.harness as harness
 from apamix.cli import build_parser, main as cli_main
+from apamix.combination import lambda_of
 from apamix.errors import ConfigError, DivergenceError, NumericalError
 from apamix.filters import (
     FilterConfig,
@@ -40,6 +41,7 @@ from apamix.harness import (
     write_sweep,
 )
 from apamix.signals import ScenarioDef, SegmentDef, SignalModel, scenario_stream
+from apamix.theory import TheoryInputs, predict_steady_state, rho_bound_global
 
 
 def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
@@ -733,6 +735,17 @@ class TestPresets:
         assert [s.K for s in cfg.scenario.segments] == [256, 80, 16]
         assert cfg.runs == 1000
 
+    def test_desk_preset_fields(self):
+        cfg = preset_paper_scenario("desk", "white")
+        assert cfg.scenario.L == 64
+        assert cfg.filter2.M == 4
+        assert [s.duration for s in cfg.scenario.segments] == [4000, 4000, 4000]
+        assert [s.K for s in cfg.scenario.segments] == [64, 20, 4]
+        assert cfg.runs == 200
+        assert cfg.filter2.mu == 0.5
+        assert cfg.scenario.noise_variance == 1e-3
+        assert cfg.filter2.eps == 4e-4
+
     def test_full_preset_ar1(self):
         cfg = preset_paper_scenario("full", "ar1")
         assert cfg.scenario.input.pole == 0.8
@@ -754,6 +767,15 @@ class TestPresets:
     def test_zapapa_preset(self):
         cfg = preset_paper_scenario("desk", "white", filter2_kind="zapapa")
         assert cfg.filter2.proportionate is not None
+
+    def test_theory_inputs_read_the_segment_and_filter2(self):
+        cfg = tiny_config(L=16, M=2, rho=3e-4, mu=0.25, pole=0.8)
+        scenario = replace(cfg.scenario, noise_variance=2e-3,
+                           input=SignalModel(variance=1.5, pole=0.8))
+        cfg = replace(cfg, scenario=scenario)
+        for k, K in enumerate((16, 2)):
+            assert harness.theory_inputs(cfg, k) == TheoryInputs(
+                L=16, K=K, M=2, mu=0.25, rho=3e-4, noise_variance=2e-3, input_variance=1.5)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(scale="huge"), "unknown scale 'huge'"),
@@ -962,6 +984,19 @@ class TestCli:
         assert err == ("note: M=4 with mu=0.5 lies outside the closed forms' validated domain; "
                        "they do not model the sliding window's reuse of each regressor\n")
 
+    def test_predict_full_preset(self, capsys):
+        assert cli_main(["predict", "--preset", "paper-full"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ("note: M=8 with mu=0.5 lies outside the closed forms' validated domain; "
+                       "they do not model the sliding window's reuse of each regressor\n")
+        rows = [line.split() for line in out.splitlines()[1:]]
+        rho = preset_paper_scenario("full").filter2.rho
+        assert [row[:2] for row in rows] == [["0", "256"], ["1", "80"], ["2", "16"]]
+        for row, K in zip(rows, (256, 80, 16)):
+            ti = TheoryInputs(L=256, K=K, M=8, mu=0.5, rho=rho, noise_variance=1e-3)
+            pred = predict_steady_state(ti, lambda_of(MixingConfig().a_plus))
+            assert row[2:5] == [f"{pred.J1:.3e}", f"{pred.J2:.3e}", f"{pred.J12:.3e}"]
+
     def test_predict_notes_nothing_inside_the_validated_domain(self, tmp_path, capsys):
         assert cli_main(["predict", "--config", config_file(tmp_path, tiny_config(M=1))]) == 0
         out, err = capsys.readouterr()
@@ -1155,8 +1190,6 @@ class TestAdmissibleRangeBracketing:
         # simulate the sparse desk system at half and twice the closed-form
         # admissible bound: the zero-attracting branch must beat the plain
         # branch below the bound and lose above it
-        from apamix.theory import TheoryInputs, rho_bound_global
-
         bound = rho_bound_global(
             TheoryInputs(L=64, K=4, M=4, mu=0.5, rho=0.0, noise_variance=1e-3)
         )

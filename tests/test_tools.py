@@ -70,15 +70,20 @@ def test_digest_runs_print_equal_lines(capsys):
     assert capsys.readouterr().out == first
     # two seeds of: 3 drawn systems, 6 curves, 3 segments of 11 fields, 4 trial records,
     # the curves and segments again at chunk_size=7, and 3 segments of 3 derived
-    # inputs and 12 closed forms; all of it again with the other second branch
+    # inputs and 12 closed forms; all of it again with the other second branch;
+    # then one line per preset
     per_branch = 3 + 6 + 3 * 11 + 4 + 6 + 3 * 11 + 3 * 15
-    assert len(first.splitlines()) == 2 * 2 * per_branch
+    assert len(first.splitlines()) == 2 * 2 * per_branch + 8
     names = [line.split()[2] for line in first.splitlines()]
     assert names[:3] == ["w_opt[0]", "w_opt[1]", "w_opt[2]"]
     # every field of the prediction is digested
     forms = ["p", "beta", "inv_r2"] + [f.name for f in fields(SteadyStatePrediction)]
     assert names[per_branch - 15 : per_branch] == [f"theory[2].{n}" for n in forms]
     assert names[per_branch : 2 * per_branch] == ["other." + n for n in names[:per_branch]]
+    presets = [f"{scale}-{kind}-{branch}" for scale in ("desk", "full")
+               for kind in ("white", "ar1") for branch in ("zaapa", "zapapa")]
+    assert [line.split()[:3] for line in first.splitlines()[-8:]] == [
+        ["preset", p, "config"] for p in presets]
     assert (sys.dont_write_bytecode, sys.path) == (write_bytecode, path)
 
 

@@ -11,13 +11,18 @@ every ``SegmentStats`` field of each segment, the four records of
 ``chunk_size=7`` (``chunk7.`` names), where a workload's 100 trials run as
 15 chunks, the last one of 2 trials, and each segment's closed forms
 (``theory[k].`` names): the derived ``TheoryInputs`` fields and every
-``predict_steady_state`` field, at the operating point ``apamix predict``
-builds for that segment, whatever the input's pole. All of them are
-digested again with the other second branch (``other.`` names): zaapa for
-a zapapa workload and zapapa for a zaapa one, as the benchmark's oracle
-toggles it, so white input runs with gains and AR(1) input without. The
-digest covers each array's dtype, shape and bytes, so two trees whose
-outputs agree bit for bit print the same lines:
+``predict_steady_state`` field, at ``harness.theory_inputs`` of that
+segment (the operating point of ``apamix predict``), whatever the input's
+pole. All of them are digested again with the other second branch
+(``other.`` names): zaapa for a zapapa workload and zapapa for a zaapa
+one, as the benchmark's oracle toggles it, so white input runs with gains
+and AR(1) input without. The digest covers each array's dtype, shape and
+bytes. After the workloads it
+prints one line per preset of ``harness.preset_paper_scenario`` (each
+scale, input kind and second branch, at the default runs and seed),
+``preset scale-input-filter2 config sha256``, the digest of the preset's
+``config_to_dict`` JSON with sorted keys. Two trees whose outputs and
+presets agree bit for bit print the same lines:
 
     python3 tools/outputs_digest.py > before.txt   # in one checkout
     python3 tools/outputs_digest.py > after.txt    # in the other
@@ -31,6 +36,8 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import itertools
+import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -83,15 +90,14 @@ def closed_forms(cfg) -> dict[str, np.ndarray]:
     """Each segment's derived ``TheoryInputs`` fields and ``predict_steady_state``
     fields, by name. The names are listed rather than read from the dataclass,
     so that a tree which adds or drops a field prints the same lines for the rest."""
-    from apamix import theory
+    from apamix import harness, theory
     from apamix.combination import lambda_of
 
     names = ("msd_apa", "msd_active", "msd_inactive", "cross_inactive", "J1", "J2", "J12",
              "lam_inf", "regime", "J_combined", "rho_bound", "rho_bound_sparse")
-    sc, f2, arrays = cfg.scenario, cfg.filter2, {}
-    for k, seg in enumerate(sc.segments):
-        ti = theory.TheoryInputs(L=sc.L, K=seg.K, M=f2.M, mu=f2.mu, rho=f2.rho,
-                                 noise_variance=sc.noise_variance, input_variance=sc.input.variance)
+    arrays = {}
+    for k in range(len(cfg.scenario.segments)):
+        ti = harness.theory_inputs(cfg, k)
         pred = theory.predict_steady_state(ti, lambda_of(cfg.mixing.a_plus))
         values = [(name, getattr(ti, name)) for name in ("p", "beta", "inv_r2")]
         for name, value in values + [(name, getattr(pred, name)) for name in names]:
@@ -109,6 +115,18 @@ def lines(label: str, arrays: dict[str, np.ndarray]) -> list[str]:
     return [f"{label} {name} {digest(a)}" for name, a in arrays.items()]
 
 
+def presets() -> list[str]:
+    """One line per preset: the sha256 of its canonical ``config_to_dict`` JSON."""
+    from apamix import harness
+
+    out = []
+    for kinds in itertools.product(("desk", "full"), ("white", "ar1"), ("zaapa", "zapapa")):
+        text = json.dumps(harness.config_to_dict(harness.preset_paper_scenario(*kinds)),
+                          sort_keys=True)
+        out.append(f"preset {'-'.join(kinds)} config {hashlib.sha256(text.encode()).hexdigest()}")
+    return out
+
+
 def main(argv: list[str]) -> int:
     wl = _workloads()
     for name in argv or list(wl.WORKLOADS):
@@ -117,6 +135,7 @@ def main(argv: list[str]) -> int:
             arrays = outputs(cfg)
             arrays.update((f"other.{key}", a) for key, a in outputs(wl._other_branch(cfg)).items())
             print("\n".join(lines(f"{name} {seed}", arrays)), flush=True)
+    print("\n".join(presets()), flush=True)
     return 0
 
 
