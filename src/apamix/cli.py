@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, theory
-from .combination import lambda_of
+from .combination import A_PLUS, lambda_of
 from .errors import ConfigError, DivergenceError, NumericalError
 
 
@@ -93,7 +93,7 @@ def cmd_predict(args) -> int:
             "they do not model the sliding window's reuse of each regressor",
             file=sys.stderr,
         )
-    lam_plus = lambda_of(cfg.mixing.a_plus)
+    lam_plus = lambda_of(A_PLUS)
     preds = []
     for k in range(len(cfg.scenario.segments)):
         try:

@@ -1,9 +1,9 @@
 """Adaptive convex mixing of two filter outputs.
 
 The mixing weight lam = sigmoid(a) is driven by a stochastic gradient step
-on the combined squared output error; a is clipped to [-a_plus, a_plus] so
-lam never saturates to exactly 0 or 1 and can always move back, for every
-a_plus that :class:`apamix.harness.MixingConfig` accepts.
+on the combined squared output error; a starts at 0 and is clipped to
+[-a_plus, a_plus] so lam never saturates to exactly 0 or 1 and can always
+move back. Every run uses one setting, :data:`MU_A` and :data:`A_PLUS`.
 :func:`lambda_of` and :func:`mixing_step` work elementwise on arrays, so the
 per-sample reference (:func:`update_a`) and the vectorized Monte-Carlo
 engine share one implementation of the rule.
@@ -16,10 +16,15 @@ import math
 import numpy as np
 
 __all__ = [
+    "MU_A",
+    "A_PLUS",
     "lambda_of",
     "mixing_step",
     "update_a",
 ]
+
+MU_A = 100.0  # the mixing variable's step size
+A_PLUS = 4.0  # its clip: lam stays in [0.018, 0.982]
 
 
 def lambda_of(a):

@@ -1,12 +1,14 @@
 """Monte-Carlo experiment runner, EMSE estimation, presets, and persistence.
 
-Trials are independent: trial t draws its input and noise from
-:class:`apamix.signals.TrialStream` on the scenario's seed and t alone (the
-counter-based stream ``seed XOR t``), so results do not depend on how
-trials are scheduled. For speed the engine simulates trials in fixed-size
-chunks, vectorizing the per-sample algebra across the chunk; chunk
-boundaries (and therefore all floating-point reduction orders) are a
-function of ``chunk_size`` alone, never of the worker count.
+Trial t draws its input and noise from :class:`apamix.signals.TrialStream`
+on the scenario's seed and t alone (the counter-based stream
+``seed XOR t``), so results do not depend on how trials are scheduled. The
+keys overlap: segment j's system is drawn from trial j+1's key, and seeds
+s and s XOR 1 draw the same trials, with t and t XOR 1 swapped. For speed
+the engine simulates trials in fixed-size chunks, vectorizing the
+per-sample algebra across the chunk; chunk boundaries (and therefore all
+floating-point reduction orders) are a function of ``chunk_size`` alone,
+never of the worker count.
 
 A chunk walks the horizon in nested loops: over the segments, each of
 which fixes the true system and the steady-state window; over each
@@ -76,14 +78,14 @@ import csv
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from itertools import repeat
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import theory
-from .combination import lambda_of, mixing_step, update_a
+from .combination import A_PLUS, MU_A, lambda_of, mixing_step, update_a
 from .errors import ConfigError, DivergenceError, NumericalError
 from .linalg import invert_spd_batch
 from .filters import (
@@ -106,7 +108,6 @@ from .signals import (
 )
 
 __all__ = [
-    "MixingConfig",
     "ExperimentConfig",
     "TrialRecord",
     "SegmentStats",
@@ -129,24 +130,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MixingConfig:
-    mu_a: float = 100.0
-    a_plus: float = 4.0
-    a0: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.a_plus < math.inf:
-            raise ValueError("a_plus must be positive and finite")
-        # lambda lies in [1 - lam, lam]: at 0.5 it cannot move, at 1 the mixing step is 0
-        if not 0.5 < (lam := lambda_of(self.a_plus)) < 1:
-            raise ValueError(f"a_plus={self.a_plus} rounds lambda to exactly {lam:g}")
-        if not 0 < self.mu_a < math.inf:
-            raise ValueError("mu_a must be positive and finite")
-        if not -self.a_plus <= self.a0 <= self.a_plus:
-            raise ValueError("a0 outside [-a_plus, a_plus]")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one Monte-Carlo experiment needs.
 
@@ -159,7 +142,6 @@ class ExperimentConfig:
 
     scenario: ScenarioDef
     filter2: FilterConfig
-    mixing: MixingConfig = field(default_factory=MixingConfig, kw_only=True)
     runs: int
     steady_window_fraction: float = 0.1
     chunk_size: int = 100
@@ -262,8 +244,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     n = scenario.n_samples
     state1 = FilterState.zeros(config.filter1, scenario.L)
     state2 = FilterState.zeros(config.filter2, scenario.L)
-    mixing = config.mixing
-    a = mixing.a0
+    a = 0.0
     buf = RegressorBuffer.zeros(scenario.L, config.filter2.M)
     step2 = za_papa_step if config.filter2.proportionate is not None else za_apa_step
 
@@ -278,7 +259,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         lam[i] = lam_i = lambda_of(a)
         ea[i] = lam_i * ea1[i] + (1.0 - lam_i) * ea2[i]
         e = obs.d - (lam_i * y1 + (1.0 - lam_i) * y2)
-        a = update_a(a, e, y1, y2, mixing.mu_a, mixing.a_plus)
+        a = update_a(a, e, y1, y2, MU_A, A_PLUS)
         try:
             state1 = apa_step(state1, buf)
             state2 = step2(state2, buf)
@@ -352,7 +333,6 @@ def _simulate_chunk(
     f2 = config.filter2
     M = f2.M
     prop = f2.proportionate
-    mixing = config.mixing
 
     bounds = scenario.boundaries
     n_seg = len(scenario.segments)
@@ -393,7 +373,7 @@ def _simulate_chunk(
     W = np.zeros((2, R, L))  # W[0], W[1]: the weights of branch 1 and branch 2
     step = np.empty((2, R, L))  # scratch: a weight update or deviation of both branches
     attractor = np.empty((R, L))  # also scratch for products of deviations
-    a = np.full(R, mixing.a0)
+    a = np.zeros(R)
 
     # The current sub-block's records by sample and trial (ea1, ea2, lam, and
     # a scratch row for their products), reduced into ``sums`` when it ends;
@@ -447,7 +427,7 @@ def _simulate_chunk(
                         devs[2:4] += np.square(dev, out=dev).sum(axis=1)
 
                     e_comb = d - (lam * y1 + (1.0 - lam) * y2)
-                    a = mixing_step(a, lam, e_comb, y1, y2, mixing.mu_a, mixing.a_plus)
+                    a = mixing_step(a, lam, e_comb, y1, y2, MU_A, A_PLUS)
 
                     E = Dw[..., None] - Y  # (R, M, 2) error vectors by slot
                     np.sign(W[1], out=attractor)
@@ -520,10 +500,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> LearningCurves
     pool, run = nullcontext(), map
     if workers > 1 and len(chunks) > 1:
         # imported here: only a multi-worker run needs the pool, and its
-        # modules cost every start-up about 20 ms
+        # modules cost every start-up about 20 ms. A forking pool starts all
+        # its workers at the first submit, so it gets no more than the chunks.
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(chunks)))
         run = pool.map
     with pool:  # add each chunk's sums into the total as the chunk comes
         results = run(_simulate_chunk, repeat(config), repeat(scenario), chunks)
@@ -652,7 +633,6 @@ def preset_paper_scenario(
             scenario=ScenarioDef(L=L, segments=tuple(SegmentDef(duration, K) for K in ks),
                                  noise_variance=1e-3, input=model, seed=seed),
             filter2=FilterConfig(M=M, mu=0.5, rho=rho, eps=default_eps(M), proportionate=prop),
-            mixing=MixingConfig(),
             runs=default_runs if runs is None else runs,
         )
 
@@ -721,7 +701,7 @@ def _read(hint, value, path: str):
     for f in fields(hint):
         if f.name in value:
             kwargs[f.name] = _read(hints[f.name], value[f.name], f"{path}.{f.name}")
-        elif f.default is MISSING and f.default_factory is MISSING:
+        elif f.default is MISSING:
             raise ConfigError(f"missing field {f.name!r} in {path}")
     return hint(**kwargs)
 

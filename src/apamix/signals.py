@@ -6,9 +6,11 @@ Observations are produced by sliding an L-sample window over the input
 stream (zero-padded before t=0) and adding white Gaussian observation noise.
 
 Trial streams are driven by the counter-based Philox generator so that
-Monte-Carlo trials get independent, reproducible streams from
-``seed XOR trial_index`` alone. The scenario's seed is the experiment's
-only one: it also keys segment j's system (``seed XOR (j+1)``). An input
+Monte-Carlo trials get reproducible streams from ``seed XOR trial_index``
+alone. The scenario's seed is the experiment's only one: it also keys
+segment j's system (``seed XOR (j+1)``), trial j+1's key. The keys
+overlap: seeds s and s XOR 1 draw the same trial streams, with trials t
+and t XOR 1 swapped. An input
 model holds no seed of its own; the scenario carries the model and the
 seed, and :class:`TrialStream` alone lays out a trial's draws, which read
 no system: its input is the first n draws of the trial's generator, and its
@@ -100,7 +102,8 @@ class ScenarioDef:
     ``seed`` is the experiment's only seed. Segment systems are drawn
     deterministically from it: segment j uses the stream ``seed XOR (j+1)``,
     so a definition always materializes to the same scenario. Trial t's
-    input and noise use the stream ``seed XOR t`` (:class:`TrialStream`).
+    input and noise use the stream ``seed XOR t`` (:class:`TrialStream`),
+    so segment j's key is trial j+1's.
     """
 
     L: int

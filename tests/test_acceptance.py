@@ -25,7 +25,6 @@ from apamix.filters import (
 )
 from apamix.harness import (
     ExperimentConfig,
-    MixingConfig,
     default_eps,
     preset_paper_scenario,
     run_experiment,
@@ -74,7 +73,6 @@ def sparse_static_config(rho, runs=200, seed=33, filter2_kind="zaapa"):
             seed=seed,
         ),
         filter2=FilterConfig(M=4, mu=0.5, rho=rho, eps=eps, proportionate=prop),
-        mixing=MixingConfig(),
         runs=runs,
     )
 

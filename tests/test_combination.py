@@ -4,9 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from apamix.combination import lambda_of, mixing_step, update_a
+from apamix.combination import A_PLUS, MU_A, lambda_of, mixing_step, update_a
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+
+
+class TestMixingSettings:
+    # lambda lies in [1 - lam, lam] for lam = lambda_of(A_PLUS): were lam to
+    # round to 0.5, lambda could not move; at 1, the mixing step is exactly 0
+
+    def test_mu_a_is_positive_and_finite(self):
+        assert 0 < MU_A < math.inf
+
+    def test_a_plus_is_positive_and_finite(self):
+        assert 0 < A_PLUS < math.inf
+
+    def test_lambda_at_the_clip_stays_below_one(self):
+        assert lambda_of(A_PLUS) < 1
+        assert lambda_of(-A_PLUS) > 0
+
+    def test_lambda_at_the_clip_stays_above_one_half(self):
+        assert lambda_of(A_PLUS) > 0.5
+        assert lambda_of(-A_PLUS) < 0.5
 
 
 class TestLambdaOf:
@@ -17,6 +36,13 @@ class TestLambdaOf:
         # direct evaluation of 1/(1+e^-4)
         assert lambda_of(4.0) == pytest.approx(1.0 / (1.0 + math.exp(-4.0)), rel=1e-15)
         assert lambda_of(4.0) == pytest.approx(0.98201379, abs=1e-8)
+
+    def test_rounds_to_its_limits_only_outside_the_usable_clips(self):
+        # a clip a_plus is usable only where 0.5 < lambda_of(a_plus) < 1
+        for a_plus in (1e-9, 36.0):
+            assert 0.5 < lambda_of(a_plus) < 1
+        assert lambda_of(1e-17) == 0.5
+        assert lambda_of(40.0) == 1.0
 
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     def test_antisymmetry(self, a):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import apamix.harness as harness
 from apamix.cli import build_parser, main as cli_main
-from apamix.combination import lambda_of
+from apamix.combination import A_PLUS, lambda_of
 from apamix.errors import ConfigError, DivergenceError, NumericalError
 from apamix.filters import (
     FilterConfig,
@@ -26,7 +27,6 @@ from apamix.filters import (
 )
 from apamix.harness import (
     ExperimentConfig,
-    MixingConfig,
     config_from_dict,
     config_to_dict,
     preset_paper_scenario,
@@ -59,7 +59,6 @@ def tiny_config(L=16, M=2, n=250, runs=3, rho=1e-3, proportionate=None, seed=5,
             seed=seed,
         ),
         filter2=FilterConfig(M=M, mu=mu, rho=rho, eps=eps, proportionate=proportionate),
-        mixing=MixingConfig(),
         runs=runs,
         chunk_size=2,
     )
@@ -265,6 +264,34 @@ class TestDeterminism:
         for runs, workers in ((6, 3), (10, 2)):
             cfg = replace(tiny_config(runs=runs), chunk_size=2)
             assert_same_curves(run_experiment(cfg, workers=workers), run_experiment(cfg))
+
+    def test_pool_gets_no_more_workers_than_chunks(self, monkeypatch):
+        # a forking pool starts every worker at its first submit, so a pool
+        # sized by ``workers`` alone would fork 64 processes for two chunks
+        sizes = []
+
+        class InProcessPool:  # starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = replace(tiny_config(runs=4), chunk_size=2)
+        assert_same_curves(run_experiment(cfg, workers=64), run_experiment(cfg, workers=1))
+        assert sizes == [2]
+
+    def test_mixing_variable_starts_at_zero(self):
+        # a(0) = 0, inside the clip: both paths mix the branches half and half first
+        cfg = tiny_config(runs=3)
+        assert run_trial(cfg, 0).lam[0] == 0.5
+        assert run_experiment(cfg).lam[0] == 0.5
 
     def test_rerun_is_bit_identical(self):
         cfg = tiny_config(runs=4)
@@ -797,7 +824,6 @@ def experiment_configs(draw):
     segments = st.builds(
         SegmentDef, st.integers(1, 10**5), st.integers(0, L), st.sampled_from(["random", "unit"])
     )
-    a_plus = draw(st.floats(1e-9, 36))  # above ~36.74, lambda_of(a_plus) rounds to 1
     return ExperimentConfig(
         scenario=ScenarioDef(
             L=L,
@@ -813,7 +839,6 @@ def experiment_configs(draw):
             eps=draw(positive),
             proportionate=draw(st.none() | st.builds(ProportionateConfig, positive, positive)),
         ),
-        mixing=MixingConfig(mu_a=draw(positive), a_plus=a_plus, a0=draw(st.floats(-a_plus, a_plus))),
         runs=draw(st.integers(1, 10**6)),
         steady_window_fraction=draw(st.floats(0, 1, exclude_min=True)),
         chunk_size=draw(st.integers(1, 1000)),
@@ -873,7 +898,6 @@ class TestPersistence:
                 "seed": None,
             },
             "filter2": {**filt, "proportionate": {"rho_p": None, "delta": None}},
-            "mixing": {"mu_a": None, "a_plus": None, "a0": None},
             "runs": None,
             "steady_window_fraction": None,
             "chunk_size": None,
@@ -994,7 +1018,7 @@ class TestCli:
         assert [row[:2] for row in rows] == [["0", "256"], ["1", "80"], ["2", "16"]]
         for row, K in zip(rows, (256, 80, 16)):
             ti = TheoryInputs(L=256, K=K, M=8, mu=0.5, rho=rho, noise_variance=1e-3)
-            pred = predict_steady_state(ti, lambda_of(MixingConfig().a_plus))
+            pred = predict_steady_state(ti, lambda_of(A_PLUS))
             assert row[2:5] == [f"{pred.J1:.3e}", f"{pred.J2:.3e}", f"{pred.J12:.3e}"]
 
     def test_predict_notes_nothing_inside_the_validated_domain(self, tmp_path, capsys):
@@ -1178,7 +1202,6 @@ class TestStabilityAndConvergedStart:
                 seed=11,
             ),
             filter2=FilterConfig(M=M, mu=mu, rho=1e-4, eps=eps),
-            mixing=MixingConfig(),
             runs=1,
         )
         curves = run_experiment(cfg)  # any divergence would raise
@@ -1205,7 +1228,6 @@ class TestAdmissibleRangeBracketing:
                     seed=44,
                 ),
                 filter2=FilterConfig(M=4, mu=0.5, rho=rho, eps=eps),
-                mixing=MixingConfig(),
                 runs=80,
             )
             curves = run_experiment(cfg)
@@ -1363,6 +1385,8 @@ class TestBadConfigRejectedAtLoad:
         pytest.param("filter1", {"M": 2, "mu": 0.5, "eps": 2e-4}, "unknown key 'filter1' in config",
                      id="old-format-filter1"),
         pytest.param("seed", 5, "unknown key 'seed' in config", id="old-format-seed"),
+        pytest.param("mixing", {"mu_a": 100.0, "a_plus": 4.0, "a0": 0.0},
+                     "unknown key 'mixing' in config", id="old-format-mixing"),
         pytest.param("scenario.input.seed", 5, "unknown key 'seed' in config.scenario.input",
                      id="implied-input-seed"),
         pytest.param("scenario.input.kind", "white", "unknown key 'kind' in config.scenario.input",
@@ -1420,17 +1444,6 @@ class TestBadConfigRejectedAtLoad:
                      id="delta-inf"),
         pytest.param("filter2.proportionate", {"rho_p": 0.05, "delta": 0.0}, FINITE_GAINS,
                      id="delta-zero"),
-        # MixingConfig
-        pytest.param("mixing.mu_a", -1.0, "mu_a must be positive and finite", id="mu_a-negative"),
-        pytest.param("mixing.mu_a", INF, "mu_a must be positive and finite", id="mu_a-inf"),
-        pytest.param("mixing.a_plus", -4.0, "a_plus must be positive and finite",
-                     id="a_plus-negative"),
-        pytest.param("mixing.a_plus", INF, "a_plus must be positive and finite", id="a_plus-inf"),
-        pytest.param("mixing.a_plus", 40.0, "a_plus=40.0 rounds lambda to exactly 1",
-                     id="a_plus-lambda-one"),
-        pytest.param("mixing.a_plus", 1e-17, "a_plus=1e-17 rounds lambda to exactly 0.5",
-                     id="a_plus-lambda-one-half"),
-        pytest.param("mixing.a0", 5.0, "a0 outside [-a_plus, a_plus]", id="a0-outside-clip"),
         # ScenarioDef, SegmentDef and SignalModel
         pytest.param("scenario.L", 0, "filter length L=0 must be >= 1", id="L-zero"),
         pytest.param("scenario.L", -5, "filter length L=-5 must be >= 1", id="L-negative"),
@@ -1474,9 +1487,6 @@ class TestBadConfigRejectedAtLoad:
             assert capsys.readouterr().err == f"config error: {exc_info.value}\n"
 
     def test_values_at_the_edge_of_a_rule_load(self):
-        # lambda_of(a_plus) rounds to 1 above about 36.74, and to 0.5 below about 1e-16
-        for a_plus in (36.0, 1e-9):
-            config_from_dict(edited("mixing.a_plus", a_plus))
         for M in (1, 2):  # the reference step functions take an unloaded projection
             FilterConfig(M=M, mu=0.5, eps=0.0)
 
