@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, theory
-from .combination import A_PLUS, lambda_of
 from .errors import ConfigError, DivergenceError, NumericalError
 
 
@@ -93,11 +92,10 @@ def cmd_predict(args) -> int:
             "they do not model the sliding window's reuse of each regressor",
             file=sys.stderr,
         )
-    lam_plus = lambda_of(A_PLUS)
     preds = []
     for k in range(len(cfg.scenario.segments)):
         try:
-            preds.append(theory.predict_steady_state(harness.theory_inputs(cfg, k), lam_plus))
+            preds.append(theory.predict_steady_state(harness.theory_inputs(cfg, k)))
         except ValueError as exc:  # outside the closed forms' domain
             raise ConfigError(f"segment {k}: {exc}") from exc
     print(f"{'seg':>3} {'K':>4} {'J1':>10} {'J2':>10} {'J12':>10} {'Jc':>10} "
@@ -190,6 +188,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:  # e.g. a Gram that is not positive definite
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an --out write, e.g. on a full disk; a config's is a ConfigError
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ equivalence oracle.
 These are the reference per-sample implementations; the Monte-Carlo
 engine in :mod:`apamix.harness` vectorizes the same arithmetic across
 trials and is tested against this module. :func:`gain_matrix` takes a
-batch of weight vectors, and the engine calls it directly.
+batch of weight vectors, and the engine calls it directly. Every
+proportionate filter uses one setting of the gains, :data:`RHO_P` and
+:data:`DELTA`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .linalg import gram_matrix, solve_spd
 from .signals import Observation
 
 __all__ = [
+    "RHO_P",
+    "DELTA",
     "ProportionateConfig",
     "FilterConfig",
     "FilterState",
@@ -37,17 +41,13 @@ __all__ = [
 # regressor's are treated as zero and their correction factor is skipped.
 OCF_SKIP_REL = 1e-12
 
+RHO_P = 0.05  # the gains' activation floor, a fraction of the largest tap
+DELTA = 0.01  # stands in for the largest tap while every tap lies below it
+
 
 @dataclass(frozen=True)
 class ProportionateConfig:
-    """Gain-matrix constants: activation floor rho_p and startup delta."""
-
-    rho_p: float = 0.05
-    delta: float = 0.01
-
-    def __post_init__(self):
-        if not (0 < self.rho_p < math.inf and 0 < self.delta < math.inf):
-            raise ValueError("rho_p and delta must be positive and finite")
+    """Marks a proportionate filter; its gains' settings are :data:`RHO_P` and :data:`DELTA`."""
 
 
 @dataclass(frozen=True)
@@ -147,29 +147,25 @@ def za_apa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:
     return _update(state, buffer, attract=True)
 
 
-def gain_matrix(w: np.ndarray, rho_p: float, delta: float) -> np.ndarray:
+def gain_matrix(w: np.ndarray) -> np.ndarray:
     """Diagonal of the proportionate gain matrix, normalized to mean 1.
 
-    Each tap's raw gain is its magnitude floored at rho_p times the
-    largest magnitude (or delta at startup, when all taps are ~0), so no
-    tap's update ever stalls completely. Taps lie along the last axis;
-    leading axes are a batch of independent weight vectors.
+    Each tap's raw gain is its magnitude floored at :data:`RHO_P` times the
+    largest magnitude, or times :data:`DELTA` while every tap lies below it
+    (at startup), so no tap's update ever stalls completely. Taps lie along
+    the last axis; leading axes are a batch of independent weight vectors.
     """
-    if not (rho_p > 0 and delta > 0):
-        raise ValueError("rho_p and delta must be positive")
     mags = np.abs(np.asarray(w, dtype=float))
-    gamma_min = np.maximum(delta, mags.max(axis=-1, keepdims=True))
-    gamma = np.maximum(rho_p * gamma_min, mags)
+    gamma_min = np.maximum(DELTA, mags.max(axis=-1, keepdims=True))
+    gamma = np.maximum(RHO_P * gamma_min, mags)
     return gamma / gamma.mean(axis=-1, keepdims=True)
 
 
 def za_papa_step(state: FilterState, buffer: RegressorBuffer) -> FilterState:
     """Proportionate zero-attracting update: per-tap gains reshape the projection."""
-    cfg = state.config
-    if cfg.proportionate is None:
+    if state.config.proportionate is None:
         raise ValueError("za_papa_step requires a proportionate config")
-    g = gain_matrix(state.w, cfg.proportionate.rho_p, cfg.proportionate.delta)
-    return _update(state, buffer, gains=g, attract=True)
+    return _update(state, buffer, gains=gain_matrix(state.w), attract=True)
 
 
 def nlms_ocf_step(

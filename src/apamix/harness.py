@@ -85,7 +85,7 @@ from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hin
 import numpy as np
 
 from . import theory
-from .combination import A_PLUS, MU_A, lambda_of, mixing_step, update_a
+from .combination import lambda_of, mixing_step, update_a
 from .errors import ConfigError, DivergenceError, NumericalError
 from .linalg import invert_spd_batch
 from .filters import (
@@ -240,7 +240,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     ``trial_index``, the engine's streams for that trial. Slow (per-sample
     Python), for tests and debugging; use :func:`run_experiment` for ensembles.
     """
-    scenario = config.scenario.materialize()
+    scenario = config.scenario  # scenario_stream draws its systems
     n = scenario.n_samples
     state1 = FilterState.zeros(config.filter1, scenario.L)
     state2 = FilterState.zeros(config.filter2, scenario.L)
@@ -259,7 +259,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         lam[i] = lam_i = lambda_of(a)
         ea[i] = lam_i * ea1[i] + (1.0 - lam_i) * ea2[i]
         e = obs.d - (lam_i * y1 + (1.0 - lam_i) * y2)
-        a = update_a(a, e, y1, y2, MU_A, A_PLUS)
+        a = update_a(a, e, y1, y2)
         try:
             state1 = apa_step(state1, buf)
             state2 = step2(state2, buf)
@@ -427,7 +427,7 @@ def _simulate_chunk(
                         devs[2:4] += np.square(dev, out=dev).sum(axis=1)
 
                     e_comb = d - (lam * y1 + (1.0 - lam) * y2)
-                    a = mixing_step(a, lam, e_comb, y1, y2, MU_A, A_PLUS)
+                    a = mixing_step(a, lam, e_comb, y1, y2)
 
                     E = Dw[..., None] - Y  # (R, M, 2) error vectors by slot
                     np.sign(W[1], out=attractor)
@@ -435,7 +435,7 @@ def _simulate_chunk(
                     # both branches' projections on the shared Gram
                     np.matmul(Ginv[:, :, col].transpose(2, 0, 1), E, out=S)
                     if prop is not None:  # the other branch on its gain-weighted Gram
-                        g = gain_matrix(W[1], prop.rho_p, prop.delta)
+                        g = gain_matrix(W[1])
                         np.add(np.multiply(g[:, None, :], U, out=GU) @ U.mT, load, out=GG)
                         try:
                             S[..., 1:] = np.linalg.solve(GG, E[..., 1:])

@@ -88,7 +88,8 @@ class SegmentDef:
 
 @dataclass(frozen=True)
 class Segment(SegmentDef):
-    """A segment with its drawn system, as :meth:`ScenarioDef.materialize` makes it."""
+    """A segment with its system ``w_opt``, drawn by :meth:`ScenarioDef.materialize` or
+    built by hand: L finite taps, exactly K of them nonzero."""
 
     w_opt: np.ndarray = field(kw_only=True)
 
@@ -98,7 +99,8 @@ class ScenarioDef:
     """Piecewise-constant true system plus the observation-noise level.
 
     As loaded from JSON its segments are :class:`SegmentDef`;
-    :meth:`materialize` returns it with each segment's system drawn.
+    :meth:`materialize` returns it with each segment's system drawn, and
+    keeps a :class:`Segment` built by hand.
     ``seed`` is the experiment's only seed. Segment systems are drawn
     deterministically from it: segment j uses the stream ``seed XOR (j+1)``,
     so a definition always materializes to the same scenario. Trial t's
@@ -124,6 +126,9 @@ class ScenarioDef:
         for j, sd in enumerate(self.segments):
             if sd.K > self.L:
                 raise ValueError(f"segment {j}: active tap count {sd.K} exceeds L={self.L}")
+            if isinstance(sd, Segment) and not (sd.w_opt.shape == (self.L,) and np.isfinite(
+                    sd.w_opt).all() and np.count_nonzero(sd.w_opt) == sd.K):
+                raise ValueError(f"segment {j}: w_opt needs {self.L} finite taps, {sd.K} nonzero")
 
     @property
     def n_samples(self) -> int:
@@ -138,10 +143,13 @@ class ScenarioDef:
         """This definition with each segment's system drawn: exactly K nonzero taps.
 
         Positions are uniform without replacement; nonzero values are N(0,1)
-        (``random``) or random signs (``unit``).
+        (``random``) or random signs (``unit``). A segment that already
+        holds a system (a :class:`Segment`) keeps it.
         """
-        segs = []
-        for j, sd in enumerate(self.segments):
+        segs = list(self.segments)
+        for j, sd in enumerate(segs):
+            if isinstance(sd, Segment):
+                continue
             rng = make_rng(self.seed, j + 1)
             active = np.sort(rng.choice(self.L, size=sd.K, replace=False))
             if sd.magnitude_rule == "random":
@@ -152,7 +160,7 @@ class ScenarioDef:
                 vals = rng.integers(0, 2, size=sd.K) * 2.0 - 1.0
             w = np.zeros(self.L)
             w[active] = vals
-            segs.append(Segment(sd.duration, sd.K, sd.magnitude_rule, w_opt=w))
+            segs[j] = Segment(sd.duration, sd.K, sd.magnitude_rule, w_opt=w)
         return replace(self, segments=tuple(segs))
 
 
@@ -221,14 +229,13 @@ def trial_signals(scenario: ScenarioDef, trial: int) -> tuple[np.ndarray, np.nda
 def scenario_stream(scenario: ScenarioDef, trial: int) -> Iterator[tuple[Observation, np.ndarray]]:
     """Yield trial ``trial``'s observations, each with the system it observes.
 
-    ``scenario`` must be materialized: each observation reads its
-    segment's ``w_opt``. The regressor at time i is the window ``[x(i), x(i-1), ..., x(i-L+1)]``
-    with zeros before t=0; the desired response uses the segment-active
-    system at i plus independent observation noise. An undrawn segment
-    raises ValueError when the first observation is asked for.
+    Each observation reads its segment's ``w_opt`` of
+    ``scenario.materialize()``. The regressor at time i is the window
+    ``[x(i), x(i-1), ..., x(i-L+1)]`` with zeros before t=0; the desired
+    response uses the segment-active system at i plus independent
+    observation noise.
     """
-    if not all(isinstance(seg, Segment) for seg in scenario.segments):
-        raise ValueError("scenario segments have no drawn system: call materialize() first")
+    scenario = scenario.materialize()
     x, noise = trial_signals(scenario, trial)
     L = scenario.L
     padded = np.concatenate([np.zeros(L - 1), x])

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .combination import A_PLUS, lambda_of
 from .errors import AnalysisViolation
 
 __all__ = [
@@ -242,8 +243,9 @@ class SteadyStatePrediction:
     rho_bound_sparse: float
 
 
-def predict_steady_state(ti: TheoryInputs, lam_plus: float) -> SteadyStatePrediction:
-    """Assemble the full prediction table for one (system, filter) operating point."""
+def predict_steady_state(ti: TheoryInputs) -> SteadyStatePrediction:
+    """Assemble the full prediction table for one (system, filter) operating point,
+    with the mix clipped where the simulation clips it, at ``lambda_of(A_PLUS)``."""
     lam1 = apa_msd_per_tap(ti)
     msd_a = zaapa_msd_active(ti)
     msd_z = zaapa_msd_inactive(ti)
@@ -253,7 +255,7 @@ def predict_steady_state(ti: TheoryInputs, lam_plus: float) -> SteadyStatePredic
     # the plain filter's mean deviation vanishes on active taps, so the
     # attractor term drops out of their cross deviation: it is lam1
     J12 = emse_from_msd(lam1, cr_z, ti.K, ti.L, ti.input_variance)
-    lam_inf, regime = lambda_infinity(J1, J2, J12, lam_plus)
+    lam_inf, regime = lambda_infinity(J1, J2, J12, lambda_of(A_PLUS))
     return SteadyStatePrediction(
         msd_apa=lam1,
         msd_active=msd_a,

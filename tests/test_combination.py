@@ -50,21 +50,19 @@ class TestLambdaOf:
 
 
 class TestUpdateA:
-    MIX = dict(mu_a=100.0, a_plus=4.0)
-
     def test_equal_outputs_no_move(self):
-        assert update_a(1.0, e=0.5, y1=2.0, y2=2.0, **self.MIX) == 1.0
+        assert update_a(1.0, e=0.5, y1=2.0, y2=2.0) == 1.0
 
     def test_zero_error_no_move(self):
-        assert update_a(1.0, e=0.0, y1=2.0, y2=-1.0, **self.MIX) == 1.0
+        assert update_a(1.0, e=0.0, y1=2.0, y2=-1.0) == 1.0
 
     def test_clip_at_upper(self):
-        out = update_a(4.0, e=1.0, y1=2.0, y2=0.0, **self.MIX)  # positive increment
+        out = update_a(4.0, e=1.0, y1=2.0, y2=0.0)  # positive increment
         assert out == 4.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            update_a(1.0, e=float("nan"), y1=0.0, y2=0.0, **self.MIX)
+            update_a(1.0, e=float("nan"), y1=0.0, y2=0.0)
 
     def test_direction_favors_better_filter(self):
         # when branch 1 has the much smaller a-priori error, the mean
@@ -80,7 +78,7 @@ class TestUpdateA:
             d_clean = rng.standard_normal()
             y1, y2 = d_clean - ea1, d_clean - ea2
             e = lam * ea1 + (1 - lam) * ea2 + noise
-            incs.append(update_a(a, e, y1, y2, mu_a=1.0, a_plus=4.0) - a)
+            incs.append(update_a(a, e, y1, y2) - a)
         assert np.mean(incs) > 0
 
     def test_lambda_stays_in_reachable_range(self):
@@ -90,7 +88,7 @@ class TestUpdateA:
         lo, hi = 1.0 - lam_plus, lam_plus
         for _ in range(20_000):
             e, y1, y2 = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 3)
-            a = update_a(a, float(e), float(y1), float(y2), **self.MIX)
+            a = update_a(a, float(e), float(y1), float(y2))
             assert lo <= lambda_of(a) <= hi
 
     def test_array_step_matches_update_a(self):
@@ -99,10 +97,10 @@ class TestUpdateA:
         a[:2] = 4.0, -4.0
         e, y1, y2 = rng.standard_normal((3, 300))
         lam = lambda_of(a)
-        out = mixing_step(a, lam, e, y1, y2, mu_a=100.0, a_plus=4.0)
+        out = mixing_step(a, lam, e, y1, y2)
         for k in range(a.size):
             assert lam[k] == lambda_of(float(a[k]))
-            assert out[k] == update_a(float(a[k]), float(e[k]), float(y1[k]), float(y2[k]), **self.MIX)
+            assert out[k] == update_a(float(a[k]), float(e[k]), float(y1[k]), float(y2[k]))
         # both clip bounds are hit, and some steps stay inside
         assert (out == 4.0).any() and (out == -4.0).any()
         assert (np.abs(out) < 4.0).any()
@@ -114,6 +112,6 @@ class TestUpdateA:
         st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
     )
     def test_a_always_clipped(self, a0, e, y1, y2):
-        out = update_a(a0, e, y1, y2, **self.MIX)
+        out = update_a(a0, e, y1, y2)
         assert type(out) is float
         assert -4.0 <= out <= 4.0

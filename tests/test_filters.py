@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from apamix.errors import DivergenceError, NumericalError
 from apamix.filters import (
+    DELTA,
+    RHO_P,
     FilterConfig,
     FilterState,
     ProportionateConfig,
@@ -186,40 +190,44 @@ class TestConvergedStart:
 
 class TestGainMatrix:
     def test_uniform_magnitudes(self):
-        g = gain_matrix(np.array([0.5, -0.5, 0.5, -0.5]), rho_p=0.05, delta=0.01)
+        g = gain_matrix(np.array([0.5, -0.5, 0.5, -0.5]))
         assert np.allclose(g, 1.0, atol=1e-15)
 
     def test_startup_all_zero(self):
-        g = gain_matrix(np.zeros(8), rho_p=0.05, delta=0.01)
+        g = gain_matrix(np.zeros(8))
         assert np.allclose(g, 1.0, atol=1e-15)
 
     def test_mean_is_one(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             w = rng.standard_normal(rng.integers(1, 40)) * 10.0 ** rng.integers(-6, 3)
-            g = gain_matrix(w, rho_p=0.05, delta=0.01)
+            g = gain_matrix(w)
             assert g.mean() == pytest.approx(1.0, abs=1e-12)
             assert (g > 0).all()
 
     def test_large_taps_get_larger_gains(self):
-        g = gain_matrix(np.array([1.0, 0.0, 0.0, 0.0]), rho_p=0.01, delta=0.01)
+        g = gain_matrix(np.array([1.0, 0.0, 0.0, 0.0]))
         assert g[0] > 1.0 > g[1]
+        # the zero taps keep the floor RHO_P of the largest magnitude
+        assert g[1] == pytest.approx(RHO_P * g[0], rel=1e-15)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gain_matrix(np.ones(3), rho_p=0.0, delta=0.01)
+    def test_settings_floor_every_tap_above_zero(self):
+        # RHO_P = 0 would stall the zero taps, and RHO_P >= 1 would make
+        # every gain 1; DELTA = 0 would zero every gain at startup
+        assert 0 < RHO_P < 1
+        assert 0 < DELTA < math.inf
 
     def test_batch_equals_row_by_row(self):
         rng = np.random.default_rng(11)
         W = rng.standard_normal((6, 12)) * 10.0 ** rng.integers(-6, 3, size=(6, 1))
         W[2] = 0.0  # startup row: the delta floor applies
-        G = gain_matrix(W, rho_p=0.05, delta=0.01)
+        G = gain_matrix(W)
         assert G.shape == W.shape
         for w, g in zip(W, G):
-            assert np.array_equal(g, gain_matrix(w, rho_p=0.05, delta=0.01))
+            assert np.array_equal(g, gain_matrix(w))
         assert np.allclose(G[2], 1.0, atol=1e-15)
         # any number of leading batch axes
-        assert np.array_equal(gain_matrix(W.reshape(2, 3, 12), 0.05, 0.01), G.reshape(2, 3, 12))
+        assert np.array_equal(gain_matrix(W.reshape(2, 3, 12)), G.reshape(2, 3, 12))
 
 
 class TestZaPapaStep:
@@ -228,7 +236,7 @@ class TestZaPapaStep:
         rng = np.random.default_rng(10)
         cfg = FilterConfig(
             M=2, mu=0.5, rho=1e-4, eps=1e-6,
-            proportionate=ProportionateConfig(rho_p=0.05, delta=0.01),
+            proportionate=ProportionateConfig(),
         )
         w = 0.5 * np.sign(rng.standard_normal(8))
         state = FilterState(w=w, config=cfg)
@@ -241,7 +249,7 @@ class TestZaPapaStep:
         rng = np.random.default_rng(11)
         cfg = FilterConfig(
             M=2, mu=0.5, rho=0.0, eps=1e-6,
-            proportionate=ProportionateConfig(rho_p=0.05, delta=0.01),
+            proportionate=ProportionateConfig(),
         )
         w = 0.25 * np.sign(rng.standard_normal(8))
         state = FilterState(w=w, config=cfg)

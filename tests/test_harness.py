@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import apamix.harness as harness
 from apamix.cli import build_parser, main as cli_main
-from apamix.combination import A_PLUS, lambda_of
 from apamix.errors import ConfigError, DivergenceError, NumericalError
 from apamix.filters import (
     FilterConfig,
@@ -40,7 +39,14 @@ from apamix.harness import (
     write_curves,
     write_sweep,
 )
-from apamix.signals import ScenarioDef, SegmentDef, SignalModel, scenario_stream
+from apamix.signals import (
+    ScenarioDef,
+    Segment,
+    SegmentDef,
+    SignalModel,
+    scenario_stream,
+    trial_signals,
+)
 from apamix.theory import TheoryInputs, predict_steady_state, rho_bound_global
 
 
@@ -102,12 +108,17 @@ def assert_engine_matches_reference(cfg, floor=0.0):
 
 
 class TestReferenceVsEngine:
-    @pytest.mark.parametrize("prop", [None, ProportionateConfig(rho_p=0.05, delta=0.01)])
-    def test_single_trial_matches_reference(self, prop):
-        assert_engine_matches_reference(tiny_config(proportionate=prop))
-
-    def test_ar1_trial_matches_reference(self):
-        assert_engine_matches_reference(tiny_config(pole=0.8))
+    def test_hand_built_system_is_the_one_simulated(self):
+        # materialize keeps a segment that already holds its system
+        w = np.array([5.0, 0, 0, -2.0, 0, 0, 0, 0])
+        cfg = tiny_config(L=8, runs=1, segments=(Segment(120, 2, w_opt=w),))
+        cur = run_experiment(cfg)
+        assert np.flatnonzero(cur.segments[0].active).tolist() == [0, 3]
+        # at sample 0 the regressor is [x(0), 0, ...] and both branches output 0
+        x0 = trial_signals(cfg.scenario, 0)[0][0]
+        assert run_trial(cfg, 0).ea1[0] == 5.0 * x0
+        assert cur.j1[0] == (5.0 * x0) ** 2
+        assert_engine_matches_reference(cfg)
 
     def test_trial_streams_depend_only_on_seed_and_index(self):
         cfg = tiny_config()
@@ -837,7 +848,7 @@ def experiment_configs(draw):
             mu=draw(mu),
             rho=draw(st.floats(0, 1)),
             eps=draw(positive),
-            proportionate=draw(st.none() | st.builds(ProportionateConfig, positive, positive)),
+            proportionate=draw(st.sampled_from([None, ProportionateConfig()])),
         ),
         runs=draw(st.integers(1, 10**6)),
         steady_window_fraction=draw(st.floats(0, 1, exclude_min=True)),
@@ -897,7 +908,7 @@ class TestPersistence:
                 "input": {"variance": None, "pole": None},
                 "seed": None,
             },
-            "filter2": {**filt, "proportionate": {"rho_p": None, "delta": None}},
+            "filter2": {**filt, "proportionate": {}},
             "runs": None,
             "steady_window_fraction": None,
             "chunk_size": None,
@@ -1018,7 +1029,7 @@ class TestCli:
         assert [row[:2] for row in rows] == [["0", "256"], ["1", "80"], ["2", "16"]]
         for row, K in zip(rows, (256, 80, 16)):
             ti = TheoryInputs(L=256, K=K, M=8, mu=0.5, rho=rho, noise_variance=1e-3)
-            pred = predict_steady_state(ti, lambda_of(A_PLUS))
+            pred = predict_steady_state(ti)
             assert row[2:5] == [f"{pred.J1:.3e}", f"{pred.J2:.3e}", f"{pred.J12:.3e}"]
 
     def test_predict_notes_nothing_inside_the_validated_domain(self, tmp_path, capsys):
@@ -1052,6 +1063,18 @@ class TestCli:
         else:
             assert err == ("config error: closed-form prediction is available "
                            "for white input (pole 0) only\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+    @pytest.mark.parametrize("extra", [["simulate"], ["sweep-rho", "--grid", "1e-4:1e-4:1"]],
+                             ids=["simulate", "sweep-rho"])
+    def test_failed_out_write_is_one_error_line(self, extra, tmp_path, capsys):
+        # every write to /dev/full fails with ENOSPC, after the run
+        rc = cli_main([extra[0], "--config", config_file(tmp_path), *extra[1:],
+                       "--out", "/dev/full"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out.split()[0] == {"simulate": "seg", "sweep-rho": "rho"}[extra[0]]
+        assert err == "error: cannot write /dev/full: No space left on device\n"
 
     def test_sweep_rho_cli(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -1266,6 +1289,9 @@ class TestEnginePathsMatchReference:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(engine_params())
+    @example(dict())  # tiny_config itself: 16 taps, M = 2, two 250-sample segments
+    @example(dict(proportionate=ProportionateConfig()))
+    @example(dict(pole=0.8))
     @example(dict(L=8, M=3, n=60))  # one shared solve
     @example(dict(L=8, M=3, n=60, proportionate=ProportionateConfig()))
     @example(dict(L=8, M=3, n=60, pole=0.8))
@@ -1361,7 +1387,6 @@ def edited(path, value):
 
 
 FINITE_FILTER = "rho and eps must be finite and >= 0"
-FINITE_GAINS = "rho_p and delta must be positive and finite"
 NOISE = "noise variance must be finite and >= 0"
 WINDOW = "steady_window_fraction must lie in (0, 1]"
 
@@ -1394,6 +1419,9 @@ class TestBadConfigRejectedAtLoad:
         pytest.param("filter2", 3, "config.filter2 must be a JSON object", id="filter-not-object"),
         pytest.param("filter2.proportionate", 3,
                      "config.filter2.proportionate must be a JSON object", id="gains-not-object"),
+        # the gains' settings are filters.RHO_P and filters.DELTA, not keys
+        pytest.param("filter2.proportionate", {"rho_p": 0.05, "delta": 0.01},
+                     "unknown key 'rho_p' in config.filter2.proportionate", id="old-format-gains"),
         pytest.param("scenario.segments", {}, "config.scenario.segments must be a JSON array",
                      id="segments-not-array"),
         pytest.param("runs", INF, "config.runs must be a JSON integer, not inf", id="runs-inf"),
@@ -1429,7 +1457,7 @@ class TestBadConfigRejectedAtLoad:
                      "filter2: eps must be > 0", id="unloaded-projection-M1"),
         pytest.param("filter2.eps", 1e-15, "filter2: eps=1e-15 is below L*variance*2**-52=3.55e-15",
                      id="loading-below-rounding-error"),
-        # FilterConfig and ProportionateConfig
+        # FilterConfig
         pytest.param("filter2.mu", 2.0, "step size mu must lie in [0, 2)", id="mu-two"),
         pytest.param("filter2.mu", -0.1, "step size mu must lie in [0, 2)", id="mu-negative"),
         pytest.param("filter2.M", 0, "projection order M must be >= 1", id="M-zero"),
@@ -1438,12 +1466,6 @@ class TestBadConfigRejectedAtLoad:
         pytest.param("filter2.rho", NAN, FINITE_FILTER, id="rho-nan"),
         pytest.param("filter2.rho", INF, FINITE_FILTER, id="rho-inf"),
         pytest.param("filter2.eps", INF, FINITE_FILTER, id="eps-inf"),
-        pytest.param("filter2.proportionate", {"rho_p": INF, "delta": 0.01}, FINITE_GAINS,
-                     id="rho_p-inf"),
-        pytest.param("filter2.proportionate", {"rho_p": 0.05, "delta": INF}, FINITE_GAINS,
-                     id="delta-inf"),
-        pytest.param("filter2.proportionate", {"rho_p": 0.05, "delta": 0.0}, FINITE_GAINS,
-                     id="delta-zero"),
         # ScenarioDef, SegmentDef and SignalModel
         pytest.param("scenario.L", 0, "filter length L=0 must be >= 1", id="L-zero"),
         pytest.param("scenario.L", -5, "filter length L=-5 must be >= 1", id="L-negative"),

@@ -84,6 +84,24 @@ def _drawn(L, K, magnitude_rule="random", seed=0):
 
 
 class TestMaterialize:
+    def test_hand_built_system_is_kept(self):
+        seg = Segment(10, 2, w_opt=np.array([5.0, 0, 0, -2.0]))
+        scen = ScenarioDef(4, (seg, SegmentDef(10, 3)), 0.0, SignalModel(), 1)
+        drawn = scen.materialize()
+        assert drawn.segments[0] is seg
+        # the other segment's system is drawn from its own key, as if seg were undrawn
+        alone = ScenarioDef(4, (SegmentDef(10, 2), SegmentDef(10, 3)), 0.0, SignalModel(), 1)
+        assert np.array_equal(drawn.segments[1].w_opt, alone.materialize().segments[1].w_opt)
+
+    @pytest.mark.parametrize("w_opt", [[5.0, 0, -2.0], [5.0, 0, 0, -2.0, 0], [5.0, 0, 0, 0],
+                                       [5.0, 1.0, 0, -2.0], [5.0, 0, 0, np.inf],
+                                       [5.0, 0, np.nan, -2.0]],
+                             ids=["short", "long", "K-too-small", "K-too-large", "inf", "nan"])
+    def test_hand_built_system_is_checked_at_construction(self, w_opt):
+        seg = Segment(10, 2, w_opt=np.array(w_opt))
+        with pytest.raises(ValueError, match=r"^segment 1: w_opt needs 4 finite taps, 2 nonzero$"):
+            ScenarioDef(4, (SegmentDef(10, 1), seg), 0.0, SignalModel(), 1)
+
     def test_full_support(self):
         assert np.count_nonzero(_drawn(16, 16)) == 16
 
@@ -144,12 +162,13 @@ class TestScenarioStream:
         assert obs[10].d == pytest.approx(3.0 * x[10], abs=1e-15)
         assert w_opts[9] is seg_a.w_opt and w_opts[10] is seg_b.w_opt
 
-    def test_undrawn_scenario_asks_for_materialize(self):
+    def test_undrawn_scenario_streams_its_drawn_systems(self):
         scen = ScenarioDef(4, (SegmentDef(20, 2),), 1e-3, SignalModel(), 7)
-        with pytest.raises(ValueError, match=r"materialize\(\) first"):
-            next(scenario_stream(scen, 0))
-        drawn = scen.materialize()
-        assert len(list(scenario_stream(drawn, 0))) == 20
+        got = list(scenario_stream(scen, 0))
+        want = list(scenario_stream(scen.materialize(), 0))
+        assert len(got) == len(want) == 20
+        for (obs, w_opt), (want_obs, want_w) in zip(got, want):
+            assert np.array_equal(w_opt, want_w) and obs.d == want_obs.d
 
     def test_reproducible_streams(self):
         scen = _single_segment_scenario(4, [1.0, 0, 0, 0], 200, 1e-3, 6, SignalModel(pole=0.5))

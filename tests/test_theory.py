@@ -131,7 +131,7 @@ class TestCrossMsd:
     def test_active_cross_term_is_the_plain_msd(self, rho, mu):
         # at K = L every tap is active, so J12 is J1 whatever rho
         t = ti(rho=rho, K=256, mu=mu)
-        p = predict_steady_state(t, 0.982)
+        p = predict_steady_state(t)
         assert p.J12 == p.J1
         if mu == 1.0:
             assert p.J12 == pytest.approx(256 * 1e-3 * t.inv_r2, rel=1e-14)
@@ -310,14 +310,14 @@ class TestPredictSteadyState:
         # frozen values computed with a separately written evaluation of the
         # same closed forms (desk scale, attractor from the preset scaling)
         rho = 3.19298316e-05
-        lam_plus = 1 / (1 + math.exp(-4.0))
-        p4 = predict_steady_state(ti_desk(rho=rho, K=4), lam_plus)
+        lam_plus = 1 / (1 + math.exp(-4.0))  # the mixing rule's clip, 1/(1 + e^-A_PLUS)
+        p4 = predict_steady_state(ti_desk(rho=rho, K=4))
         assert p4.J1 == pytest.approx(64 * 5.37634e-06, rel=1e-4)
         assert p4.J2 < p4.J12 < p4.J1
         assert p4.regime == "sparse_caseI"
         assert p4.lam_inf == pytest.approx(1 - lam_plus, abs=1e-12)
 
-        p64 = predict_steady_state(ti_desk(rho=rho, K=64), lam_plus)
+        p64 = predict_steady_state(ti_desk(rho=rho, K=64))
         assert p64.regime == "non_sparse"
         assert p64.J12 == pytest.approx(p64.J1, rel=1e-12)
         assert p64.lam_inf == lam_plus
@@ -325,8 +325,7 @@ class TestPredictSteadyState:
 
     def test_half_bound_point_frozen_values(self):
         rho = 1.13223290e-04  # half the admissible-range bound at desk scale
-        lam_plus = 1 / (1 + math.exp(-4.0))
-        p = predict_steady_state(ti_desk(rho=rho, K=4), lam_plus)
+        p = predict_steady_state(ti_desk(rho=rho, K=4))
         assert p.msd_active == pytest.approx(2.34403602e-05, rel=1e-7)
         assert p.msd_inactive == pytest.approx(1.29795863e-06, rel=1e-7)
         assert p.cross_inactive == pytest.approx(2.00690011e-06, rel=1e-7)
@@ -347,16 +346,16 @@ class TestNearTie:
     @pytest.mark.parametrize("K, slope", [(4, 6.8305e3), (20, 5.0091e3)])
     def test_split_is_linear_in_rho(self, K, slope):
         for rho in (1e-15, 1e-12, 1e-9):
-            p = predict_steady_state(ti_desk(rho=rho, K=K), self.lam_plus)
+            p = predict_steady_state(ti_desk(rho=rho, K=K))
             assert (p.J1 - p.J12) / p.J1 == pytest.approx(slope * rho, rel=1e-3)
             assert (p.J2 - p.J12) / p.J1 == pytest.approx(-slope * rho, rel=1e-3)
 
     @pytest.mark.parametrize("K", [4, 20])
     def test_labels_at_zero_and_at_the_smallest_rho(self, K):
-        tie = predict_steady_state(ti_desk(rho=0.0, K=K), self.lam_plus)
+        tie = predict_steady_state(ti_desk(rho=0.0, K=K))
         assert abs(tie.J1 - tie.J12) < 1e-15 * tie.J1
         assert (tie.regime, tie.lam_inf) == ("non_sparse", self.lam_plus)
-        split = predict_steady_state(ti_desk(rho=1e-15, K=K), self.lam_plus)
+        split = predict_steady_state(ti_desk(rho=1e-15, K=K))
         assert (split.J1 - split.J12) / split.J1 > 1e-12
         assert (split.regime, split.lam_inf) == ("sparse_caseI", 1 - self.lam_plus)
 

@@ -106,6 +106,22 @@ def test_oracle_sweep_of_one_seed_passes(capsys):
     assert captured.out == "" and "0 of 1 pairs failed" in captured.err
 
 
+@pytest.mark.parametrize("argv", [["5", "1", "desk-zaapa"], ["1", "x", "desk-zaapa"],
+                                  ["1.5", "3", "desk-zaapa"], ["1", "2"]],
+                         ids=["first-above-last", "bound-not-a-number", "bound-not-an-integer",
+                              "no-workload"])
+def test_oracle_sweep_refuses_a_bad_range(argv, capsys, monkeypatch):
+    def no_child(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr(oracle_seeds.subprocess, "run", no_child)
+    assert oracle_seeds.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("    python3 tools/oracle_seeds.py FIRST LAST WORKLOAD "
+                            "[WORKLOAD ...]\n")
+
+
 def test_oracle_sweep_lists_a_failing_pair(capsys):
     # a workload that perfbench/child.py refuses: the child exits 2
     assert oracle_seeds.main(["1", "2", "no-such-workload"]) == 1

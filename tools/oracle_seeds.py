@@ -2,7 +2,8 @@
 
     python3 tools/oracle_seeds.py FIRST LAST WORKLOAD [WORKLOAD ...]
 
-For each workload and each benchmark seed from FIRST to LAST inclusive, it
+For each workload and each benchmark seed from FIRST to LAST inclusive
+(integers, FIRST <= LAST; anything else prints the usage line and exits 2), it
 runs ``perfbench/child.py check WORKLOAD --oracle SEED`` in a fresh
 interpreter, as ``perfbench/run.py`` does, with one BLAS thread and the
 package imported from ``src/`` next to this script's directory. It prints
@@ -43,10 +44,13 @@ def failures(workload: str, seed: int) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 3:
+    try:
+        first, last, workloads = int(argv[0]), int(argv[1]), argv[2:]
+    except (IndexError, ValueError):  # too few arguments, or a bound that is no integer
+        workloads = []
+    if not workloads or first > last:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    first, last, workloads = int(argv[0]), int(argv[1]), argv[2:]
     bad = 0
     for workload in workloads:
         for seed in range(first, last + 1):

@@ -91,14 +91,13 @@ def closed_forms(cfg) -> dict[str, np.ndarray]:
     fields, by name. The names are listed rather than read from the dataclass,
     so that a tree which adds or drops a field prints the same lines for the rest."""
     from apamix import harness, theory
-    from apamix.combination import A_PLUS, lambda_of
 
     names = ("msd_apa", "msd_active", "msd_inactive", "cross_inactive", "J1", "J2", "J12",
              "lam_inf", "regime", "J_combined", "rho_bound", "rho_bound_sparse")
     arrays = {}
     for k in range(len(cfg.scenario.segments)):
         ti = harness.theory_inputs(cfg, k)
-        pred = theory.predict_steady_state(ti, lambda_of(A_PLUS))
+        pred = theory.predict_steady_state(ti)
         values = [(name, getattr(ti, name)) for name in ("p", "beta", "inv_r2")]
         for name, value in values + [(name, getattr(pred, name)) for name in names]:
             arrays[f"theory[{k}].{name}"] = np.asarray(np.nan if value is None else value)
